@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    potchain run CONFIG [--seed N] [--out DIR] [--format csv]
+    potchain run CONFIG [--seed N] [--out DIR]
     potchain calibrate [--max-z N] [--runs N] [--seed N] [--out DIR]
 
 `run` executes the experiment named in the config, writes its CSV
@@ -160,9 +160,6 @@ def cmd_run(args) -> int:
         cfg.sim = replace(cfg.sim, seed=args.seed)
     out_dir = os.environ.get("POTCHAIN_OUT") or args.out or cfg.output_dir
     out = Path(out_dir)
-    if args.format != "csv":
-        print(f"unsupported format {args.format!r}", file=sys.stderr)
-        return 1
 
     summary = Summary()
     summary.info(f"config: {args.config}")
@@ -236,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None,
                        help="override [run] seed")
     run_p.add_argument("--out", default=None, help="override output directory")
-    run_p.add_argument("--format", default="csv", help="artifact format")
     run_p.set_defaults(func=cmd_run)
 
     cal_p = sub.add_parser("calibrate", help="benchmark the hash puzzle")

@@ -3,6 +3,10 @@
 A config file has sections [run], [trust], [difficulty], [csc], [sac],
 [simulation], [population], and optionally [sensing-experiment] and
 [demo]. Every bundled preset under configs/ is a complete example.
+OPTIONS lists the options each section accepts; an option left out takes
+the default of the dataclass field it names (TrustParams,
+DifficultyParams, SimConfig or RunConfig), and any other option in these
+sections is rejected.
 
 Population entries are `kind = count, p_d, p_f, participation, attack_period`,
 one line per node kind.
@@ -11,7 +15,7 @@ one line per node kind.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .consensus import DifficultyParams
@@ -50,7 +54,6 @@ class RunConfig:
     n1_sweep: tuple[int, ...] = (3, 5, 7, 20)
     rounds_per_point: int = 500
     pu_force: str = "idle"          # demo-round only
-    recovery_error_round: int | None = None
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -84,26 +87,25 @@ class RunConfig:
             raise ConfigInvalid("sensing-experiment.n1_sweep", "empty sweep")
         if self.pu_force not in ("none", "idle"):
             raise ConfigInvalid("demo.pu_force", "must be 'none' or 'idle'")
-        if self.sim.rounds < 0:
-            raise ConfigInvalid("run.rounds", "must be >= 0")
-        if self.sim.n1 < 1:
-            raise ConfigInvalid("csc.n1", "must be >= 1")
-        if not 0.0 <= self.sim.p_active <= 1.0:
-            raise ConfigInvalid("simulation.p_active", "outside [0, 1]")
-
-
-def _get(parser, section, option, conv, default, path=None):
-    if not parser.has_option(section, option):
-        if default is not None:
-            return default
-        raise ConfigInvalid(f"{section}.{option}", "missing required option")
-    raw = parser.get(section, option).strip()
-    if raw == "" and default is not None:
-        return default
-    try:
-        return conv(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"{section}.{option}", f"bad value {raw!r}") from exc
+        sim = self.sim
+        ranges = (
+            ("run.rounds", sim.rounds >= 0, "must be >= 0"),
+            ("simulation.warmup_rounds",
+             sim.warmup_rounds is None or sim.warmup_rounds >= 0, "must be >= 0"),
+            ("csc.n1", sim.n1 >= 1, "must be >= 1"),
+            ("csc.tv_thr", 0.0 <= sim.tv_thr <= 1.0, "outside [0, 1]"),
+            ("csc.d_s", sim.d_s > 0, "must be > 0"),
+            ("sac.n2", sim.n2 >= 1, "must be >= 1"),
+            ("sac.d_a", sim.d_a > 0, "must be > 0"),
+            ("sac.commit_cap", sim.commit_cap >= 1, "must be >= 1"),
+            ("simulation.p_active", 0.0 <= sim.p_active <= 1.0, "outside [0, 1]"),
+            ("simulation.bid_min", sim.bid_min >= 0, "must be >= 0"),
+            ("simulation.bid_max", sim.bid_max >= sim.bid_min,
+             "must be >= simulation.bid_min"),
+        )
+        for name, ok, message in ranges:
+            if not ok:
+                raise ConfigInvalid(name, message)
 
 
 def _bool(raw: str) -> bool:
@@ -113,6 +115,10 @@ def _bool(raw: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(raw)
+
+
+_PROFILE_FIELDS = (("p_d", float), ("p_f", float), ("participation", float),
+                   ("attack_period", int))
 
 
 def _population(parser) -> tuple[PopulationGroup, ...]:
@@ -129,15 +135,56 @@ def _population(parser) -> tuple[PopulationGroup, ...]:
                                 "expect count, p_d, p_f[, participation[, attack_period]]")
         try:
             count = int(parts[0])
-            p_d, p_f = float(parts[1]), float(parts[2])
-            participation = float(parts[3]) if len(parts) > 3 else 1.0
-            attack = int(parts[4]) if len(parts) > 4 else 0
+            profile = {name: conv(part) for (name, conv), part
+                       in zip(_PROFILE_FIELDS, parts[1:])}
         except ValueError as exc:
             raise ConfigInvalid(f"population.{key}", f"bad value in {raw!r}") from exc
-        profile = NodeProfile(kind=kind, p_d=p_d, p_f=p_f,
-                              participation=participation, attack_period=attack)
-        groups.append(PopulationGroup(profile=profile, count=count))
+        groups.append(PopulationGroup(profile=NodeProfile(kind=kind, **profile),
+                                      count=count))
     return tuple(groups)
+
+
+def _int_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in raw.split(",") if x.strip())
+
+
+# section -> option -> converter. Every option is named after the
+# dataclass field it sets; [population] lines are parsed by _population.
+OPTIONS = {
+    "run": {"seed": int, "experiment": str, "rounds": int, "output_dir": str},
+    "trust": {"rho": float, "eta": float, "window": int, "k1": int, "k2": int,
+              "r1": float, "r2": float},
+    "difficulty": {"beta0": int, "t0_ms": int, "beta_min": int},
+    "csc": {"n1": int, "tv_thr": float, "d_s": int, "reward_sensing": int},
+    "sac": {"n2": int, "d_a": int, "commit_cap": int},
+    "simulation": {"selection": SelectionScheme, "warmup_rounds": int,
+                   "reward_mining": int, "p_active": float,
+                   "initial_balance": int, "chain_beta": int, "rsa_bits": int,
+                   "bid_probability": float, "bid_min": int, "bid_max": int,
+                   "inject_forks": _bool},
+    "sensing-experiment": {"n1_sweep": _int_list, "rounds_per_point": int},
+    "demo": {"pu_force": str},
+}
+_RUN_FIELDS = frozenset(f.name for f in fields(RunConfig))
+
+
+def _section(parser, section: str) -> dict:
+    """The options the file sets in `section`, converted; blank means unset."""
+    if not parser.has_section(section):
+        return {}
+    converters = OPTIONS[section]
+    values = {}
+    for option, raw in parser.items(section):
+        conv = converters.get(option)
+        if conv is None:
+            raise ConfigInvalid(f"{section}.{option}", "unknown option")
+        if not raw:
+            continue
+        try:
+            values[option] = conv(raw)
+        except ValueError as exc:
+            raise ConfigInvalid(f"{section}.{option}", f"bad value {raw!r}") from exc
+    return values
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -150,71 +197,17 @@ def load_config(path: str | Path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigInvalid("config", f"parse error: {exc}") from exc
 
-    trust = TrustParams(
-        rho=_get(parser, "trust", "rho", float, 1.0),
-        eta=_get(parser, "trust", "eta", float, 1.0),
-        window=_get(parser, "trust", "window", int, 10),
-        k1=_get(parser, "trust", "k1", int, 5),
-        k2=_get(parser, "trust", "k2", int, 20),
-        r1=_get(parser, "trust", "r1", float, 0.9),
-        r2=_get(parser, "trust", "r2", float, 0.5),
-    )
-    difficulty = DifficultyParams(
-        beta0=_get(parser, "difficulty", "beta0", int, 262144),
-        t0_ms=_get(parser, "difficulty", "t0_ms", int, 1000),
-        beta_min=_get(parser, "difficulty", "beta_min", int, 1024),
-    )
-    selection_raw = _get(parser, "simulation", "selection", str, "trust-value")
-    try:
-        selection = SelectionScheme(selection_raw)
-    except ValueError:
-        raise ConfigInvalid("simulation.selection",
-                            f"unknown scheme {selection_raw!r}")
-    warmup = _get(parser, "simulation", "warmup_rounds", int, -1)
-    sim = SimConfig(
-        seed=_get(parser, "run", "seed", int, 42),
-        trust=trust,
-        difficulty=difficulty,
-        population=_population(parser),
-        rounds=_get(parser, "run", "rounds", int, 100),
-        warmup_rounds=None if warmup < 0 else warmup,
-        selection=selection,
-        n1=_get(parser, "csc", "n1", int, 20),
-        tv_thr=_get(parser, "csc", "tv_thr", float, 0.0),
-        d_s=_get(parser, "csc", "d_s", int, 100),
-        reward_sensing=_get(parser, "csc", "reward_sensing", int, 150),
-        n2=_get(parser, "sac", "n2", int, 8),
-        d_a=_get(parser, "sac", "d_a", int, 100),
-        commit_cap=_get(parser, "sac", "commit_cap", int, 8),
-        reward_mining=_get(parser, "simulation", "reward_mining", int, 50),
-        p_active=_get(parser, "simulation", "p_active", float, 0.5),
-        initial_balance=_get(parser, "simulation", "initial_balance", int, 1_000_000),
-        chain_beta=_get(parser, "simulation", "chain_beta", int, 16),
-        rsa_bits=_get(parser, "simulation", "rsa_bits", int, 512),
-        bid_probability=_get(parser, "simulation", "bid_probability", float, 0.5),
-        bid_min=_get(parser, "simulation", "bid_min", int, 50),
-        bid_max=_get(parser, "simulation", "bid_max", int, 300),
-        inject_forks=_get(parser, "simulation", "inject_forks", _bool, False),
-        stochastic_mining=_get(parser, "simulation", "stochastic_mining", _bool, False),
-    )
-
-    sweep_raw = _get(parser, "sensing-experiment", "n1_sweep", str, "3,5,7,20") \
-        if parser.has_section("sensing-experiment") else "3,5,7,20"
-    try:
-        sweep = tuple(int(x.strip()) for x in sweep_raw.split(",") if x.strip())
-    except ValueError:
-        raise ConfigInvalid("sensing-experiment.n1_sweep", f"bad list {sweep_raw!r}")
-
-    cfg = RunConfig(
-        experiment=_get(parser, "run", "experiment", str, None),
-        sim=sim,
-        output_dir=_get(parser, "run", "output_dir", str, "out"),
-        n1_sweep=sweep,
-        rounds_per_point=_get(parser, "sensing-experiment", "rounds_per_point",
-                              int, 500)
-        if parser.has_section("sensing-experiment") else 500,
-        pu_force=_get(parser, "demo", "pu_force", str, "idle")
-        if parser.has_section("demo") else "idle",
-    )
+    values = {section: _section(parser, section) for section in OPTIONS}
+    trust = TrustParams(**values.pop("trust"))
+    difficulty = DifficultyParams(**values.pop("difficulty"))
+    run_kw, sim_kw = {}, {}
+    for section_values in values.values():
+        for option, value in section_values.items():
+            (run_kw if option in _RUN_FIELDS else sim_kw)[option] = value
+    if "experiment" not in run_kw:
+        raise ConfigInvalid("run.experiment", "missing required option")
+    sim = SimConfig(trust=trust, difficulty=difficulty,
+                    population=_population(parser), **sim_kw)
+    cfg = RunConfig(sim=sim, **run_kw)
     cfg.validate()
     return cfg

@@ -17,6 +17,7 @@ Wire formats (all integers big-endian, fixed widths):
                  || fusion_rule(1) || d_s(8) || reward(8)
 - SAC deploy:    0x01 || csc_id(16) || sac_id(16) || n2(2) || t_self_d_ms(8)
                  || win_rule(1) || d_a(8)
+                 (both rule bytes are 0x00: majority fusion, second-price win)
 - CSC deposit:   0x00 || pk(32) || tv(2) || csc_id(16) || amount(8)
 - SAC deposit:   0x01 || pk(32) || tv(2) || sac_id(16) || amount(8) || first_commit(32)
 - sensing upload: csc_id(16) || packet(49); ring signature rides in the
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import crypto
+from . import crypto, ledger
 from .crypto import Commitment, RingPublicKey, RingSignature, SensingPacket
 from .trust import Outcome
 
@@ -103,12 +104,26 @@ class TokenMove:
     amount: int
 
 
-def convert(extra_deposit: int, unit_wei: int = CONVERT_UNIT_WEI,
-            cap: float = CONVERT_CAP) -> float:
+def convert(extra_deposit: int) -> float:
     """Trust boost bought by deposit above the minimum, linear with a cap."""
     if extra_deposit < 0:
         raise ValueError("extra deposit negative")
-    return min(extra_deposit / unit_wei * 0.01, cap)
+    return min(extra_deposit / CONVERT_UNIT_WEI * 0.01, CONVERT_CAP)
+
+
+def min_deposit(tv: float, tv_thr: float, d_s: int) -> int | None:
+    """Smallest deposit whose conversion lifts tv above tv_thr.
+
+    The inverse of convert over whole 0.01 steps; None when even the
+    capped boost cannot clear the threshold.
+    """
+    gap = tv_thr - tv
+    if gap < 0:
+        return d_s
+    units = int(gap / 0.01 + 1e-9) + 1
+    if units * 0.01 > CONVERT_CAP + 1e-12:
+        return None
+    return d_s + units * CONVERT_UNIT_WEI
 
 
 # =============================================================================
@@ -131,19 +146,6 @@ class CscConfig:
     tv_thr: float
     d_s: int
     reward_sensing: int
-    fusion_rule: str = "majority"
-    convert_unit_wei: int = CONVERT_UNIT_WEI
-    convert_cap: float = CONVERT_CAP
-
-    def validate(self) -> None:
-        if self.n1 < 1:
-            raise ValueError("n1 must be >= 1")
-        if not 0.0 <= self.tv_thr <= 1.0:
-            raise ValueError("tv_thr outside [0, 1]")
-        if self.d_s <= 0:
-            raise ValueError("d_s must be positive")
-        if self.fusion_rule != "majority":
-            raise ValueError("unknown fusion rule")
 
 
 @dataclass
@@ -187,8 +189,7 @@ class CscState:
         cfg = self.config
         if deposit < cfg.d_s:
             raise InsufficientDeposit(f"deposit {deposit} < d_s {cfg.d_s}")
-        effective = tv + convert(deposit - cfg.d_s, cfg.convert_unit_wei,
-                                 cfg.convert_cap)
+        effective = tv + convert(deposit - cfg.d_s)
         if effective <= cfg.tv_thr:
             raise BelowThreshold(f"effective trust {effective:.4f} <= {cfg.tv_thr}")
         reg = Registration(pk=pk, ring_pk=ring_pk, deposit=deposit,
@@ -331,14 +332,6 @@ class SacConfig:
     t_self_d_ms: int
     d_a: int
     commit_cap: int = DEFAULT_COMMIT_CAP
-
-    def validate(self) -> None:
-        if self.n2 < 1:
-            raise ValueError("n2 must be >= 1")
-        if self.d_a <= 0:
-            raise ValueError("d_a must be positive")
-        if self.commit_cap < 1:
-            raise ValueError("commit_cap must be >= 1")
 
 
 def bid_commitment_digest(dp: int, real: bool, rnd: bytes) -> bytes:
@@ -511,7 +504,7 @@ CONTRACT_ID_BYTES = 16
 
 
 def _tv_fixed(tv: float) -> bytes:
-    return min(10_000, max(0, round(tv * 10_000))).to_bytes(2, "big")
+    return ledger.quantize_tv(tv).to_bytes(2, "big")
 
 
 def encode_csc_deploy(cfg: CscConfig) -> bytes:

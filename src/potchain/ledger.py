@@ -196,14 +196,14 @@ def compute_roots(transactions, accounts) -> tuple[bytes, bytes]:
 
 
 def make_block(prev: Block, transactions, accounts, miner: crypto.NodeIdentity,
-               timestamp_ms: int, z_bits: int, max_trials: int = 1 << 30) -> Block:
+               timestamp_ms: int, z_bits: int) -> Block:
     """Assemble, mine, and sign the next block."""
     tx_root, state_root = compute_roots(transactions, accounts)
     trust_q = quantize_tv(prev.account_states[miner.account_id].trust.tv)
     header = BlockHeader(prev_hash=prev.header.header_hash(), tx_root=tx_root,
                          state_root=state_root, miner_id=miner.account_id,
                          miner_trust=trust_q, timestamp_ms=timestamp_ms, nonce=0)
-    found = consensus.mine(header.preimage(), z_bits, max_trials=max_trials)
+    found = consensus.mine(header.preimage(), z_bits)
     header = replace(header, nonce=found.nonce)
     header = replace(header, miner_sig=crypto.sign(header.header_hash(), miner.sig_sk))
     return Block(header=header, transactions=tuple(transactions),

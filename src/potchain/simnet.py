@@ -84,17 +84,16 @@ class SimConfig:
     reward_sensing: int = 150
     n2: int = 8
     d_a: int = 100
-    commit_cap: int = 8
+    commit_cap: int = contracts.DEFAULT_COMMIT_CAP
     reward_mining: int = 50
     p_active: float = 0.5
     initial_balance: int = 1_000_000
     chain_beta: int = 16
-    rsa_bits: int = 256
+    rsa_bits: int = crypto.DEFAULT_RSA_BITS
     bid_probability: float = 0.5
     bid_min: int = 50
     bid_max: int = 300
     inject_forks: bool = False
-    stochastic_mining: bool = False
 
     @property
     def warmup(self) -> int:
@@ -151,7 +150,6 @@ class Node:
     profile: NodeProfile
     identity: crypto.NodeIdentity
     trust: TrustState = field(default_factory=TrustState)
-    sensing_rounds_done: int = 0
 
     @property
     def account_id(self) -> bytes:
@@ -284,22 +282,6 @@ class World:
         return min(self.nodes, key=lambda n: (-ledger.quantize_tv(n.trust.tv),
                                               n.account_id))
 
-    def registration_deposit(self, node: Node) -> int | None:
-        """d_s plus whatever conversion extra clears the trust threshold."""
-        cfg = self.cfg
-        gap = cfg.tv_thr - node.trust.tv
-        if gap < 0:
-            extra = 0
-        else:
-            units = int(gap / 0.01 + 1e-9) + 1
-            if units * 0.01 > contracts.CONVERT_CAP + 1e-12:
-                return None
-            extra = units * contracts.CONVERT_UNIT_WEI
-        deposit = cfg.d_s + extra
-        if self.balances[node.account_id] < deposit:
-            return None
-        return deposit
-
     # ---- the round loop -----------------------------------------------------
     def run_round(self, round_idx: int, pu_override: int | None = None) -> RoundReport:
         cfg = self.cfg
@@ -334,15 +316,19 @@ class World:
                                   issuer.identity),
         ]
 
-        # Phase 2: who shows up this round, in network-arrival order.
+        # Phase 2: who shows up this round, in network-arrival order, with
+        # the deposit that clears the trust threshold.
         arrival = list(self.nodes)
         self.stream("arrival").shuffle(arrival)
         candidates = []
+        deposits: dict[bytes, int] = {}
         for node in arrival:
             if self.node_rng(node).random() >= node.profile.participation:
                 continue
-            if self.registration_deposit(node) is not None:
+            deposit = contracts.min_deposit(node.trust.tv, cfg.tv_thr, cfg.d_s)
+            if deposit is not None and deposit <= self.balances[node.account_id]:
                 candidates.append(node)
+                deposits[node.account_id] = deposit
 
         # Phase 3: selection (warm-up rounds select everyone who applied).
         if warmup or len(candidates) <= cfg.n1:
@@ -352,9 +338,7 @@ class World:
                                       self.stream("select"))
         admitted: list[Node] = []
         for node in selected:
-            deposit = self.registration_deposit(node)
-            if deposit is None:
-                continue
+            deposit = deposits[node.account_id]
             if csc.register(node.account_id, node.identity.ring_pk, deposit,
                             node.trust.tv):
                 admitted.append(node)
@@ -412,7 +396,7 @@ class World:
         now_upload = base_ms + 200
         for position, node in enumerate(ring_members):
             sr = sense(node.profile, pu_truth, self.node_rng(node),
-                       node.sensing_rounds_done)
+                       node.trust.sensing_rounds)
             if node.index in self.force_flip.get(round_idx, set()):
                 sr = 1 - sr
             msg_id = msgid_rng.getrandbits(128).to_bytes(16, "big")
@@ -485,8 +469,6 @@ class World:
         for node in self.nodes:
             outcome = outcomes.get(node.account_id, Outcome.INACTIVE)
             node.trust = update_trust(node.trust, outcome, round_idx, cfg.trust)
-            if outcome is not Outcome.INACTIVE:
-                node.sensing_rounds_done += 1
 
         # Mining: expected-cost accounting over the parent-state trust.
         parent_state = self.chain.tip.account_states
@@ -498,7 +480,7 @@ class World:
                 consensus.difficulty(tv, cfg.difficulty.beta0))
             zbits[node.account_id] = z
             costs[node.account_id] = consensus.expected_cost(z)
-        miner = self._pick_miner(parent_state, txs)
+        miner = self._pick_miner(parent_state)
         reward_tx = ledger.make_signed_tx(
             TxKind.REWARD, contracts.encode_reward(miner.account_id,
                                                    cfg.reward_mining),
@@ -529,27 +511,10 @@ class World:
         self.reports.append(report)
         return report
 
-    def _pick_miner(self, parent_state, txs) -> Node:
-        cfg = self.cfg
-        ranked = sorted(
-            self.nodes,
-            key=lambda n: (consensus.difficulty(
-                parent_state[n.account_id].trust.tv, cfg.chain_beta),
-                n.account_id))
-        if not cfg.stochastic_mining:
-            return ranked[0]
-        # race mode: everyone searches its own target; fewest trials wins
-        best, best_trials = ranked[0], None
-        for node in self.nodes:
-            tv = parent_state[node.account_id].trust.tv
-            z = consensus.target_from_difficulty(
-                consensus.difficulty(tv, cfg.chain_beta))
-            preimage = node.account_id + len(txs).to_bytes(4, "big")
-            trials = consensus.mine(preimage, z, max_trials=1 << 20).trials
-            if best_trials is None or (trials, node.account_id) < (best_trials,
-                                                                   best.account_id):
-                best, best_trials = node, trials
-        return best
+    def _pick_miner(self, parent_state) -> Node:
+        """The node with the lowest parent-state difficulty mines the block."""
+        return min(self.nodes, key=lambda n: (consensus.difficulty(
+            parent_state[n.account_id].trust.tv, self.cfg.chain_beta), n.account_id))
 
     def _append_block(self, txs, miner: Node, timestamp_ms: int) -> None:
         accounts = self._account_snapshot()
@@ -704,7 +669,8 @@ DEMO_RESULTS = (0, 1, 1, 0, 1)
 DEMO_BIDS = ((100, 200), (150, 300))    # (real, decoy) per bidder
 
 
-def demo_round(pu_force: str = "none", seed: int = 7, rsa_bits: int = 256) -> dict:
+def demo_round(pu_force: str = "none", seed: int = 7,
+               rsa_bits: int = crypto.DEFAULT_RSA_BITS) -> dict:
     """One hand-set round: five sensors with preset trusts, two bidders.
 
     pu_force="none" keeps the preset reports (busy verdict, no auction);

@@ -1,12 +1,16 @@
 """Config loading, validation gates, CLI commands, artifact determinism."""
 
+import configparser
 import hashlib
 from pathlib import Path
 
 import pytest
 
-from potchain import cli
-from potchain.config import ConfigInvalid, load_config
+from potchain import cli, crypto
+from potchain.config import ConfigInvalid, RunConfig, load_config
+from potchain.consensus import DifficultyParams
+from potchain.simnet import SimConfig
+from potchain.trust import TrustParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -112,6 +116,57 @@ def test_config_bad_population_line(tmp_path):
     with pytest.raises(ConfigInvalid) as err:
         load_config(path)
     assert "population.rnode" in str(err.value)
+
+
+def test_config_defaults_come_from_the_dataclasses(tmp_path):
+    path = tmp_path / "bare.cfg"
+    path.write_text("[run]\nexperiment = mining-cost\n"
+                    "[population]\nrnode = 2, 0.9, 0.1\n")
+    cfg = load_config(path)
+    assert cfg.sim.trust == TrustParams()
+    assert cfg.sim.difficulty == DifficultyParams()
+    assert cfg.sim.rsa_bits == crypto.DEFAULT_RSA_BITS
+    assert cfg.sim == SimConfig(population=cfg.sim.population)
+    assert cfg == RunConfig(experiment="mining-cost", sim=cfg.sim)
+
+
+REJECTED = [
+    ("sac", {"commit_cap": "0"}, "sac.commit_cap"),
+    ("sac", {"n2": "0"}, "sac.n2"),
+    ("sac", {"d_a": "0"}, "sac.d_a"),
+    ("csc", {"tv_thr": "1.5"}, "csc.tv_thr"),
+    ("csc", {"d_s": "0"}, "csc.d_s"),
+    ("simulation", {"bid_min": "-1"}, "simulation.bid_min"),
+    ("simulation", {"bid_min": "301", "bid_max": "300"}, "simulation.bid_max"),
+    ("simulation", {"warmup_rounds": "-1"}, "simulation.warmup_rounds"),
+    ("simulation", {"rsa_bit": "64"}, "simulation.rsa_bit"),
+    ("simulation", {"stochastic_mining": "true"}, "simulation.stochastic_mining"),
+]
+
+
+def write_cfg_with(tmp_path, section, options):
+    parser = configparser.ConfigParser()
+    parser.read_string(MINIMAL.format(experiment="mining-cost", rho="1.0", eta="1.0"))
+    for option, value in options.items():
+        parser.set(section, option, value)
+    path = tmp_path / "test.cfg"
+    with path.open("w") as fh:
+        parser.write(fh)
+    return path
+
+
+@pytest.mark.parametrize("section, options, field_name", REJECTED,
+                         ids=[r[2] for r in REJECTED])
+def test_config_rejects_bad_setting(tmp_path, capsys, section, options, field_name):
+    path = write_cfg_with(tmp_path, section, options)
+    with pytest.raises(ConfigInvalid) as err:
+        load_config(path)
+    assert err.value.field_name == field_name
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"config invalid - {field_name}: ")
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "o").exists()
 
 
 # =============================================================================

@@ -174,12 +174,6 @@ def test_fork_injection_still_builds_valid_chain():
     assert len(world.chain.blocks) == 9
 
 
-def test_stochastic_mining_mode_runs():
-    world = World(small_cfg(stochastic_mining=True, rounds=4, chain_beta=4))
-    world.run()
-    assert len(world.chain.blocks) == 5
-
-
 def test_block_carries_round_transactions():
     world = World(small_cfg(rounds=3))
     world.run()
