@@ -24,6 +24,7 @@ from .simnet import (
     NodeProfile,
     PopulationGroup,
     SelectionScheme,
+    SettingInvalid,
     SimConfig,
 )
 from .trust import TrustParams, check_onoff_resistance
@@ -38,12 +39,8 @@ KIND_BY_NAME = {
 }
 
 
-class ConfigInvalid(Exception):
+class ConfigInvalid(SettingInvalid):
     """Names the offending config field in its message."""
-
-    def __init__(self, field_name: str, message: str):
-        self.field_name = field_name
-        super().__init__(f"{field_name}: {message}")
 
 
 @dataclass
@@ -59,24 +56,13 @@ class RunConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigInvalid("run.experiment",
                                 f"must be one of {', '.join(EXPERIMENTS)}")
-        if not self.sim.population:
-            raise ConfigInvalid("population", "at least one node kind required")
+        try:
+            self.sim.validate()
+        except SettingInvalid as exc:
+            section = _SECTION_OF.get(exc.field_name)
+            name = f"{section}.{exc.field_name}" if section else exc.field_name
+            raise ConfigInvalid(name, exc.message) from exc
         trust = self.sim.trust
-        try:
-            trust.validate()
-        except ValueError as exc:
-            raise ConfigInvalid("trust", str(exc)) from exc
-        try:
-            self.sim.difficulty.validate()
-        except ValueError as exc:
-            raise ConfigInvalid("difficulty", str(exc)) from exc
-        for group in self.sim.population:
-            try:
-                group.profile.validate()
-            except ValueError as exc:
-                raise ConfigInvalid("population", str(exc)) from exc
-            if group.count < 1:
-                raise ConfigInvalid("population", "count must be >= 1")
         if self.experiment != "demo-round" and not check_onoff_resistance(
                 trust.rho, trust.eta):
             raise ConfigInvalid(
@@ -87,25 +73,6 @@ class RunConfig:
             raise ConfigInvalid("sensing-experiment.n1_sweep", "empty sweep")
         if self.pu_force not in ("none", "idle"):
             raise ConfigInvalid("demo.pu_force", "must be 'none' or 'idle'")
-        sim = self.sim
-        ranges = (
-            ("run.rounds", sim.rounds >= 0, "must be >= 0"),
-            ("simulation.warmup_rounds",
-             sim.warmup_rounds is None or sim.warmup_rounds >= 0, "must be >= 0"),
-            ("csc.n1", sim.n1 >= 1, "must be >= 1"),
-            ("csc.tv_thr", 0.0 <= sim.tv_thr <= 1.0, "outside [0, 1]"),
-            ("csc.d_s", sim.d_s > 0, "must be > 0"),
-            ("sac.n2", sim.n2 >= 1, "must be >= 1"),
-            ("sac.d_a", sim.d_a > 0, "must be > 0"),
-            ("sac.commit_cap", sim.commit_cap >= 1, "must be >= 1"),
-            ("simulation.p_active", 0.0 <= sim.p_active <= 1.0, "outside [0, 1]"),
-            ("simulation.bid_min", sim.bid_min >= 0, "must be >= 0"),
-            ("simulation.bid_max", sim.bid_max >= sim.bid_min,
-             "must be >= simulation.bid_min"),
-        )
-        for name, ok, message in ranges:
-            if not ok:
-                raise ConfigInvalid(name, message)
 
 
 def _bool(raw: str) -> bool:
@@ -166,6 +133,8 @@ OPTIONS = {
     "demo": {"pu_force": str},
 }
 _RUN_FIELDS = frozenset(f.name for f in fields(RunConfig))
+_SECTION_OF = {option: section for section, options in OPTIONS.items()
+               for option in options}
 
 
 def _section(parser, section: str) -> dict:

@@ -14,7 +14,7 @@ Serialized trust values are fixed-point with 4 decimal digits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import consensus, crypto
@@ -195,19 +195,36 @@ def compute_roots(transactions, accounts) -> tuple[bytes, bytes]:
     return tx_root, state_root
 
 
-def make_block(prev: Block, transactions, accounts, miner: crypto.NodeIdentity,
-               timestamp_ms: int, z_bits: int) -> Block:
-    """Assemble, mine, and sign the next block."""
+def check_roots(block: Block) -> None:
+    """Raise BadRoot unless the header commits to the block's contents."""
+    tx_root, state_root = compute_roots(block.transactions, block.account_states)
+    if block.header.tx_root != tx_root:
+        raise BadRoot("transaction root mismatch")
+    if block.header.state_root != state_root:
+        raise BadRoot("account-state root mismatch")
+
+
+def _seal(chain: Chain, prev_hash: bytes, transactions, accounts,
+          miner: crypto.NodeIdentity, timestamp_ms: int) -> Block:
+    """Assemble a header over the roots, mine it at the miner's target on
+    `chain`, and sign it."""
     tx_root, state_root = compute_roots(transactions, accounts)
-    trust_q = quantize_tv(prev.account_states[miner.account_id].trust.tv)
-    header = BlockHeader(prev_hash=prev.header.header_hash(), tx_root=tx_root,
+    header = BlockHeader(prev_hash=prev_hash, tx_root=tx_root,
                          state_root=state_root, miner_id=miner.account_id,
-                         miner_trust=trust_q, timestamp_ms=timestamp_ms, nonce=0)
-    found = consensus.mine(header.preimage(), z_bits)
+                         miner_trust=chain.committed_trust(miner.account_id),
+                         timestamp_ms=timestamp_ms, nonce=0)
+    found = consensus.mine(header.preimage(), chain.target_for(miner.account_id))
     header = replace(header, nonce=found.nonce)
     header = replace(header, miner_sig=crypto.sign(header.header_hash(), miner.sig_sk))
     return Block(header=header, transactions=tuple(transactions),
                  account_states=dict(accounts))
+
+
+def make_block(chain: Chain, transactions, accounts, miner: crypto.NodeIdentity,
+               timestamp_ms: int) -> Block:
+    """Assemble, mine, and sign the block that extends the chain's tip."""
+    return _seal(chain, chain.tip.header.header_hash(), transactions, accounts,
+                 miner, timestamp_ms)
 
 
 # =============================================================================
@@ -216,22 +233,25 @@ def make_block(prev: Block, transactions, accounts, miner: crypto.NodeIdentity,
 
 @dataclass
 class Chain:
-    """Single-writer block store; every append fully re-verifies the block."""
+    """Single-writer block store; every append fully re-verifies the block.
+
+    `beta` is the base difficulty the tip was verified against. A one-block
+    chain (a genesis or a compressed genesis) has no interval to adapt
+    over, so its next block is verified against `beta` as well.
+    """
     params: DifficultyParams
-    blocks: list[Block] = field(default_factory=list)
-    betas: list[int] = field(default_factory=list)
-    compress_min_len: int = 100
+    blocks: list[Block]
+    beta: int
 
     @classmethod
-    def genesis(cls, accounts: dict[bytes, AccountState], params: DifficultyParams,
-                timestamp_ms: int = 0, compress_min_len: int = 100) -> "Chain":
+    def genesis(cls, accounts: dict[bytes, AccountState],
+                params: DifficultyParams) -> "Chain":
         tx_root, state_root = compute_roots([], accounts)
         header = BlockHeader(prev_hash=ZERO32, tx_root=tx_root,
                              state_root=state_root, miner_id=ZERO32,
-                             miner_trust=0, timestamp_ms=timestamp_ms, nonce=0)
+                             miner_trust=0, timestamp_ms=0, nonce=0)
         block = Block(header=header, transactions=(), account_states=dict(accounts))
-        return cls(params=params, blocks=[block], betas=[params.beta0],
-                   compress_min_len=compress_min_len)
+        return cls(params=params, blocks=[block], beta=params.beta0)
 
     @property
     def tip(self) -> Block:
@@ -240,17 +260,36 @@ class Chain:
     def beta_for_next(self) -> int:
         """Base difficulty the next block will be verified against."""
         if len(self.blocks) < 2:
-            return self.params.beta0
+            return self.beta
         t_prev = self.blocks[-1].header.timestamp_ms
         t_prev2 = self.blocks[-2].header.timestamp_ms
-        return consensus.adapt_base(self.betas[-1], t_prev, t_prev2, self.params)
+        return consensus.adapt_base(self.beta, t_prev, t_prev2, self.params)
+
+    def committed_trust(self, account_id: bytes) -> int:
+        """The account's tip-state trust, in the fixed point a header carries."""
+        account = self.tip.account_states.get(account_id)
+        if account is None:
+            raise BadTrustField("miner absent from the tip state")
+        return quantize_tv(account.trust.tv)
 
     def target_for(self, miner_id: bytes) -> int:
-        account = self.tip.account_states.get(miner_id)
-        if account is None:
-            raise BadTrustField("unknown miner account")
-        d = consensus.difficulty(account.trust.tv, self.beta_for_next())
-        return consensus.target_from_difficulty(d)
+        """Leading-zero bits the miner's next block must clear, from the
+        trust the header commits to."""
+        tv = self.committed_trust(miner_id) / TV_SCALE
+        return consensus.mining_target(tv, self.beta_for_next()).leading_zero_bits
+
+    def check_seal(self, header: BlockHeader) -> None:
+        """Check the trust field, the proof of work and the miner signature
+        of a header sealed on the tip."""
+        if header.miner_trust != self.committed_trust(header.miner_id):
+            raise BadTrustField("header trust disagrees with the tip state")
+        z = self.target_for(header.miner_id)
+        digest = header.header_hash()
+        if not consensus.meets_target(digest, z):
+            raise BadPoW(f"header hash misses {z} leading zero bits")
+        miner = self.tip.account_states[header.miner_id]
+        if not crypto.verify(digest, header.miner_sig, miner.sig_pk):
+            raise BadSignature("miner signature invalid")
 
     def verify_block(self, block: Block) -> None:
         header = block.header
@@ -259,22 +298,8 @@ class Chain:
             raise BadParent("prev_hash does not point at the tip")
         if header.timestamp_ms <= parent.header.timestamp_ms:
             raise BadTimestamp("timestamp not after parent")
-        tx_root, state_root = compute_roots(block.transactions, block.account_states)
-        if header.tx_root != tx_root:
-            raise BadRoot("transaction root mismatch")
-        if header.state_root != state_root:
-            raise BadRoot("account-state root mismatch")
-        miner = parent.account_states.get(header.miner_id)
-        if miner is None:
-            raise BadTrustField("miner absent from parent state")
-        if header.miner_trust != quantize_tv(miner.trust.tv):
-            raise BadTrustField("header trust disagrees with parent state")
-        z = consensus.target_from_difficulty(
-            consensus.difficulty(miner.trust.tv, self.beta_for_next()))
-        if not consensus.meets_target(header.header_hash(), z):
-            raise BadPoW(f"header hash misses {z} leading zero bits")
-        if not crypto.verify(header.header_hash(), header.miner_sig, miner.sig_pk):
-            raise BadSignature("miner signature invalid")
+        check_roots(block)
+        self.check_seal(header)
         for tx in block.transactions:
             if tx.signer == RING_SIGNER:
                 continue  # ring-signed uploads are checked at contract admission
@@ -284,20 +309,16 @@ class Chain:
 
     def append_block(self, block: Block) -> None:
         self.verify_block(block)
-        self.betas.append(self.beta_for_next())
+        self.beta = self.beta_for_next()
         self.blocks.append(block)
-
-    def verify_links(self) -> bool:
-        """Recompute every header hash along the stored prev_hash links."""
-        for prev, succ in zip(self.blocks, self.blocks[1:]):
-            if succ.header.prev_hash != prev.header.header_hash():
-                return False
-        return True
 
 
 # =============================================================================
 # Trust-based compression
 # =============================================================================
+
+COMPRESS_MIN_LEN = 100      # blocks a chain needs before it may be compressed
+
 
 def compression_authority(tip: Block) -> bytes:
     """Highest trust wins; ties go to the smallest account id."""
@@ -305,57 +326,30 @@ def compression_authority(tip: Block) -> bytes:
                key=lambda aid: (-quantize_tv(tip.account_states[aid].trust.tv), aid))
 
 
-def build_compressed_genesis(chain: Chain, compressor: crypto.NodeIdentity,
-                             timestamp_ms: int | None = None) -> Block:
+def build_compressed_genesis(chain: Chain, compressor: crypto.NodeIdentity) -> Block:
+    """The tip's account states sealed as a genesis, 1 ms after the tip."""
     tip = chain.tip
-    accounts = dict(tip.account_states)
-    tx_root, state_root = compute_roots([], accounts)
-    trust_q = quantize_tv(accounts[compressor.account_id].trust.tv)
-    header = BlockHeader(
-        prev_hash=ZERO32, tx_root=tx_root, state_root=state_root,
-        miner_id=compressor.account_id, miner_trust=trust_q,
-        timestamp_ms=tip.header.timestamp_ms + 1 if timestamp_ms is None else timestamp_ms,
-        nonce=0)
-    z = chain.target_for(compressor.account_id)
-    found = consensus.mine(header.preimage(), z)
-    header = replace(header, nonce=found.nonce)
-    header = replace(header, miner_sig=crypto.sign(header.header_hash(), compressor.sig_sk))
-    return Block(header=header, transactions=(), account_states=accounts)
+    return _seal(chain, ZERO32, [], tip.account_states, compressor,
+                 tip.header.timestamp_ms + 1)
 
 
 def apply_compression(chain: Chain, new_genesis: Block) -> Chain:
     """Verify a proposed compressed genesis against the old tip, then swap."""
-    if len(chain.blocks) < chain.compress_min_len:
-        raise TooShort(f"chain shorter than {chain.compress_min_len} blocks")
+    if len(chain.blocks) < COMPRESS_MIN_LEN:
+        raise TooShort(f"chain shorter than {COMPRESS_MIN_LEN} blocks")
     tip = chain.tip
-    compressor_id = new_genesis.header.miner_id
-    if compressor_id != compression_authority(tip):
+    if new_genesis.header.miner_id != compression_authority(tip):
         raise NotAuthorized("compressor is not the highest-trust account")
     old = {aid: acct.canonical_bytes() for aid, acct in tip.account_states.items()}
     new = {aid: acct.canonical_bytes() for aid, acct in new_genesis.account_states.items()}
     if old != new:
         raise StateMismatch("compressed state differs from the old tip")
-    tx_root, state_root = compute_roots(new_genesis.transactions,
-                                        new_genesis.account_states)
-    if new_genesis.header.tx_root != tx_root or new_genesis.header.state_root != state_root:
-        raise BadRoot("compressed genesis roots mismatch")
-    compressor = tip.account_states[compressor_id]
-    if new_genesis.header.miner_trust != quantize_tv(compressor.trust.tv):
-        raise BadTrustField("compressed genesis trust field mismatch")
-    z = chain.target_for(compressor_id)
-    if not consensus.meets_target(new_genesis.header.header_hash(), z):
-        raise BadPoW("compressed genesis misses target")
-    if not crypto.verify(new_genesis.header.header_hash(),
-                         new_genesis.header.miner_sig, compressor.sig_pk):
-        raise BadSignature("compressor signature invalid")
-    return Chain(params=chain.params, blocks=[new_genesis],
-                 betas=[chain.beta_for_next()],
-                 compress_min_len=chain.compress_min_len)
+    check_roots(new_genesis)
+    chain.check_seal(new_genesis.header)
+    return Chain(params=chain.params, blocks=[new_genesis], beta=chain.beta_for_next())
 
 
 def compress_chain(chain: Chain, compressor: crypto.NodeIdentity) -> Chain:
-    if len(chain.blocks) < chain.compress_min_len:
-        raise TooShort(f"chain shorter than {chain.compress_min_len} blocks")
     return apply_compression(chain, build_compressed_genesis(chain, compressor))
 
 
@@ -436,19 +430,15 @@ def export_chain(chain: Chain) -> str:
     return "\n".join(block_to_record(b) for b in chain.blocks) + "\n"
 
 
-def import_chain(text: str, params: DifficultyParams,
-                 compress_min_len: int = 100) -> Chain:
+def import_chain(text: str, params: DifficultyParams) -> Chain:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise LedgerError("empty chain export")
     genesis = block_from_record(lines[0])
     if not genesis.is_genesis():
         raise LedgerError("first record is not a genesis block")
-    tx_root, state_root = compute_roots(genesis.transactions, genesis.account_states)
-    if genesis.header.tx_root != tx_root or genesis.header.state_root != state_root:
-        raise BadRoot("genesis roots mismatch")
-    chain = Chain(params=params, blocks=[genesis], betas=[params.beta0],
-                  compress_min_len=compress_min_len)
+    check_roots(genesis)
+    chain = Chain(params=params, blocks=[genesis], beta=params.beta0)
     for line in lines[1:]:
         chain.append_block(block_from_record(line))
     return chain

@@ -69,6 +69,15 @@ class PopulationGroup:
     count: int
 
 
+class SettingInvalid(ValueError):
+    """A SimConfig value is out of range; `field_name` names the field."""
+
+    def __init__(self, field_name: str, message: str):
+        self.field_name = field_name
+        self.message = message
+        super().__init__(f"{field_name}: {message}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     seed: int = 42
@@ -100,6 +109,40 @@ class SimConfig:
         if self.warmup_rounds is not None:
             return self.warmup_rounds
         return 3 * self.trust.window
+
+    def validate(self) -> None:
+        """Raise SettingInvalid naming the first field out of range."""
+        if not self.population:
+            raise SettingInvalid("population", "at least one node kind required")
+        for name, params in (("trust", self.trust), ("difficulty", self.difficulty)):
+            try:
+                params.validate()
+            except ValueError as exc:
+                raise SettingInvalid(name, str(exc)) from exc
+        for group in self.population:
+            try:
+                group.profile.validate()
+            except ValueError as exc:
+                raise SettingInvalid("population", str(exc)) from exc
+            if group.count < 1:
+                raise SettingInvalid("population", "count must be >= 1")
+        ranges = (
+            ("rounds", self.rounds >= 0, "must be >= 0"),
+            ("warmup_rounds",
+             self.warmup_rounds is None or self.warmup_rounds >= 0, "must be >= 0"),
+            ("n1", self.n1 >= 1, "must be >= 1"),
+            ("tv_thr", 0.0 <= self.tv_thr <= 1.0, "outside [0, 1]"),
+            ("d_s", self.d_s > 0, "must be > 0"),
+            ("n2", self.n2 >= 1, "must be >= 1"),
+            ("d_a", self.d_a > 0, "must be > 0"),
+            ("commit_cap", self.commit_cap >= 1, "must be >= 1"),
+            ("p_active", 0.0 <= self.p_active <= 1.0, "outside [0, 1]"),
+            ("bid_min", self.bid_min >= 0, "must be >= 0"),
+            ("bid_max", self.bid_max >= self.bid_min, "must be >= bid_min"),
+        )
+        for name, ok, message in ranges:
+            if not ok:
+                raise SettingInvalid(name, message)
 
 
 def section_twenty_node_mix() -> tuple[PopulationGroup, ...]:
@@ -197,17 +240,13 @@ class World:
     """Owns the nodes, the chain, and all randomness streams."""
 
     def __init__(self, cfg: SimConfig):
-        if not cfg.population:
-            raise ValueError("population is empty")
-        cfg.trust.validate()
-        cfg.difficulty.validate()
+        cfg.validate()
         self.cfg = cfg
         self._stream_cache: dict[str, Random] = {}
 
         key_rng = self.stream("keys")
         self.nodes: list[Node] = []
         for group in cfg.population:
-            group.profile.validate()
             for _ in range(group.count):
                 identity = crypto.make_identity(key_rng, rsa_bits=cfg.rsa_bits)
                 self.nodes.append(Node(index=len(self.nodes), profile=group.profile,
@@ -476,8 +515,7 @@ class World:
         zbits: dict[bytes, int] = {}
         for node in self.nodes:
             tv = parent_state[node.account_id].trust.tv
-            z = consensus.target_from_difficulty(
-                consensus.difficulty(tv, cfg.difficulty.beta0))
+            z = consensus.mining_target(tv, cfg.difficulty.beta0).leading_zero_bits
             zbits[node.account_id] = z
             costs[node.account_id] = consensus.expected_cost(z)
         miner = self._pick_miner(parent_state)
@@ -513,20 +551,19 @@ class World:
 
     def _pick_miner(self, parent_state) -> Node:
         """The node with the lowest parent-state difficulty mines the block."""
+        beta = self.chain.beta_for_next()
         return min(self.nodes, key=lambda n: (consensus.difficulty(
-            parent_state[n.account_id].trust.tv, self.cfg.chain_beta), n.account_id))
+            parent_state[n.account_id].trust.tv, beta), n.account_id))
 
     def _append_block(self, txs, miner: Node, timestamp_ms: int) -> None:
         accounts = self._account_snapshot()
-        z = self.chain.target_for(miner.account_id)
-        block = ledger.make_block(self.chain.tip, txs, accounts, miner.identity,
-                                  timestamp_ms, z)
+        block = ledger.make_block(self.chain, txs, accounts, miner.identity,
+                                  timestamp_ms)
         if self.cfg.inject_forks and len(self.nodes) > 1:
             rival = next(n for n in sorted(self.nodes, key=lambda n: n.account_id)
                          if n.account_id != miner.account_id)
-            rival_block = ledger.make_block(
-                self.chain.tip, txs, accounts, rival.identity, timestamp_ms,
-                self.chain.target_for(rival.account_id))
+            rival_block = ledger.make_block(self.chain, txs, accounts,
+                                            rival.identity, timestamp_ms)
             chosen = consensus.resolve_fork([block.header, rival_block.header])
             block = block if chosen is block.header else rival_block
         self.chain.append_block(block)

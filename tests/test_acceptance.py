@@ -281,11 +281,10 @@ def test_ac9_ledger_integrity(fig9):
             balance=1000, trust=TrustState(tv=tv))
         for ident, tv in zip(identities, (0.8, 0.4, 0.1))
     }
-    chain = Chain.genesis(accounts, params, compress_min_len=2)
+    chain = Chain.genesis(accounts, params)
     miner = identities[0]
     tx = ledger.make_signed_tx(ledger.TxKind.REWARD, b"tick", miner)
-    block = ledger.make_block(chain.tip, [tx], accounts, miner, 900,
-                              chain.target_for(miner.account_id))
+    block = ledger.make_block(chain, [tx], accounts, miner, 900)
 
     rejected = {}
     bad_parent = ledger.Block(replace(block.header, prev_hash=bytes(32)),

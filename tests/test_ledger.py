@@ -6,6 +6,8 @@ from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potchain import consensus, crypto, ledger
 from potchain.consensus import DifficultyParams
@@ -17,6 +19,7 @@ from potchain.ledger import (
     BadSignature,
     BadTimestamp,
     BadTrustField,
+    COMPRESS_MIN_LEN,
     Chain,
     NotAuthorized,
     StateMismatch,
@@ -105,18 +108,24 @@ def account_for(identity, balance=1000, tv=0.5):
                         balance=balance, trust=TrustState(tv=tv))
 
 
-def fresh_chain(identities, trusts=(0.5, 0.5, 0.5)):
+def fresh_chain(identities, trusts=(0.5, 0.5, 0.5), params=CHAIN_PARAMS):
     accounts = {ident.account_id: account_for(ident, tv=tv)
                 for ident, tv in zip(identities, trusts)}
-    return Chain.genesis(accounts, CHAIN_PARAMS, compress_min_len=3)
+    return Chain.genesis(accounts, params)
 
 
 def next_block(chain, miner, note=b"", timestamp=None):
     txs = [ledger.make_signed_tx(TxKind.REWARD, note or b"tick", miner)]
     ts = timestamp if timestamp is not None else chain.tip.header.timestamp_ms + 900
-    z = chain.target_for(miner.account_id)
-    return ledger.make_block(chain.tip, txs, dict(chain.tip.account_states),
-                             miner, ts, z)
+    return ledger.make_block(chain, txs, dict(chain.tip.account_states), miner, ts)
+
+
+def reimport(chain):
+    return ledger.import_chain(ledger.export_chain(chain), chain.params)
+
+
+def header_hashes(chain):
+    return [b.header.header_hash() for b in chain.blocks]
 
 
 # =============================================================================
@@ -127,7 +136,7 @@ def test_append_happy_path(identities):
     chain = fresh_chain(identities)
     chain.append_block(next_block(chain, identities[0]))
     assert len(chain.blocks) == 2
-    assert chain.verify_links()
+    assert header_hashes(reimport(chain)) == header_hashes(chain)
 
 
 def test_append_bad_parent(identities):
@@ -186,9 +195,8 @@ def test_append_bad_tx_signature(identities):
     ts = chain.tip.header.timestamp_ms + 900
     tx = Transaction(kind=TxKind.REWARD, payload=b"pay me",
                      signer=identities[1].account_id, signature=bytes(64))
-    z = chain.target_for(identities[0].account_id)
-    block = ledger.make_block(chain.tip, [tx], dict(chain.tip.account_states),
-                              identities[0], ts, z)
+    block = ledger.make_block(chain, [tx], dict(chain.tip.account_states),
+                              identities[0], ts)
     with pytest.raises(BadSignature):
         chain.verify_block(block)
 
@@ -199,23 +207,36 @@ def test_links_survive_many_appends(identities):
     for i in range(12):
         miner = identities[rng.randrange(3)]
         chain.append_block(next_block(chain, miner, note=bytes([i])))
-    assert chain.verify_links()
+    assert header_hashes(reimport(chain)) == header_hashes(chain)
     assert len(chain.blocks) == 13
+
+
+def test_target_uses_committed_trust(identities):
+    # 0.33334 commits as 0.3333: the float sits just below the z = 4
+    # boundary at beta = 16, the committed value just above it
+    assert consensus.mining_target(0.33334, 16).leading_zero_bits == 3
+    chain = fresh_chain(identities, trusts=(0.33334, 0.5, 0.5))
+    assert chain.target_for(identities[0].account_id) == 4
+    chain.append_block(next_block(chain, identities[0]))
+    assert reimport(chain).target_for(identities[0].account_id) == 4
 
 
 # =============================================================================
 # compression
 # =============================================================================
 
-def build_long_chain(identities, length, trusts=(0.9, 0.5, 0.2)):
-    chain = fresh_chain(identities, trusts=trusts)
+def build_long_chain(identities, length, trusts=(0.9, 0.5, 0.2), gap_ms=900,
+                     params=CHAIN_PARAMS):
+    chain = fresh_chain(identities, trusts=trusts, params=params)
     for i in range(length - 1):
-        chain.append_block(next_block(chain, identities[0], note=bytes([i % 250])))
+        ts = chain.tip.header.timestamp_ms + gap_ms
+        chain.append_block(next_block(chain, identities[0], note=bytes([i % 250]),
+                                      timestamp=ts))
     return chain
 
 
 def test_compress_preserves_state_bytes(identities):
-    chain = build_long_chain(identities, 6)
+    chain = build_long_chain(identities, COMPRESS_MIN_LEN)
     tip_bytes = {aid: acct.canonical_bytes()
                  for aid, acct in chain.tip.account_states.items()}
     compressed = ledger.compress_chain(chain, identities[0])
@@ -229,13 +250,13 @@ def test_compress_preserves_state_bytes(identities):
 
 
 def test_compress_rejects_wrong_compressor(identities):
-    chain = build_long_chain(identities, 4)
+    chain = build_long_chain(identities, COMPRESS_MIN_LEN)
     with pytest.raises(NotAuthorized):
         ledger.compress_chain(chain, identities[1])
 
 
 def test_compress_rejects_tampered_state(identities):
-    chain = build_long_chain(identities, 4)
+    chain = build_long_chain(identities, COMPRESS_MIN_LEN)
     genesis = ledger.build_compressed_genesis(chain, identities[0])
     victim = identities[1].account_id
     mutated = dict(genesis.account_states)
@@ -246,20 +267,32 @@ def test_compress_rejects_tampered_state(identities):
 
 
 def test_compress_requires_min_length(identities):
-    chain = fresh_chain(identities)
+    chain = build_long_chain(identities, COMPRESS_MIN_LEN - 1)
     with pytest.raises(TooShort):
         ledger.compress_chain(chain, identities[0])
 
 
 def test_compress_tie_breaks_to_smallest_account(identities):
-    chain = build_long_chain(identities, 4, trusts=(0.7, 0.7, 0.1))
+    chain = build_long_chain(identities, COMPRESS_MIN_LEN, trusts=(0.7, 0.7, 0.1))
     tied = sorted(identities[:2], key=lambda i: i.account_id)
     assert ledger.compression_authority(chain.tip) == tied[0].account_id
     compressed = ledger.compress_chain(chain, tied[0])
     assert len(compressed.blocks) == 1
     with pytest.raises(NotAuthorized):
-        ledger.compress_chain(build_long_chain(identities, 4, trusts=(0.7, 0.7, 0.1)),
-                              tied[1])
+        ledger.compress_chain(chain, tied[1])
+
+
+def test_compress_keeps_adapted_beta(identities):
+    # blocks 3 s apart, against t0 = 1 s, lower beta below beta0
+    params = DifficultyParams(beta0=4096, t0_ms=1000, beta_min=1024)
+    chain = build_long_chain(identities, COMPRESS_MIN_LEN, gap_ms=3000,
+                             params=params)
+    assert chain.beta_for_next() < params.beta0
+    compressed = ledger.compress_chain(chain, identities[0])
+    assert compressed.beta_for_next() == chain.beta_for_next()
+    assert (compressed.target_for(identities[0].account_id)
+            == chain.target_for(identities[0].account_id))
+    compressed.append_block(next_block(compressed, identities[0]))
 
 
 # =============================================================================
@@ -270,10 +303,29 @@ def test_export_import_roundtrip(identities):
     chain = build_long_chain(identities, 5)
     text = ledger.export_chain(chain)
     assert text.count("\n") == 5
-    restored = ledger.import_chain(text, CHAIN_PARAMS, compress_min_len=3)
+    restored = ledger.import_chain(text, CHAIN_PARAMS)
     assert [b.header.header_hash() for b in restored.blocks] == \
         [b.header.header_hash() for b in chain.blocks]
     assert ledger.export_chain(restored) == text
+
+
+@settings(max_examples=25, deadline=None)
+@given(trusts=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+       appends=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 999)),
+                        max_size=12))
+def test_export_import_property(identities, trusts, appends):
+    """Blocks spaced under t0, so beta never adapts and import (which
+    restarts at beta0) must agree with the live chain."""
+    chain = fresh_chain(identities, trusts=trusts)
+    for i, (who, gap_ms) in enumerate(appends):
+        ts = chain.tip.header.timestamp_ms + gap_ms
+        chain.append_block(next_block(chain, identities[who], note=bytes([i]),
+                                      timestamp=ts))
+    text = ledger.export_chain(chain)
+    restored = ledger.import_chain(text, CHAIN_PARAMS)
+    assert ledger.export_chain(restored) == text
+    for ident in identities:
+        assert restored.target_for(ident.account_id) == chain.target_for(ident.account_id)
 
 
 def test_import_rejects_tampered_record(identities):
@@ -281,7 +333,7 @@ def test_import_rejects_tampered_record(identities):
     lines = ledger.export_chain(chain).splitlines()
     lines[2] = lines[2].replace('"balance":1000', '"balance":999999')
     with pytest.raises(ledger.LedgerError):
-        ledger.import_chain("\n".join(lines), CHAIN_PARAMS, compress_min_len=3)
+        ledger.import_chain("\n".join(lines), CHAIN_PARAMS)
 
 
 def test_quantize_tv():

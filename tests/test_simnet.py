@@ -36,6 +36,25 @@ def small_cfg(**overrides):
     return SimConfig(**base)
 
 
+def chain_reimports(chain):
+    """Export -> import rebuilds the same header hashes."""
+    restored = ledger.import_chain(ledger.export_chain(chain), chain.params)
+    return ([b.header.header_hash() for b in restored.blocks]
+            == [b.header.header_hash() for b in chain.blocks])
+
+
+@pytest.mark.parametrize("overrides, field_name", [
+    ({"commit_cap": 0}, "commit_cap"),
+    ({"bid_min": 300, "bid_max": 50}, "bid_max"),
+    ({"n2": 0}, "n2"),
+    ({"population": ()}, "population"),
+], ids=["commit_cap", "bid_max", "n2", "population"])
+def test_world_rejects_bad_setting_at_construction(overrides, field_name):
+    with pytest.raises(simnet.SettingInvalid) as err:
+        World(small_cfg(**overrides))
+    assert err.value.field_name == field_name
+
+
 # =============================================================================
 # sense
 # =============================================================================
@@ -117,7 +136,7 @@ def test_world_runs_and_chain_verifies():
     world = World(small_cfg())
     world.run()
     assert len(world.chain.blocks) == 16
-    assert world.chain.verify_links()
+    assert chain_reimports(world.chain)
     report = world.reports[-1]
     assert len(report.rows) == 12
     world.audit()
@@ -170,7 +189,7 @@ def test_conservation_audit_detects_leaks():
 def test_fork_injection_still_builds_valid_chain():
     world = World(small_cfg(inject_forks=True, rounds=8))
     world.run()
-    assert world.chain.verify_links()
+    assert chain_reimports(world.chain)
     assert len(world.chain.blocks) == 9
 
 
