@@ -114,23 +114,19 @@ def _run_onoff(cfg: RunConfig, out: Path, summary: Summary) -> None:
     if oo_peak is not None:
         summary.info(f"OOnode peak mean tv: {oo_peak:.4f} "
                      f"({'stays below' if oo_peak < 0.9 else 'reaches'} 0.90)")
-    # paired-run recovery probe: one flipped report for the first Rnode
+    # paired-run recovery probe: one flipped report for node 0
     window = cfg.sim.trust.window
-    error_round = cfg.sim.warmup + 15
-    probe = replace(cfg.sim, rounds=error_round + 3 * window + 5)
-    rec = simnet.injected_error_recovery(probe, error_round=error_round,
-                                         node_index=0)
+    rec = simnet.injected_error_recovery(cfg.sim)
     ok = (rec["fusion_stable"] and rec["recovered_within"] is not None
           and rec["recovered_within"] <= window
-          and rec["max_dev_after_window"] <= 0.02)
+          and rec["max_dev_after_window"] <= simnet.RECOVERY_TOLERANCE)
     summary.check("AC6-recovery", ok,
                   f"recovered in {rec['recovered_within']} rounds "
                   f"(window {window}), residual {rec['max_dev_after_window']:.4f}")
 
 
 def _run_demo(cfg: RunConfig, out: Path, summary: Summary) -> None:
-    result = simnet.demo_round(pu_force=cfg.pu_force, seed=cfg.sim.seed,
-                               rsa_bits=cfg.sim.rsa_bits)
+    result = simnet.demo_round(cfg.sim, cfg.pu_force)
     summary.info("experiment: demo-round")
     summary.info(f"selected sensor trusts: {result['selected_trusts']}")
     summary.info(f"rejected: {', '.join(result['rejected']) or 'none'}")

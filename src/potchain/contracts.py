@@ -153,7 +153,6 @@ class Registration:
     pk: bytes
     ring_pk: RingPublicKey
     deposit: int
-    tv_at_register: float
     effective_tv: float
     order: int
 
@@ -193,8 +192,7 @@ class CscState:
         if effective <= cfg.tv_thr:
             raise BelowThreshold(f"effective trust {effective:.4f} <= {cfg.tv_thr}")
         reg = Registration(pk=pk, ring_pk=ring_pk, deposit=deposit,
-                           tv_at_register=tv, effective_tv=effective,
-                           order=self._arrivals)
+                           effective_tv=effective, order=self._arrivals)
         self._arrivals += 1
         if len(self.registered) < cfg.n1:
             self.registered[pk] = reg
@@ -289,10 +287,7 @@ class CscState:
                 self.pending_moves.append(TokenMove("refund", pk, reg.deposit))
                 self.pending_moves.append(
                     TokenMove("reward", pk, self.config.reward_sensing))
-            elif pk in linked:
-                record = SettlementRecord(Outcome.INCONSISTENT, 0, 0)
-                self.pending_moves.append(TokenMove("burn", pk, reg.deposit))
-            else:
+            else:   # linked to a dissenting packet, or to none
                 record = SettlementRecord(Outcome.INCONSISTENT, 0, 0)
                 self.pending_moves.append(TokenMove("burn", pk, reg.deposit))
             self.settlement[pk] = record
@@ -303,12 +298,6 @@ class CscState:
     def trust_events(self) -> list:
         """(pk, Outcome) pairs for the trust module, post-settlement."""
         return [(pk, rec.outcome) for pk, rec in sorted(self.settlement.items())]
-
-
-def brute_force_majority(bits: list[int]) -> int:
-    """Reference fusion oracle: plain count, tie declares busy."""
-    ones = sum(bits)
-    return 1 if ones >= len(bits) - ones else 0
 
 
 # =============================================================================
@@ -362,7 +351,6 @@ class SacState:
     bidders: dict = field(default_factory=dict)       # pk -> deposit
     bids_list: dict = field(default_factory=dict)     # pk -> [BlindedBid]
     revealed: dict = field(default_factory=dict)      # pk -> RevealRecord
-    winner: tuple | None = None                       # (pk, price)
     pending_moves: list = field(default_factory=list)
     _reveal_counter: int = 0
 
@@ -455,7 +443,6 @@ class SacState:
         winner_pk, winner_rec = entrants[0]
         price = (entrants[1][1].total_valid_bid if len(entrants) > 1
                  else winner_rec.total_valid_bid)
-        self.winner = (winner_pk, price)
         self.pending_moves.append(TokenMove("burn", winner_pk, price))
         if winner_rec.total_valid_bid > price:
             self.pending_moves.append(
@@ -463,7 +450,7 @@ class SacState:
         for pk, rec in entrants[1:]:
             self.pending_moves.append(TokenMove("refund", pk, rec.total_valid_bid))
         self.phase = SacPhase.CLOSED
-        return self.winner
+        return winner_pk, price
 
     def destroy(self, now_ms: int) -> None:
         """Self-destruct: pay out what is refundable, burn what is not."""
@@ -484,16 +471,6 @@ class SacState:
                     # auction opened but never closed; revealed bids go back
                     self.pending_moves.append(TokenMove("refund", pk, bid.value))
         self.phase = SacPhase.DESTROYED
-
-
-def second_price_oracle(bids: dict[bytes, int], reveal_order: dict[bytes, int]) -> tuple:
-    """Brute-force reference for win(): highest bid, pays second highest."""
-    entrants = [(pk, amount) for pk, amount in bids.items() if amount > 0]
-    if not entrants:
-        raise NoBidders("oracle: no bids")
-    entrants.sort(key=lambda e: (-e[1], reveal_order[e[0]], e[0]))
-    price = entrants[1][1] if len(entrants) > 1 else entrants[0][1]
-    return entrants[0][0], price
 
 
 # =============================================================================
@@ -524,7 +501,7 @@ def encode_csc_deposit(pk: bytes, tv: float, csc_id: bytes, amount: int) -> byte
 
 
 def encode_sac_deposit(pk: bytes, tv: float, sac_id: bytes, amount: int,
-                       first_commit: bytes = bytes(32)) -> bytes:
+                       first_commit: bytes) -> bytes:
     return (b"\x01" + pk + _tv_fixed(tv) + sac_id + amount.to_bytes(8, "big")
             + first_commit)
 

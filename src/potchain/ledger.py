@@ -338,6 +338,10 @@ def apply_compression(chain: Chain, new_genesis: Block) -> Chain:
     if len(chain.blocks) < COMPRESS_MIN_LEN:
         raise TooShort(f"chain shorter than {COMPRESS_MIN_LEN} blocks")
     tip = chain.tip
+    if not new_genesis.is_genesis():
+        raise BadParent("compressed genesis must not point at a parent")
+    if new_genesis.header.timestamp_ms <= tip.header.timestamp_ms:
+        raise BadTimestamp("compressed genesis not after the old tip")
     if new_genesis.header.miner_id != compression_authority(tip):
         raise NotAuthorized("compressor is not the highest-trust account")
     old = {aid: acct.canonical_bytes() for aid, acct in tip.account_states.items()}

@@ -145,16 +145,6 @@ class SimConfig:
                 raise SettingInvalid(name, message)
 
 
-def section_twenty_node_mix() -> tuple[PopulationGroup, ...]:
-    """The 20-node population used by the headline experiments."""
-    return (
-        PopulationGroup(NodeProfile(NodeKind.RNODE, 0.90, 0.15), 12),
-        PopulationGroup(NodeProfile(NodeKind.OONODE, 0.90, 0.15, attack_period=3), 3),
-        PopulationGroup(NodeProfile(NodeKind.LNODE, 0.50, 0.50), 3),
-        PopulationGroup(NodeProfile(NodeKind.UANODE, 0.90, 0.15, participation=0.5), 2),
-    )
-
-
 # =============================================================================
 # Node behavior
 # =============================================================================
@@ -207,14 +197,11 @@ class Node:
 class RoundRow:
     node: str
     kind: str
-    registered: bool
     uploaded: bool
-    sr: int | None
     outcome: str
     tv_after: float
     tv_mining: float        # parent-state trust the cost was charged against
     z_bits: int
-    expected_cost: int
     tokens: int
 
 
@@ -262,7 +249,7 @@ class World:
         chain_params = DifficultyParams(beta0=cfg.chain_beta, t0_ms=1000, beta_min=2)
         self.chain = Chain.genesis(self._account_snapshot(), chain_params)
         self.reports: list[RoundReport] = []
-        self.force_flip: dict[int, set[int]] = {}
+        self.force_flip: set[tuple[int, int]] = set()    # (round, node index)
 
     # ---- randomness streams -------------------------------------------------
     def stream(self, label: str) -> Random:
@@ -322,7 +309,7 @@ class World:
                                               n.account_id))
 
     # ---- the round loop -----------------------------------------------------
-    def run_round(self, round_idx: int, pu_override: int | None = None) -> RoundReport:
+    def run_round(self, round_idx: int) -> RoundReport:
         cfg = self.cfg
         base_ms = round_idx * ROUND_MS
         t_ddl = base_ms + 300
@@ -331,8 +318,6 @@ class World:
 
         channel = self.stream("channel")
         pu_truth = 1 if channel.random() < cfg.p_active else 0
-        if pu_override is not None:
-            pu_truth = pu_override
 
         issuer = self.task_issuer()
         csc_id = crypto.sha256(round_idx.to_bytes(8, "big") + b"csc")[:16]
@@ -370,7 +355,7 @@ class World:
                 deposits[node.account_id] = deposit
 
         # Phase 3: selection (warm-up rounds select everyone who applied).
-        if warmup or len(candidates) <= cfg.n1:
+        if warmup:
             selected = list(candidates)
         else:
             selected = select_sensors(candidates, cfg.selection, cfg.n1,
@@ -431,12 +416,11 @@ class World:
         sig_rng = self.stream("ringsig")
         reveals: list[tuple[bytes, int, bytes, bytes]] = []
         uploaded: set[bytes] = set()
-        reported: dict[bytes, int] = {}
         now_upload = base_ms + 200
         for position, node in enumerate(ring_members):
             sr = sense(node.profile, pu_truth, self.node_rng(node),
                        node.trust.sensing_rounds)
-            if node.index in self.force_flip.get(round_idx, set()):
+            if (round_idx, node.index) in self.force_flip:
                 sr = 1 - sr
             msg_id = msgid_rng.getrandbits(128).to_bytes(16, "big")
             rnd = msgid_rng.getrandbits(256).to_bytes(32, "big")
@@ -460,7 +444,6 @@ class World:
                 node.identity))
             reveals.append((node.account_id, sr, rnd, msg_id))
             uploaded.add(node.account_id)
-            reported[node.account_id] = sr
 
         fusion: int | None
         try:
@@ -509,39 +492,23 @@ class World:
             outcome = outcomes.get(node.account_id, Outcome.INACTIVE)
             node.trust = update_trust(node.trust, outcome, round_idx, cfg.trust)
 
-        # Mining: expected-cost accounting over the parent-state trust.
+        # Mining, then expected-cost accounting over the parent-state trust.
         parent_state = self.chain.tip.account_states
-        costs: dict[bytes, int] = {}
-        zbits: dict[bytes, int] = {}
-        for node in self.nodes:
-            tv = parent_state[node.account_id].trust.tv
-            z = consensus.mining_target(tv, cfg.difficulty.beta0).leading_zero_bits
-            zbits[node.account_id] = z
-            costs[node.account_id] = consensus.expected_cost(z)
-        miner = self._pick_miner(parent_state)
-        reward_tx = ledger.make_signed_tx(
-            TxKind.REWARD, contracts.encode_reward(miner.account_id,
-                                                   cfg.reward_mining),
-            miner.identity)
-        txs.append(reward_tx)
-        self.minted += cfg.reward_mining
-        self.balances[miner.account_id] += cfg.reward_mining
-
-        self._append_block(txs, miner, (round_idx + 1) * ROUND_MS)
+        miner = self._append_block(txs, self._pick_miner(parent_state),
+                                   (round_idx + 1) * ROUND_MS)
         self.audit()
 
         rows = []
         for node in self.nodes:
             outcome = outcomes.get(node.account_id, Outcome.INACTIVE)
+            tv_mining = parent_state[node.account_id].trust.tv
             rows.append(RoundRow(
                 node=node.label, kind=node.profile.kind.value,
-                registered=node.account_id in csc.registered,
                 uploaded=node.account_id in uploaded,
-                sr=reported.get(node.account_id),
                 outcome=outcome.value, tv_after=node.trust.tv,
-                tv_mining=parent_state[node.account_id].trust.tv,
-                z_bits=zbits[node.account_id],
-                expected_cost=costs[node.account_id],
+                tv_mining=tv_mining,
+                z_bits=consensus.mining_target(
+                    tv_mining, cfg.difficulty.beta0).leading_zero_bits,
                 tokens=self.balances[node.account_id]))
         report = RoundReport(round=round_idx, pu_truth=pu_truth,
                              fusion_result=fusion, miner=miner.label, rows=rows,
@@ -555,23 +522,37 @@ class World:
         return min(self.nodes, key=lambda n: (consensus.difficulty(
             parent_state[n.account_id].trust.tv, beta), n.account_id))
 
-    def _append_block(self, txs, miner: Node, timestamp_ms: int) -> None:
-        accounts = self._account_snapshot()
-        block = ledger.make_block(self.chain, txs, accounts, miner.identity,
-                                  timestamp_ms)
+    def _append_block(self, txs, miner: Node, timestamp_ms: int) -> Node:
+        """Seal one block per candidate, each paying its own miner the reward;
+        append the fork-choice winner, credit it and return it. With
+        inject_forks the smallest other account seals a rival block."""
+        candidates = [miner]
         if self.cfg.inject_forks and len(self.nodes) > 1:
-            rival = next(n for n in sorted(self.nodes, key=lambda n: n.account_id)
-                         if n.account_id != miner.account_id)
-            rival_block = ledger.make_block(self.chain, txs, accounts,
-                                            rival.identity, timestamp_ms)
-            chosen = consensus.resolve_fork([block.header, rival_block.header])
-            block = block if chosen is block.header else rival_block
+            candidates.append(next(n for n in sorted(self.nodes, key=lambda n: n.account_id)
+                                   if n.account_id != miner.account_id))
+        reward = self.cfg.reward_mining
+        accounts = self._account_snapshot()
+        blocks = []
+        for node in candidates:
+            account = accounts[node.account_id]
+            paid = {**accounts,
+                    node.account_id: replace(account, balance=account.balance + reward)}
+            reward_tx = ledger.make_signed_tx(
+                TxKind.REWARD, contracts.encode_reward(node.account_id, reward),
+                node.identity)
+            blocks.append(ledger.make_block(self.chain, txs + [reward_tx], paid,
+                                            node.identity, timestamp_ms))
+        chosen = consensus.resolve_fork([block.header for block in blocks])
+        block = next(block for block in blocks if block.header is chosen)
+        winner = self.by_account[block.header.miner_id]
+        self.minted += reward
+        self.balances[winner.account_id] += reward
         self.chain.append_block(block)
+        return winner
 
-    def run(self, pu_schedule: list[int] | None = None) -> list[RoundReport]:
+    def run(self) -> list[RoundReport]:
         for r in range(self.cfg.rounds):
-            override = pu_schedule[r] if pu_schedule is not None else None
-            self.run_round(r, pu_override=override)
+            self.run_round(r)
         return self.reports
 
 
@@ -593,21 +574,19 @@ def experiment_mining_cost(cfg: SimConfig) -> tuple[list[str], dict]:
     counts: dict[str, int] = {}
     for report in world.reports:
         for row in report.rows:
+            cost = consensus.expected_cost(row.z_bits)
             lines.append(f"{report.round},{row.node},{row.kind},"
-                         f"{row.tv_mining:.6f},{row.z_bits},{row.expected_cost}")
+                         f"{row.tv_mining:.6f},{row.z_bits},{cost}")
             if not report.warmup:
-                sums[row.kind] = sums.get(row.kind, 0) + row.expected_cost
+                sums[row.kind] = sums.get(row.kind, 0) + cost
                 counts[row.kind] = counts.get(row.kind, 0) + 1
     means = {kind: sums[kind] / counts[kind] for kind in sums}
     rnode = means.get(NodeKind.RNODE.value)
     others = [v for k, v in means.items() if k != NodeKind.RNODE.value]
     stats = {
         "means": means,
-        "rnode_mean": rnode,
-        "min_other_mean": min(others) if others else None,
         "ratio": (rnode / min(others)) if others and rnode else None,
         "ordering_ok": all(rnode < v for v in others) if others and rnode else False,
-        "warmup_rounds": cfg.warmup,
         "world": world,
     }
     return lines, stats
@@ -624,10 +603,8 @@ def experiment_sensing(cfg: SimConfig, n1_values: list[int],
         for n1 in n1_values:
             point_cfg = replace(cfg, selection=scheme, n1=n1,
                                 rounds=cfg.warmup + rounds_per_point)
-            world = World(point_cfg)
-            world.run()
             busy_hits = busy_total = idle_hits = idle_total = 0
-            for report in world.reports:
+            for report in World(point_cfg).run():
                 if report.warmup or report.fusion_result is None:
                     continue
                 if report.pu_truth:
@@ -643,14 +620,11 @@ def experiment_sensing(cfg: SimConfig, n1_values: list[int],
     return lines, {"table": table}
 
 
-def experiment_onoff(cfg: SimConfig, rounds: int | None = None) -> tuple[list[str], dict]:
+def experiment_onoff(cfg: SimConfig) -> tuple[list[str], dict]:
     """Per-round mean trust value per node type."""
-    run_cfg = cfg if rounds is None else replace(cfg, rounds=rounds)
-    world = World(run_cfg)
-    world.run()
     lines = [ONOFF_CSV_HEADER]
     series: dict[str, list[float]] = {}
-    for report in world.reports:
+    for report in World(cfg).run():
         by_kind: dict[str, list[float]] = {}
         for row in report.rows:
             by_kind.setdefault(row.kind, []).append(row.tv_after)
@@ -658,42 +632,40 @@ def experiment_onoff(cfg: SimConfig, rounds: int | None = None) -> tuple[list[st
             mean_tv = sum(by_kind[kind]) / len(by_kind[kind])
             lines.append(f"{report.round},{kind},{mean_tv:.6f}")
             series.setdefault(kind, []).append(mean_tv)
-    tail = max(1, run_cfg.rounds // 5)
+    tail = max(1, cfg.rounds // 5)
     steady = {kind: sum(vals[-tail:]) / len(vals[-tail:])
               for kind, vals in series.items()}
     peak = {kind: max(vals) for kind, vals in series.items()}
-    return lines, {"series": series, "steady": steady, "peak": peak}
+    return lines, {"steady": steady, "peak": peak}
 
 
-def injected_error_recovery(cfg: SimConfig, error_round: int,
-                            node_index: int = 0) -> dict:
-    """Paired runs: one injected wrong report for one node; trust deviation."""
-    base = World(cfg)
-    base.run()
-    flipped = World(cfg)
-    flipped.force_flip = {error_round: {node_index}}
-    flipped.run()
-    for a, b in zip(base.reports, flipped.reports):
-        if a.fusion_result != b.fusion_result:
-            return {"fusion_stable": False, "deviations": [], "recovered_within": None}
-    label = base.nodes[node_index].label
-    deviations = []
-    for a, b in zip(base.reports, flipped.reports):
-        tv_a = next(r.tv_after for r in a.rows if r.node == label)
-        tv_b = next(r.tv_after for r in b.rows if r.node == label)
-        deviations.append((a.round, abs(tv_a - tv_b)))
+RECOVERY_TOLERANCE = 0.02   # trust deviation that counts as recovered
+
+
+def injected_error_recovery(cfg: SimConfig) -> dict:
+    """Paired runs that differ in one flipped report of node 0.
+
+    The flip lands 15 rounds after warm-up; both runs go on for three trust
+    windows plus five rounds. Reports how many rounds node 0's trust took to
+    come back within RECOVERY_TOLERANCE of the unflipped run, the largest
+    deviation from one window after the flip on, and whether the flip left
+    every fused verdict unchanged.
+    """
     window = cfg.trust.window
-    recovered = None
-    for rnd, dev in deviations:
-        if rnd > error_round and dev <= 0.02:
-            recovered = rnd - error_round
-            break
-    post = [dev for rnd, dev in deviations if rnd >= error_round + window]
+    error_round = cfg.warmup + 15
+    probe = replace(cfg, rounds=error_round + 3 * window + 5)
+    flipped = World(probe)
+    flipped.force_flip = {(error_round, 0)}
+    pairs = list(zip(World(probe).run(), flipped.run()))
+    deviations = [(a.round, abs(a.rows[0].tv_after - b.rows[0].tv_after))
+                  for a, b in pairs]
     return {
-        "fusion_stable": True,
-        "deviations": deviations,
-        "recovered_within": recovered,
-        "max_dev_after_window": max(post) if post else 0.0,
+        "fusion_stable": all(a.fusion_result == b.fusion_result for a, b in pairs),
+        "recovered_within": next((rnd - error_round for rnd, dev in deviations
+                                  if rnd > error_round and dev <= RECOVERY_TOLERANCE),
+                                 None),
+        "max_dev_after_window": max((dev for rnd, dev in deviations
+                                     if rnd >= error_round + window), default=0.0),
     }
 
 
@@ -706,34 +678,37 @@ DEMO_RESULTS = (0, 1, 1, 0, 1)
 DEMO_BIDS = ((100, 200), (150, 300))    # (real, decoy) per bidder
 
 
-def demo_round(pu_force: str = "none", seed: int = 7,
-               rsa_bits: int = crypto.DEFAULT_RSA_BITS) -> dict:
+def demo_round(cfg: SimConfig, pu_force: str) -> dict:
     """One hand-set round: five sensors with preset trusts, two bidders.
 
-    pu_force="none" keeps the preset reports (busy verdict, no auction);
-    pu_force="idle" makes the sensors report a free band and runs the
-    auction to settlement.
+    The contract settings (n1, tv_thr, d_s, reward_sensing, n2, d_a,
+    commit_cap), the seed and the key size come from cfg. pu_force="none"
+    keeps the preset reports (busy verdict, no auction); pu_force="idle"
+    makes the sensors report a free band and runs the auction to settlement.
     """
-    rng = Random(f"{seed}:demo")
-    sensors = [crypto.make_identity(rng, rsa_bits=rsa_bits) for _ in DEMO_TRUSTS]
-    bidders = [crypto.make_identity(rng, rsa_bits=rsa_bits) for _ in DEMO_BIDS]
+    rng = Random(f"{cfg.seed}:demo")
+    sensors = [crypto.make_identity(rng, rsa_bits=cfg.rsa_bits) for _ in DEMO_TRUSTS]
+    bidders = [crypto.make_identity(rng, rsa_bits=cfg.rsa_bits) for _ in DEMO_BIDS]
     trusts = dict(zip((s.account_id for s in sensors), DEMO_TRUSTS))
 
     csc_id = crypto.sha256(b"demo-csc")[:16]
     sac_id = crypto.sha256(b"demo-sac")[:16]
-    csc = CscState(CscConfig(csc_id=csc_id, t_ddl_ms=1000, n1=3, tv_thr=0.90,
-                             d_s=100, reward_sensing=150))
-    sac = SacState(SacConfig(sac_id=sac_id, csc_id=csc_id, n2=4,
-                             t_self_d_ms=2000, d_a=100))
+    csc = CscState(CscConfig(csc_id=csc_id, t_ddl_ms=1000, n1=cfg.n1,
+                             tv_thr=cfg.tv_thr, d_s=cfg.d_s,
+                             reward_sensing=cfg.reward_sensing))
+    sac = SacState(SacConfig(sac_id=sac_id, csc_id=csc_id, n2=cfg.n2,
+                             t_self_d_ms=2000, d_a=cfg.d_a,
+                             commit_cap=cfg.commit_cap))
 
-    accepted, rejected = [], []
+    rejected = []
     for sensor in sensors:
         try:
-            ok = csc.register(sensor.account_id, sensor.ring_sk.public(), 100,
+            ok = csc.register(sensor.account_id, sensor.ring_sk.public(), cfg.d_s,
                               trusts[sensor.account_id])
         except contracts.BelowThreshold:
             ok = False
-        (accepted if ok else rejected).append(sensor)
+        if not ok:
+            rejected.append(sensor)
     selected = [s for s in sensors if s.account_id in csc.registered]
     selected_trusts = sorted(trusts[s.account_id] for s in selected)
 
@@ -755,8 +730,8 @@ def demo_round(pu_force: str = "none", seed: int = 7,
 
     winner = None
     if fusion == 0:
-        for bidder, (real, decoy) in zip(bidders, DEMO_BIDS):
-            sac.register(bidder.account_id, 100)
+        for bidder in bidders:
+            sac.register(bidder.account_id, cfg.d_a)
         sac.begin_committing()
         opens = {}
         for bidder, (real, decoy) in zip(bidders, DEMO_BIDS):

@@ -24,6 +24,8 @@ from potchain.trust import (
     onoff_threshold,
 )
 
+from oracles import second_price_oracle
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -143,10 +145,7 @@ def test_ac6_onoff_curves_and_recovery():
     oo_capped = stats["peak"]["OOnode"] < 0.9
 
     window = cfg.sim.trust.window
-    error_round = cfg.sim.warmup + 15
-    probe = replace(cfg.sim, rounds=error_round + 3 * window + 5)
-    rec = simnet.injected_error_recovery(probe, error_round=error_round,
-                                         node_index=0)
+    rec = simnet.injected_error_recovery(cfg.sim)
     recovery_ok = (rec["fusion_stable"] and rec["recovered_within"] is not None
                    and rec["recovered_within"] <= window
                    and rec["max_dev_after_window"] <= 0.02)
@@ -186,12 +185,13 @@ def test_ac7_second_price_oracle():
                     sac.win()
                 continue
             winner, price = sac.win()
-            oracle_winner, oracle_price = contracts.second_price_oracle(bids, order)
+            oracle_winner, oracle_price = second_price_oracle(bids, order)
             assert (winner, price) == (oracle_winner, oracle_price), profile
             checked += 1
 
     # the published two-bidder walkthrough: totals 100 vs 150
-    demo = simnet.demo_round("idle", rsa_bits=64)
+    demo_cfg = load_config(CONFIG_DIR / "demo_round.cfg").sim
+    demo = simnet.demo_round(replace(demo_cfg, rsa_bits=64), "idle")
     table_ok = demo["winner"] == "bidder2" and demo["price"] == 100
     report("AC7", table_ok,
            f"{checked} profiles match the brute-force oracle; "

@@ -18,7 +18,9 @@ from potchain.contracts import (
     NoPackets,
     NotRegistered,
     PastDeadline,
+    RevealRecord,
     SacConfig,
+    SacPhase,
     SacState,
     TooEarly,
     TooManyCommits,
@@ -26,6 +28,8 @@ from potchain.contracts import (
     convert,
 )
 from potchain.trust import Outcome
+
+from oracles import brute_force_majority, second_price_oracle
 
 CSC_ID = crypto.sha256(b"test-csc")[:16]
 SAC_ID = crypto.sha256(b"test-sac")[:16]
@@ -97,7 +101,8 @@ def test_register_table_selection(identities):
         except BelowThreshold:
             outcomes.append(None)
     assert outcomes == [True, True, None, True, True]
-    kept = sorted(r.tv_at_register for r in csc.registered.values())
+    # the deposit is exactly d_s, so no trust was bought on top
+    kept = sorted(r.effective_tv for r in csc.registered.values())
     assert kept == [0.92, 0.93, 0.94]
     # the evicted 0.91 sensor got its deposit back
     refunds = [m for m in csc.pending_moves if m.kind == "refund"]
@@ -267,9 +272,11 @@ def test_fuse_no_packets_voids_and_refunds(identities):
 def test_fusion_rule_matches_bruteforce_majority():
     for size in range(1, 10):
         for bits in itertools.product((0, 1), repeat=size):
-            ones = sum(bits)
-            expected = 1 if ones >= size - ones else 0
-            assert contracts.brute_force_majority(list(bits)) == expected
+            csc = new_csc()
+            csc.begin_sensing()
+            csc.packets = [(crypto.make_packet(bytes([i]), bit, 500), None)
+                           for i, bit in enumerate(bits)]
+            assert csc.fuse() == brute_force_majority(list(bits)), bits
 
 
 # =============================================================================
@@ -511,10 +518,14 @@ def test_second_price_matches_oracle_random_profiles(identities):
         k = rng.randint(1, 4)
         bids = {pk: rng.randint(1, 20) for pk in pks[:k]}
         order = {pk: i for i, pk in enumerate(pks[:k])}
-        winner, price = contracts.second_price_oracle(bids, order)
-        ranked = sorted(bids.items(), key=lambda e: (-e[1], order[e[0]], e[0]))
-        assert winner == ranked[0][0]
-        assert price == (ranked[1][1] if k > 1 else ranked[0][1])
+        sac = new_sac()
+        sac.phase = SacPhase.REVEALING
+        for pk, amount in bids.items():
+            sac.bidders[pk] = 100
+            sac.bids_list[pk] = []
+            sac.revealed[pk] = RevealRecord(total_valid_bid=amount, refund=0,
+                                            order=order[pk])
+        assert sac.win() == second_price_oracle(bids, order), bids
 
 
 def test_vickrey_truthfulness_on_sampled_profiles(identities):

@@ -266,6 +266,23 @@ def test_compress_rejects_tampered_state(identities):
         ledger.apply_compression(chain, forged)
 
 
+def test_compress_rejects_a_genesis_with_a_parent(identities):
+    chain = build_long_chain(identities, COMPRESS_MIN_LEN)
+    tip = chain.tip
+    proposal = ledger._seal(chain, tip.header.header_hash(), [], tip.account_states,
+                            identities[0], tip.header.timestamp_ms + 1)
+    with pytest.raises(BadParent):
+        ledger.apply_compression(chain, proposal)
+
+
+def test_compress_rejects_a_genesis_before_the_tip(identities):
+    chain = build_long_chain(identities, COMPRESS_MIN_LEN)
+    proposal = ledger._seal(chain, ledger.ZERO32, [], chain.tip.account_states,
+                            identities[0], 1)
+    with pytest.raises(BadTimestamp):
+        ledger.apply_compression(chain, proposal)
+
+
 def test_compress_requires_min_length(identities):
     chain = build_long_chain(identities, COMPRESS_MIN_LEN - 1)
     with pytest.raises(TooShort):
@@ -326,6 +343,29 @@ def test_export_import_property(identities, trusts, appends):
     assert ledger.export_chain(restored) == text
     for ident in identities:
         assert restored.target_for(ident.account_id) == chain.target_for(ident.account_id)
+
+
+@settings(max_examples=25, deadline=None)
+@given(trusts=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+       appends=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 999)),
+                        max_size=12))
+def test_compressed_chain_appends_and_reimports_property(identities, trusts, appends):
+    """A compressed chain keeps growing, and export -> import rebuilds its
+    header hashes; blocks stay under t0, so beta does not adapt."""
+    chain = build_long_chain(identities, COMPRESS_MIN_LEN, trusts=trusts)
+    authority = ledger.compression_authority(chain.tip)
+    compressor = next(i for i in identities if i.account_id == authority)
+    compressed = ledger.compress_chain(chain, compressor)
+    for i, (who, gap_ms) in enumerate(appends):
+        ts = compressed.tip.header.timestamp_ms + gap_ms
+        compressed.append_block(next_block(compressed, identities[who],
+                                           note=bytes([i]), timestamp=ts))
+    restored = reimport(compressed)
+    assert len(restored.blocks) == 1 + len(appends)
+    assert header_hashes(restored) == header_hashes(compressed)
+    for ident in identities:
+        assert (restored.target_for(ident.account_id)
+                == compressed.target_for(ident.account_id))
 
 
 def test_import_rejects_tampered_record(identities):

@@ -1,10 +1,13 @@
 """Simulator: behavior draws, selection schemes, the round loop, audits."""
 
+from dataclasses import replace
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from potchain import ledger, simnet
+from potchain import contracts, ledger, simnet
+from potchain.config import load_config
 from potchain.simnet import (
     NodeKind,
     NodeProfile,
@@ -18,6 +21,7 @@ from potchain.simnet import (
 from potchain.trust import TrustParams
 
 TUNED = TrustParams(rho=0.4, eta=2.0, window=4, k1=2, k2=8, r1=0.6, r2=0.3)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_mix():
@@ -25,6 +29,16 @@ def small_mix():
         PopulationGroup(NodeProfile(NodeKind.RNODE, 0.90, 0.15), 6),
         PopulationGroup(NodeProfile(NodeKind.OONODE, 0.90, 0.15, attack_period=3), 2),
         PopulationGroup(NodeProfile(NodeKind.LNODE, 0.50, 0.50), 2),
+        PopulationGroup(NodeProfile(NodeKind.UANODE, 0.90, 0.15, participation=0.5), 2),
+    )
+
+
+def twenty_node_mix():
+    """The 20-node population of the bundled experiment presets."""
+    return (
+        PopulationGroup(NodeProfile(NodeKind.RNODE, 0.90, 0.15), 12),
+        PopulationGroup(NodeProfile(NodeKind.OONODE, 0.90, 0.15, attack_period=3), 3),
+        PopulationGroup(NodeProfile(NodeKind.LNODE, 0.50, 0.50), 3),
         PopulationGroup(NodeProfile(NodeKind.UANODE, 0.90, 0.15, participation=0.5), 2),
     )
 
@@ -191,6 +205,18 @@ def test_fork_injection_still_builds_valid_chain():
     world.run()
     assert chain_reimports(world.chain)
     assert len(world.chain.blocks) == 9
+    # the fork-choice winner, picked or rival, is reported and paid
+    picked = [world._pick_miner(block.account_states).label
+              for block in world.chain.blocks[:-1]]
+    rival_won = 0
+    for report, block in zip(world.reports, world.chain.blocks[1:]):
+        miner_id = block.header.miner_id
+        assert report.miner == world.by_account[miner_id].label
+        rewards = [tx for tx in block.transactions if tx.kind is ledger.TxKind.REWARD]
+        assert [(tx.signer, tx.payload) for tx in rewards] == [
+            (miner_id, contracts.encode_reward(miner_id, world.cfg.reward_mining))]
+        rival_won += report.miner != picked[report.round]
+    assert rival_won > 0
 
 
 def test_block_carries_round_transactions():
@@ -235,7 +261,7 @@ def test_mining_cost_csv_shape():
     lines, stats = simnet.experiment_mining_cost(small_cfg(rounds=14))
     assert lines[0] == simnet.MINING_CSV_HEADER
     assert len(lines) == 1 + 14 * 12
-    assert stats["rnode_mean"] > 0
+    assert stats["means"]["Rnode"] > 0
 
 
 def test_trust_selection_tracks_truth_better_than_random():
@@ -246,7 +272,7 @@ def test_trust_selection_tracks_truth_better_than_random():
     mismatches = {}
     for scheme in (SelectionScheme.TRUST_VALUE, SelectionScheme.RANDOM):
         cfg = small_cfg(seed=17, rounds=250, n1=5, selection=scheme,
-                        population=simnet.section_twenty_node_mix())
+                        population=twenty_node_mix())
         world = World(cfg)
         world.run()
         bad = sum(1 for r in world.reports
@@ -273,8 +299,7 @@ def test_sensing_experiment_pairs_seeds():
 
 
 def test_injected_error_recovery_paired_runs():
-    cfg = small_cfg(rounds=40)
-    result = simnet.injected_error_recovery(cfg, error_round=20, node_index=0)
+    result = simnet.injected_error_recovery(small_cfg())
     assert result["fusion_stable"]
     assert result["recovered_within"] is not None
     assert result["recovered_within"] <= TUNED.window
@@ -285,8 +310,13 @@ def test_injected_error_recovery_paired_runs():
 # demo round
 # =============================================================================
 
+def demo_cfg(**overrides):
+    sim = load_config(CONFIG_DIR / "demo_round.cfg").sim
+    return replace(sim, rsa_bits=64, **overrides)
+
+
 def test_demo_round_busy_path():
-    result = simnet.demo_round("none", rsa_bits=64)
+    result = simnet.demo_round(demo_cfg(), "none")
     assert result["fusion"] == 1
     assert result["selected_trusts"] == [0.92, 0.93, 0.94]
     assert result["winner"] is None
@@ -295,7 +325,20 @@ def test_demo_round_busy_path():
 
 
 def test_demo_round_idle_path_runs_auction():
-    result = simnet.demo_round("idle", rsa_bits=64)
+    result = simnet.demo_round(demo_cfg(), "idle")
     assert result["fusion"] == 0
     assert result["winner"] == "bidder2"
     assert result["price"] == 100
+
+
+def test_demo_round_reads_contract_settings():
+    assert simnet.demo_round(demo_cfg(), "idle")["rejected"] == ["sensor3"]
+    # below every preset trust, the 0.87 sensor is admitted, then evicted
+    assert simnet.demo_round(demo_cfg(tv_thr=0.80), "idle")["rejected"] == []
+    # four seats keep the 0.91 sensor too
+    result = simnet.demo_round(demo_cfg(n1=4), "idle")
+    assert result["selected_trusts"] == [0.91, 0.92, 0.93, 0.94]
+    # the deposit is d_s, returned to each consistent sensor with its reward
+    settlement = simnet.demo_round(demo_cfg(d_s=250, reward_sensing=40),
+                                   "idle")["settlement"]
+    assert set(settlement.values()) == {("consistent", 40, 250)}
