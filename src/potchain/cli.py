@@ -186,6 +186,9 @@ def cmd_calibrate(args) -> int:
     if not 1 <= args.max_z <= 28:
         print("--max-z must be within [1, 28]", file=sys.stderr)
         return 1
+    if args.runs < 1:
+        print("--runs must be at least 1", file=sys.stderr)
+        return 1
     out = Path(os.environ.get("POTCHAIN_OUT") or args.out)
     runs_lines = ["leading_zero_bits,run_index,trials,wall_ms"]
     summary_lines = ["z,mean_wall_ms,mean_trials"]

@@ -52,18 +52,17 @@ def sha256(data: bytes) -> bytes:
 # Regular account signatures (Ed25519 behind a byte-level interface)
 # =============================================================================
 
-def make_signing_key(rng: Random) -> bytes:
-    """32-byte signing seed, deterministic under a seeded rng."""
-    return rng.getrandbits(256).to_bytes(32, "big")
+def make_signing_key(rng: Random) -> Ed25519PrivateKey:
+    """Signing key parsed once from a 32-byte seed drawn from `rng`."""
+    return Ed25519PrivateKey.from_private_bytes(rng.getrandbits(256).to_bytes(32, "big"))
 
 
-def signing_pubkey(sk: bytes) -> bytes:
-    priv = Ed25519PrivateKey.from_private_bytes(sk)
-    return priv.public_key().public_bytes_raw()
+def signing_pubkey(sk: Ed25519PrivateKey) -> bytes:
+    return sk.public_key().public_bytes_raw()
 
 
-def sign(payload: bytes, sk: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(sk).sign(payload)
+def sign(payload: bytes, sk: Ed25519PrivateKey) -> bytes:
+    return sk.sign(payload)
 
 
 def verify(payload: bytes, sig: bytes, pk: bytes) -> bool:
@@ -183,27 +182,36 @@ def _common_domain_bits(ring: list[RingPublicKey]) -> int:
     return bits + (bits % 2)
 
 
-def _feistel_round(key: bytes, rnd: int, half: int, half_bits: int) -> int:
-    digest = sha256(b"ring-feistel" + key + bytes([rnd])
-                    + half.to_bytes((half_bits + 7) // 8, "big"))
-    return int.from_bytes(digest, "big") & ((1 << half_bits) - 1)
+def _feistel_keys(key: bytes) -> list:
+    """SHA-256 states over "ring-feistel" || k || round_byte, one per round.
+
+    A round function copies its state and hashes only the half block.
+    """
+    return [hashlib.sha256(b"ring-feistel" + key + bytes([rnd]))
+            for rnd in range(FEISTEL_ROUNDS)]
 
 
-def _permute(key: bytes, value: int, bits: int) -> int:
+def _permute(round_keys: list, value: int, bits: int) -> int:
     half_bits = bits // 2
     mask = (1 << half_bits) - 1
+    width = (half_bits + 7) // 8
     left, right = value >> half_bits, value & mask
-    for rnd in range(FEISTEL_ROUNDS):
-        left, right = right, left ^ _feistel_round(key, rnd, right, half_bits)
+    for state in round_keys:
+        h = state.copy()
+        h.update(right.to_bytes(width, "big"))
+        left, right = right, left ^ (int.from_bytes(h.digest(), "big") & mask)
     return (left << half_bits) | right
 
 
-def _unpermute(key: bytes, value: int, bits: int) -> int:
+def _unpermute(round_keys: list, value: int, bits: int) -> int:
     half_bits = bits // 2
     mask = (1 << half_bits) - 1
+    width = (half_bits + 7) // 8
     left, right = value >> half_bits, value & mask
-    for rnd in reversed(range(FEISTEL_ROUNDS)):
-        left, right = right ^ _feistel_round(key, rnd, left, half_bits), left
+    for state in reversed(round_keys):
+        h = state.copy()
+        h.update(left.to_bytes(width, "big"))
+        left, right = right ^ (int.from_bytes(h.digest(), "big") & mask), left
     return (left << half_bits) | right
 
 
@@ -274,20 +282,21 @@ def _close_ring(key: bytes, v: int, ys: list[int | None], bits: int,
     returned. Otherwise returns the y value the missing slot must take
     for the ring to close back to v.
     """
+    round_keys = _feistel_keys(key)
     if solve_index is None:
         acc = v
         for y in ys:
-            acc = _permute(key, acc ^ y, bits)
+            acc = _permute(round_keys, acc ^ y, bits)
         return acc
     # forward pass up to the open slot
     acc = v
     for y in ys[:solve_index]:
-        acc = _permute(key, acc ^ y, bits)
+        acc = _permute(round_keys, acc ^ y, bits)
     # backward pass from the required output v
     out = v
     for y in reversed(ys[solve_index + 1:]):
-        out = _unpermute(key, out, bits) ^ y
-    return _unpermute(key, out, bits) ^ acc
+        out = _unpermute(round_keys, out, bits) ^ y
+    return _unpermute(round_keys, out, bits) ^ acc
 
 
 def ring_sign(packet: SensingPacket, signer_index: int, signer_sk: RingSecretKey,
@@ -324,6 +333,8 @@ def ring_verify(packet: SensingPacket, sig: RingSignature) -> bool:
     """Check the ring equation closes; malformed input verifies false."""
     try:
         if len(sig.ring) == 0 or len(sig.ring) != len(sig.xs):
+            return False
+        if any(pk.n <= 0 for pk in sig.ring):
             return False
         bits = _common_domain_bits(list(sig.ring))
         domain = 1 << bits
@@ -378,7 +389,7 @@ def reveal_check(c: Commitment, sr: int, rnd: bytes, msg_id: bytes) -> bool:
 class NodeIdentity:
     """Account keys: Ed25519 for transactions, RSA trapdoor for rings."""
     account_id: bytes
-    sig_sk: bytes
+    sig_sk: Ed25519PrivateKey
     sig_pk: bytes
     ring_sk: RingSecretKey
 

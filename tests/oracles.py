@@ -1,4 +1,7 @@
-"""Brute-force reference implementations the contract tests compare against."""
+"""Brute-force reference implementations the contract and crypto tests
+compare against."""
+
+import hashlib
 
 from potchain.contracts import NoBidders
 
@@ -18,3 +21,28 @@ def second_price_oracle(bids: dict[bytes, int], reveal_order: dict[bytes, int]) 
     entrants.sort(key=lambda e: (-e[1], reveal_order[e[0]], e[0]))
     price = entrants[1][1] if len(entrants) > 1 else entrants[0][1]
     return entrants[0][0], price
+
+
+def _feistel_round_reference(key: bytes, rnd: int, half: int, half_bits: int) -> int:
+    """SHA-256("ring-feistel" || k || round_byte || half_bytes) truncated
+    to b/2 bits, hashed from scratch."""
+    data = b"ring-feistel" + key + bytes([rnd]) + half.to_bytes((half_bits + 7) // 8, "big")
+    return int.from_bytes(hashlib.sha256(data).digest(), "big") % (1 << half_bits)
+
+
+def feistel_reference(key: bytes, value: int, bits: int) -> int:
+    """Reference glue cipher E_k: 16-round balanced Feistel over `bits` bits."""
+    half_bits = bits // 2
+    left, right = value >> half_bits, value % (1 << half_bits)
+    for rnd in range(16):
+        left, right = right, left ^ _feistel_round_reference(key, rnd, right, half_bits)
+    return (left << half_bits) | right
+
+
+def feistel_inverse_reference(key: bytes, value: int, bits: int) -> int:
+    """Reference E_k^-1: the rounds of `feistel_reference` run backwards."""
+    half_bits = bits // 2
+    left, right = value >> half_bits, value % (1 << half_bits)
+    for rnd in range(15, -1, -1):
+        left, right = right ^ _feistel_round_reference(key, rnd, left, half_bits), left
+    return (left << half_bits) | right

@@ -262,6 +262,15 @@ def test_calibrate_rejects_silly_z(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_calibrate_rejects_no_runs(tmp_path, capsys, runs):
+    rc = cli.main(["calibrate", "--max-z", "2", "--runs", runs,
+                   "--out", str(tmp_path / "cal0")])
+    assert rc == 1
+    assert "--runs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "cal0").exists()
+
+
 def test_calibrate_wall_time_grows_with_target(tmp_path, capsys):
     # two-point isotonic check: 2^12 trials dwarf 2^8, noise cannot flip it
     rc = cli.main(["calibrate", "--max-z", "12", "--runs", "8",

@@ -4,7 +4,11 @@ import hashlib
 from random import Random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import feistel_inverse_reference, feistel_reference
 from potchain import crypto
 
 TOY_BITS = 64
@@ -48,6 +52,18 @@ def test_verify_rejects_wrong_key():
     sk_a, sk_b = crypto.make_signing_key(rng), crypto.make_signing_key(rng)
     sig = crypto.sign(b"m", sk_a)
     assert not crypto.verify(b"m", sig, crypto.signing_pubkey(sk_b))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 77])
+def test_sign_matches_key_parsed_from_seed_bytes(seed):
+    """Signing with an identity's parsed key gives the bytes of a key
+    parsed afresh from the same 32 seeded bytes."""
+    identity = crypto.make_identity(Random(seed), rsa_bits=TOY_BITS)
+    seed_bytes = Random(seed).getrandbits(256).to_bytes(32, "big")
+    fresh = Ed25519PrivateKey.from_private_bytes(seed_bytes)
+    for payload in (b"", b"payload", bytes(range(256))):
+        assert crypto.sign(payload, identity.sig_sk) == fresh.sign(payload)
+    assert identity.sig_pk == fresh.public_key().public_bytes_raw()
 
 
 # =============================================================================
@@ -137,7 +153,7 @@ def test_ring_verification_symmetric_under_rotation(toy_ring):
     packet = make_packet()
     sig = crypto.ring_sign(packet, 3, identities[3].ring_sk, ring, rng)
     bits = crypto._common_domain_bits(list(sig.ring))
-    key = crypto.sha256(packet.canonical_bytes())
+    round_keys = crypto._feistel_keys(crypto.sha256(packet.canonical_bytes()))
     ys = [crypto._forward(pk, x, 1 << bits) for pk, x in zip(sig.ring, sig.xs)]
     for shift in range(1, 5):
         rotated_ring = sig.ring[shift:] + sig.ring[:shift]
@@ -145,7 +161,7 @@ def test_ring_verification_symmetric_under_rotation(toy_ring):
         # the rotated sequence closes from the correspondingly advanced glue
         v_shift = sig.v
         for y in ys[:shift]:
-            v_shift = crypto._permute(key, v_shift ^ y, bits)
+            v_shift = crypto._permute(round_keys, v_shift ^ y, bits)
         rotated = crypto.RingSignature(ring=rotated_ring, v=v_shift,
                                        xs=rotated_xs)
         assert crypto.ring_verify(packet, rotated)
@@ -167,6 +183,25 @@ def test_ring_verify_malformed_inputs_false(toy_ring):
     assert not crypto.ring_verify(packet, mismatched)
     out_of_domain = crypto.RingSignature(ring=tuple(pks[:2]), v=-1, xs=(1, 2))
     assert not crypto.ring_verify(packet, out_of_domain)
+    for modulus in (0, -pks[0].n):
+        bad_modulus = crypto.RingSignature(
+            ring=(crypto.RingPublicKey(modulus, 65537),), v=1, xs=(1,))
+        assert not crypto.ring_verify(packet, bad_modulus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.binary(max_size=40), half_bits=st.integers(1, 320), data=st.data())
+def test_feistel_matches_reference_property(key, half_bits, data):
+    """The keyed glue cipher equals the plain loop written from the module
+    docstring, both ways, and its inverse undoes it."""
+    bits = 2 * half_bits
+    value = data.draw(st.integers(0, (1 << bits) - 1))
+    round_keys = crypto._feistel_keys(key)
+    permuted = crypto._permute(round_keys, value, bits)
+    assert permuted == feistel_reference(key, value, bits)
+    assert (crypto._unpermute(round_keys, value, bits)
+            == feistel_inverse_reference(key, value, bits))
+    assert crypto._unpermute(round_keys, permuted, bits) == value
 
 
 def test_ring_signature_serialization_roundtrippable(toy_ring):
@@ -226,6 +261,11 @@ def test_identity_deterministic_from_seed():
     b = crypto.make_identity(Random(99), rsa_bits=TOY_BITS)
     assert a.account_id == b.account_id
     assert a.ring_sk == b.ring_sk
+    # pinned: a change in how keys are drawn from the seed shows here
+    assert a.sig_pk.hex() == (
+        "703acd3804623150986264ff3581d69e904ebaac3c14e84b54b6f77e2947fbe4")
+    assert a.account_id.hex() == (
+        "8e25b0d86fd4dd4d3265abc3e049cc486818c2a3a6949def5d3db90b177073c6")
 
 
 def test_identity_account_id_is_digest():
