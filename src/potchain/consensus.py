@@ -16,11 +16,10 @@ nonce is 2^z hash trials.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-from .crypto import sha256
 
 MAX_TARGET_BITS = 256
 
@@ -78,6 +77,12 @@ def meets_target(digest: bytes, z: int) -> bool:
     return leading_zero_bits(digest) >= z
 
 
+def target_bound(z: int) -> bytes:
+    """2^(256-z) as 32 big-endian bytes: a 32-byte digest has at least z
+    leading zero bits exactly when it compares below this bound."""
+    return (1 << (MAX_TARGET_BITS - z)).to_bytes(32, "big")
+
+
 @dataclass(frozen=True)
 class MineResult:
     nonce: int
@@ -86,13 +91,22 @@ class MineResult:
 
 def mine(header_preimage: bytes, z: int, nonce_start: int = 0,
          max_trials: int = 1 << 30) -> MineResult:
-    """Search nonces until H(preimage || nonce_be8) has >= z leading zero bits."""
+    """Search nonces until H(preimage || nonce_be8) has >= z leading zero bits.
+
+    The preimage is hashed once per search. Each trial copies that state,
+    hashes only the 8-byte nonce and compares the digest with
+    `target_bound(z)`. For the 138-byte header preimage that is one SHA-256
+    block per trial, where hashing preimage || nonce from scratch takes three.
+    """
     if not 1 <= z <= MAX_TARGET_BITS:
         raise ValueError("target bits outside [1, 256]")
+    prefix = hashlib.sha256(header_preimage)
+    bound = target_bound(z)
     nonce = nonce_start
     for trial in range(1, max_trials + 1):
-        digest = sha256(header_preimage + (nonce & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"))
-        if meets_target(digest, z):
+        h = prefix.copy()
+        h.update((nonce & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"))
+        if h.digest() < bound:
             return MineResult(nonce=nonce & 0xFFFFFFFFFFFFFFFF, trials=trial)
         nonce += 1
     raise Exhausted(f"no nonce within {max_trials} trials at z={z}")

@@ -23,6 +23,7 @@ from .trust import TrustState
 
 ZERO32 = bytes(32)
 TV_SCALE = 10_000
+U16, U32, U64 = 1 << 16, 1 << 32, 1 << 64     # limits of 2-, 4- and 8-byte fields
 
 
 class LedgerError(Exception):
@@ -63,6 +64,10 @@ class StateMismatch(LedgerError):
 
 class TooShort(LedgerError):
     pass
+
+
+class MalformedRecord(LedgerError):
+    """An export line that is not a well-formed block record."""
 
 
 def quantize_tv(tv: float) -> int:
@@ -378,15 +383,50 @@ def _account_to_obj(acct: AccountState) -> dict:
     }
 
 
+def _int(obj: dict, key: str, lo: int, hi: int) -> int:
+    """obj[key] as an integer in its wire range lo..hi - 1."""
+    value = obj[key]
+    if type(value) is not int or not lo <= value < hi:
+        raise MalformedRecord(f"{key} {value!r} outside {lo}..{hi - 1}")
+    return value
+
+
+def _hex(obj: dict, key: str, size: int | None = None) -> bytes:
+    """obj[key] as bytes from hex without whitespace, `size` long if given."""
+    text = obj[key]
+    value = bytes.fromhex(text)
+    if len(text) != 2 * len(value) or size is not None and len(value) != size:
+        raise MalformedRecord(f"{key} is not hex of the expected length")
+    return value
+
+
+def _tx_from_obj(obj: dict) -> Transaction:
+    signer = _hex(obj, "signer")
+    if len(signer) not in (len(RING_SIGNER), 32):
+        raise MalformedRecord("signer is neither an account id nor RING_SIGNER")
+    return Transaction(kind=TxKind(_int(obj, "kind", 0, 256)), payload=_hex(obj, "payload"),
+                       signer=signer, signature=_hex(obj, "signature"))
+
+
 def _account_from_obj(obj: dict) -> AccountState:
-    trust = TrustState(tv=obj["tv"] / TV_SCALE, n_right=obj["n_right"],
-                       wrong_rounds=tuple(obj["wrong_rounds"]),
-                       r_sleep=obj["r_sleep"], last_round=obj["last_round"],
-                       sensing_rounds=obj["sensing_rounds"])
-    return AccountState(account_id=bytes.fromhex(obj["account_id"]),
-                        sig_pk=bytes.fromhex(obj["sig_pk"]),
-                        ring_n=int(obj["ring_n"]), ring_e=obj["ring_e"],
-                        balance=obj["balance"], trust=trust)
+    ring_n = obj["ring_n"]
+    n = int(ring_n) if type(ring_n) is str and ring_n.isdigit() else 0
+    if str(n) != ring_n or not 0 < n.bit_length() <= 8 * 255:
+        raise MalformedRecord(f"ring_n {ring_n!r} is not a positive decimal modulus")
+    wrong_rounds = obj["wrong_rounds"]
+    if (type(wrong_rounds) is not list or len(wrong_rounds) >= U16
+            or any(type(m) is not int or not 0 <= m < U32 for m in wrong_rounds)):
+        raise MalformedRecord("wrong_rounds is not a list of sensing rounds")
+    trust = TrustState(tv=_int(obj, "tv", 0, TV_SCALE + 1) / TV_SCALE,
+                       n_right=_int(obj, "n_right", 0, U32),
+                       wrong_rounds=tuple(wrong_rounds),
+                       r_sleep=_int(obj, "r_sleep", 0, U32),
+                       last_round=_int(obj, "last_round", -1, U32 - 1),
+                       sensing_rounds=_int(obj, "sensing_rounds", 0, U32))
+    return AccountState(account_id=_hex(obj, "account_id", 32),
+                        sig_pk=_hex(obj, "sig_pk", 32),
+                        ring_n=n, ring_e=_int(obj, "ring_e", 1, U64),
+                        balance=_int(obj, "balance", 0, U64), trust=trust)
 
 
 def block_to_record(block: Block) -> str:
@@ -411,22 +451,30 @@ def block_to_record(block: Block) -> str:
 
 
 def block_from_record(line: str) -> Block:
-    obj = json.loads(line)
-    header = BlockHeader(
-        prev_hash=bytes.fromhex(obj["prev_hash"]),
-        tx_root=bytes.fromhex(obj["tx_root"]),
-        state_root=bytes.fromhex(obj["state_root"]),
-        miner_id=bytes.fromhex(obj["miner_id"]),
-        miner_trust=obj["miner_trust"],
-        timestamp_ms=obj["timestamp_ms"],
-        nonce=obj["nonce"],
-        miner_sig=bytes.fromhex(obj["miner_sig"]))
-    txs = tuple(Transaction(kind=TxKind(t["kind"]), payload=bytes.fromhex(t["payload"]),
-                            signer=bytes.fromhex(t["signer"]),
-                            signature=bytes.fromhex(t["signature"]))
-                for t in obj["transactions"])
-    accounts = {bytes.fromhex(a["account_id"]): _account_from_obj(a)
-                for a in obj["accounts"]}
+    """Decode one export line. Anything that is not a well-formed record,
+    or holds a field outside its wire range, raises MalformedRecord."""
+    try:
+        obj = json.loads(line)
+        header = BlockHeader(
+            prev_hash=_hex(obj, "prev_hash", 32),
+            tx_root=_hex(obj, "tx_root", 32),
+            state_root=_hex(obj, "state_root", 32),
+            miner_id=_hex(obj, "miner_id", 32),
+            miner_trust=_int(obj, "miner_trust", 0, TV_SCALE + 1),
+            timestamp_ms=_int(obj, "timestamp_ms", 0, U64),
+            nonce=_int(obj, "nonce", 0, U64),
+            miner_sig=_hex(obj, "miner_sig"))
+        txs = tuple(_tx_from_obj(t) for t in obj["transactions"])
+        accounts, last_id = {}, b""
+        for a in obj["accounts"]:
+            account = _account_from_obj(a)
+            if account.account_id <= last_id:
+                raise MalformedRecord("accounts are not in ascending id order")
+            accounts[last_id := account.account_id] = account
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        # bad JSON or hex, an unknown TxKind, a missing key, a wrong type,
+        # JSON nested too deep to parse
+        raise MalformedRecord(f"{type(exc).__name__}: {exc}") from exc
     return Block(header=header, transactions=txs, account_states=accounts)
 
 

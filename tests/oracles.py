@@ -3,6 +3,7 @@ compare against."""
 
 import hashlib
 
+from potchain.consensus import Exhausted, MineResult, meets_target
 from potchain.contracts import NoBidders
 
 
@@ -46,3 +47,17 @@ def feistel_inverse_reference(key: bytes, value: int, bits: int) -> int:
     for rnd in range(15, -1, -1):
         left, right = right ^ _feistel_round_reference(key, rnd, left, half_bits), left
     return (left << half_bits) | right
+
+
+def mine_reference(header_preimage: bytes, z: int, nonce_start: int = 0,
+                   max_trials: int = 1 << 30) -> MineResult:
+    """Reference nonce search: hash preimage || nonce_be8 from scratch on
+    every trial and count leading zero bits through meets_target."""
+    nonce = nonce_start
+    for trial in range(1, max_trials + 1):
+        wrapped = nonce % (1 << 64)
+        digest = hashlib.sha256(header_preimage + wrapped.to_bytes(8, "big")).digest()
+        if meets_target(digest, z):
+            return MineResult(nonce=wrapped, trials=trial)
+        nonce += 1
+    raise Exhausted(f"no nonce within {max_trials} trials at z={z}")

@@ -5,7 +5,10 @@ import itertools
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import mine_reference
 from potchain import consensus
 from potchain.consensus import DifficultyParams
 from potchain.crypto import sha256
@@ -110,6 +113,41 @@ def test_tampered_preimage_invalidates_nonce():
 def test_mine_exhausted():
     with pytest.raises(consensus.Exhausted):
         consensus.mine(b"y", 64, max_trials=10)
+
+
+NONCE_WRAP = 1 << 64
+
+
+def _search(search, preimage: bytes, z: int, nonce_start: int, max_trials: int):
+    try:
+        return search(preimage, z, nonce_start=nonce_start, max_trials=max_trials)
+    except consensus.Exhausted:
+        return consensus.Exhausted
+
+
+@settings(max_examples=300, deadline=None)
+@given(preimage=st.binary(min_size=0, max_size=300),
+       z=st.integers(1, 12),
+       nonce_start=st.one_of(st.integers(0, 64),
+                             st.integers(NONCE_WRAP - 40, NONCE_WRAP - 1)),
+       max_trials=st.integers(1, 80))
+@example(preimage=b"wrap", z=6, nonce_start=NONCE_WRAP - 3, max_trials=64)  # found at nonce 4
+@example(preimage=bytes(55), z=3, nonce_start=NONCE_WRAP - 2, max_trials=40)
+@example(preimage=bytes(64), z=12, nonce_start=0, max_trials=3)
+def test_mine_matches_reference_property(preimage, z, nonce_start, max_trials):
+    # Lengths 0..300 put the nonce on both sides of every 64-byte block
+    # boundary; starts just below 2^64 make the search wrap to nonce 0.
+    assert (_search(consensus.mine, preimage, z, nonce_start, max_trials)
+            == _search(mine_reference, preimage, z, nonce_start, max_trials))
+
+
+def test_target_bound_agrees_with_leading_zero_count():
+    for z in range(1, consensus.MAX_TARGET_BITS + 1):
+        bound = consensus.target_bound(z)
+        edge = 1 << (consensus.MAX_TARGET_BITS - z)
+        inside, outside = (edge - 1).to_bytes(32, "big"), edge.to_bytes(32, "big")
+        assert consensus.meets_target(inside, z) and inside < bound
+        assert not consensus.meets_target(outside, z) and not outside < bound
 
 
 def test_expected_cost():

@@ -135,6 +135,18 @@ def test_register_wrong_phase(identities):
         csc.register(identities[0].account_id, identities[0].ring_pk, 100, 0.95)
 
 
+@pytest.mark.parametrize("n, e", [(0, 65537), (-(2 ** 63 + 1), 65537), (None, 0)])
+def test_register_refuses_non_positive_ring_key(identities, n, e):
+    """Such a key breaks every honest ring_sign over the group (a modulus of
+    0 divides by zero), so it never gets a seat."""
+    csc = new_csc()
+    ident = identities[0]
+    bad = crypto.RingPublicKey(ident.ring_pk.n if n is None else n, e)
+    with pytest.raises(IllegalRing):
+        csc.register(ident.account_id, bad, 100, 0.95)
+    assert csc.registered == {} and csc.pending_moves == []
+
+
 def test_register_rejects_weaker_when_full(identities):
     csc = new_csc(n1=1)
     assert csc.register(identities[0].account_id, identities[0].ring_pk, 100, 0.95)

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 from dataclasses import replace
 from random import Random
 
@@ -21,6 +22,7 @@ from potchain.ledger import (
     BadTrustField,
     COMPRESS_MIN_LEN,
     Chain,
+    MalformedRecord,
     NotAuthorized,
     StateMismatch,
     TooShort,
@@ -374,6 +376,71 @@ def test_import_rejects_tampered_record(identities):
     lines[2] = lines[2].replace('"balance":1000', '"balance":999999')
     with pytest.raises(ledger.LedgerError):
         ledger.import_chain("\n".join(lines), CHAIN_PARAMS)
+
+
+def _mutated_export(chain, line: int, mutate) -> str:
+    """The chain's export with record `line` decoded, passed to mutate(obj)
+    and re-encoded."""
+    lines = ledger.export_chain(chain).splitlines()
+    obj = json.loads(lines[line])
+    mutate(obj)
+    lines[line] = json.dumps(obj, separators=(",", ":"))
+    return "\n".join(lines) + "\n"
+
+
+def _mutated(mutate):
+    return lambda chain: _mutated_export(chain, 2, mutate)
+
+
+def _set(key, value):
+    return _mutated(lambda obj: obj.__setitem__(key, value))
+
+
+def _set_tx(key, value):
+    return _mutated(lambda obj: obj["transactions"][0].__setitem__(key, value))
+
+
+@pytest.mark.parametrize("make_text", [
+    pytest.param(lambda chain: ledger.export_chain(chain)[:-40] + "\n", id="bad-json"),
+    pytest.param(lambda chain: "[" * 100_000 + "]" * 100_000 + "\n", id="deep-json"),
+    pytest.param(_mutated(lambda obj: obj.pop("nonce")), id="missing-key"),
+    pytest.param(_set("timestamp_ms", "2700"), id="wrong-type"),
+    pytest.param(_set("tx_root", "zz" * 32), id="bad-hex"),
+    pytest.param(_set_tx("kind", 99), id="unknown-tx-kind"),
+    pytest.param(_set_tx("payload", " 00"), id="spaced-hex"),
+    pytest.param(_set_tx("signer", "ab" * 33), id="signer-length"),
+    pytest.param(_mutated(lambda obj: obj["accounts"].reverse()), id="account-order"),
+])
+def test_import_raises_malformed_record(identities, make_text):
+    chain = build_long_chain(identities, 3)
+    with pytest.raises(MalformedRecord):
+        ledger.import_chain(make_text(chain), CHAIN_PARAMS)
+
+
+@pytest.mark.parametrize("tv, committed", [
+    (-5, 0), (2 ** 70, ledger.TV_SCALE), (ledger.TV_SCALE + 1, ledger.TV_SCALE)])
+def test_import_refuses_out_of_range_tv(identities, tv, committed):
+    """These quantize to the committed 0 or TV_SCALE, so they pass the state
+    root; decoding must refuse them, or the chain holds tv = -0.0005."""
+    chain = build_long_chain(identities, 3, trusts=(1.0, 0.5, 0.0))
+
+    def mutate(obj):
+        next(a for a in obj["accounts"] if a["tv"] == committed)["tv"] = tv
+
+    for line in (0, 2):
+        with pytest.raises(MalformedRecord):
+            ledger.import_chain(_mutated_export(chain, line, mutate), CHAIN_PARAMS)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_right", -1), ("r_sleep", -1), ("sensing_rounds", -1), ("last_round", -2),
+    ("balance", -1), ("balance", 2 ** 64), ("wrong_rounds", [-1]), ("ring_n", "0"),
+])
+def test_import_refuses_account_field_outside_wire_range(identities, field, value):
+    chain = build_long_chain(identities, 3)
+    text = _mutated_export(chain, 2, lambda obj: obj["accounts"][1].__setitem__(field, value))
+    with pytest.raises(MalformedRecord):
+        ledger.import_chain(text, CHAIN_PARAMS)
 
 
 def test_quantize_tv():
