@@ -23,6 +23,8 @@ Ring signature byte conventions (reproducible across implementations):
 from __future__ import annotations
 
 import hashlib
+import os
+import signal
 from dataclasses import dataclass
 from random import Random
 
@@ -71,6 +73,122 @@ def verify(payload: bytes, sig: bytes, pk: bytes) -> bool:
         return True
     except (InvalidSignature, ValueError):
         return False
+
+
+# Batch verification. The checks of a batch are independent, so the batch
+# is cut into one contiguous share per CPU: the caller checks the first and
+# one forked worker per extra CPU checks each of the others. A worker gets
+# its share over a pipe written by the caller itself; a pool's feeder thread
+# would wait for the GIL, which OpenSSL's verify holds, until the caller's
+# own share is done. Workers are forked, not spawned: a spawned worker
+# re-imports the caller's __main__, which fails in a script that builds a
+# World without a main guard. potchain starts no threads, so the fork is safe.
+
+def _verify_share(items, check=verify) -> list[bool]:
+    # `check` is bound here, so a wrapper later set on `crypto.verify` sees
+    # neither the caller's share nor a worker's
+    return [check(*item) for item in items]
+
+
+def _serve(conn, parent_end) -> None:
+    """Worker loop: answer each share received on `conn` with its results."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)    # the caller handles Ctrl-C
+    parent_end.close()
+    for worker in _workers:                         # a sibling's pipe, inherited
+        worker.conn.close()
+    while True:
+        try:
+            conn.send(_verify_share(conn.recv()))
+        except Exception:
+            # The caller closed the pipe, or sent a share `verify` cannot
+            # take; in the second case the caller re-checks it and raises.
+            return
+
+
+class _Worker:
+    """A forked daemon process that checks the shares sent to it."""
+
+    def __init__(self):
+        import multiprocessing          # paid for only by a process that verifies a batch
+        context = multiprocessing.get_context("fork")
+        self.conn, child_end = context.Pipe()
+        self.process = context.Process(target=_serve, args=(child_end, self.conn),
+                                       daemon=True)
+        self.process.start()
+        child_end.close()
+        self.sent = False
+
+    def send(self, share: list) -> None:
+        try:
+            self.conn.send(share)
+            self.sent = True
+        except OSError:                 # the worker has died
+            self.sent = False
+
+    def results(self) -> list[bool] | None:
+        """The answer to the last share sent, or None if the worker died."""
+        if not self.sent:
+            return None
+        self.sent = False
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return None
+
+    def stop(self) -> None:
+        self.conn.close()
+        self.process.terminate()
+        self.process.join()
+
+
+_workers: list[_Worker] = []    # this process's workers, one per CPU after the first
+_workers_pid = 0                # the process they belong to
+
+
+def _pool() -> list[_Worker]:
+    """This process's workers, started on the first batch; none on one CPU."""
+    global _workers_pid
+    if _workers_pid != os.getpid():
+        _workers.clear()        # a forked child does not own its parent's workers
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        for _ in range(cpus - 1):
+            _workers.append(_Worker())
+        _workers_pid = os.getpid()
+    return _workers
+
+
+def _stop_workers() -> None:
+    """Stop this process's workers; the next batch starts new ones."""
+    global _workers_pid
+    if _workers_pid == os.getpid():
+        for worker in _workers:
+            worker.stop()
+    _workers.clear()
+    _workers_pid = 0
+
+
+def verify_batch(items) -> list[bool]:
+    """`[verify(*item) for item in items]` for (payload, signature, public
+    key) triples, checked on every CPU this process may run on."""
+    items = list(items)
+    workers = _pool()
+    size = max(1, -(-len(items) // (len(workers) + 1)))
+    shares = [items[i:i + size] for i in range(size, len(items), size)]
+    try:
+        for worker, share in zip(workers, shares):
+            worker.send(share)
+        results = _verify_share(items[:size])
+        for i, share in enumerate(shares):
+            answer = workers[i].results()
+            if answer is None:          # never trust a share nobody checked
+                workers[i].stop()
+                workers[i] = _Worker()
+                answer = _verify_share(share)
+            results += answer
+    except BaseException:
+        _stop_workers()                 # answers may be left unread in the pipes
+        raise
+    return results
 
 
 # =============================================================================

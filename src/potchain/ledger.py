@@ -305,12 +305,16 @@ class Chain:
             raise BadTimestamp("timestamp not after parent")
         check_roots(block)
         self.check_seal(header)
+        batch = []      # every account signature, checked as one batch on all CPUs
         for tx in block.transactions:
             if tx.signer == RING_SIGNER:
                 continue  # ring-signed uploads are checked at contract admission
             signer = block.account_states.get(tx.signer) or parent.account_states.get(tx.signer)
-            if signer is None or not crypto.verify(tx.payload, tx.signature, signer.sig_pk):
+            if signer is None:
                 raise BadSignature("transaction signature invalid")
+            batch.append((tx.payload, tx.signature, signer.sig_pk))
+        if not all(crypto.verify_batch(batch)):
+            raise BadSignature("transaction signature invalid")
 
     def append_block(self, block: Block) -> None:
         self.verify_block(block)
@@ -392,11 +396,12 @@ def _int(obj: dict, key: str, lo: int, hi: int) -> int:
 
 
 def _hex(obj: dict, key: str, size: int | None = None) -> bytes:
-    """obj[key] as bytes from hex without whitespace, `size` long if given."""
+    """obj[key] as bytes from lowercase hex without whitespace, `size` long
+    if given: the one text that exports back to the same bytes."""
     text = obj[key]
     value = bytes.fromhex(text)
-    if len(text) != 2 * len(value) or size is not None and len(value) != size:
-        raise MalformedRecord(f"{key} is not hex of the expected length")
+    if value.hex() != text or size is not None and len(value) != size:
+        raise MalformedRecord(f"{key} is not lowercase hex of the expected length")
     return value
 
 
@@ -483,9 +488,13 @@ def export_chain(chain: Chain) -> str:
 
 
 def import_chain(text: str, params: DifficultyParams) -> Chain:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    """Rebuild a chain from its export, which holds one record per line,
+    each ended by a newline, as `export_chain` writes it."""
+    if not text:
         raise LedgerError("empty chain export")
+    lines = text.split("\n")
+    if lines.pop() or not all(lines):
+        raise MalformedRecord("export is not one record per newline-ended line")
     genesis = block_from_record(lines[0])
     if not genesis.is_genesis():
         raise LedgerError("first record is not a genesis block")

@@ -1,0 +1,19 @@
+"""Fixtures shared by the test modules."""
+
+import os
+
+import pytest
+
+from potchain import crypto
+
+
+@pytest.fixture(scope="module")
+def two_shares():
+    """`crypto.verify_batch` cut into two shares, the second checked by a
+    forked worker, on any host: the worker pool restarts as if this process
+    may run on two CPUs, and restarts at the real count afterwards."""
+    crypto._stop_workers()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield
+        crypto._stop_workers()

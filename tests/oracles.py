@@ -1,7 +1,9 @@
 """Brute-force reference implementations the contract and crypto tests
-compare against."""
+compare against, and the export mutator the ledger tests feed to import."""
 
 import hashlib
+import json
+from random import Random
 
 from potchain.consensus import Exhausted, MineResult, meets_target
 from potchain.contracts import NoBidders
@@ -61,3 +63,55 @@ def mine_reference(header_preimage: bytes, z: int, nonce_start: int = 0,
             return MineResult(nonce=wrapped, trials=trial)
         nonce += 1
     raise Exhausted(f"no nonce within {max_trials} trials at z={z}")
+
+
+# Replacement values for a mutated export field: wrong types, values at and
+# past the wire ranges, and hex that is malformed or not lowercase.
+_FIELD_VALUES = (None, True, 0, 1, -1, 2 ** 16, 2 ** 32, 2 ** 64, 2 ** 70, 1.0, "", "0",
+                 "00", "zz", " 00", "AB", "ab" * 32, "ab" * 33, [], [0], [-1], {})
+# Replacement characters for a single-character mutation of an export.
+_CHARS = '0123456789abcdefABCDEF"{}[],:- .e\\\n\r\txé'
+
+
+def _field_paths(value, path=()):
+    """Every path of keys and list indices into a decoded record."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+def mutate_export(text: str, rng: Random) -> str:
+    """One random single-character or single-field mutation of a chain
+    export. A field mutation deletes one key or list item anywhere in one
+    record, or replaces its value: an int by a neighbour, a string by one
+    with a character swapped for a hex digit, or anything by a value of
+    `_FIELD_VALUES`; the record is then re-encoded as the export writes it."""
+    if rng.random() < 0.5:
+        i = rng.randrange(len(text))
+        return text[:i] + rng.choice(_CHARS.replace(text[i], "")) + text[i + 1:]
+    lines = text.split("\n")
+    row = rng.randrange(len(lines) - 1)
+    record = json.loads(lines[row])
+    *parents, last = rng.choice(list(_field_paths(record)))
+    container = record
+    for key in parents:
+        container = container[key]
+    old = container[last]
+    choice = rng.randrange(4)
+    if choice == 0:
+        del container[last]
+    elif choice == 1 and type(old) is int:
+        container[last] = old + rng.choice((-1, 1))
+    elif choice == 1 and type(old) is str and old:
+        j = rng.randrange(len(old))
+        container[last] = old[:j] + rng.choice(_CHARS[:22].replace(old[j], "")) + old[j + 1:]
+    else:
+        container[last] = rng.choice(_FIELD_VALUES)
+    lines[row] = json.dumps(record, separators=(",", ":"))
+    return "\n".join(lines)

@@ -1,6 +1,8 @@
 """Crypto primitives: account signatures, ring signatures, commitments."""
 
 import hashlib
+import os
+import signal
 from random import Random
 
 import pytest
@@ -64,6 +66,73 @@ def test_sign_matches_key_parsed_from_seed_bytes(seed):
     for payload in (b"", b"payload", bytes(range(256))):
         assert crypto.sign(payload, identity.sig_sk) == fresh.sign(payload)
     assert identity.sig_pk == fresh.public_key().public_bytes_raw()
+
+
+# =============================================================================
+# Batch verification
+# =============================================================================
+
+BATCH_KEYS = [Ed25519PrivateKey.from_private_bytes(bytes([i]) * 32) for i in range(4)]
+BATCH_PKS = [sk.public_key().public_bytes_raw() for sk in BATCH_KEYS]
+
+
+def signed_item(key: int, payload: bytes):
+    return payload, BATCH_KEYS[key].sign(payload), BATCH_PKS[key]
+
+
+def corrupt(item, how: str, rng: Random):
+    """The item with its payload, signature or key altered, or its key cut
+    to 31 bytes, which verify must refuse without raising."""
+    payload, sig, pk = item
+    if how == "payload":
+        return payload + b"!", sig, pk
+    if how == "signature":
+        i = rng.randrange(len(sig))
+        return payload, sig[:i] + bytes([sig[i] ^ 1 << rng.randrange(8)]) + sig[i + 1:], pk
+    if how == "key":
+        return payload, sig, BATCH_PKS[(BATCH_PKS.index(pk) + 1) % len(BATCH_PKS)]
+    if how == "short-key":
+        return payload, sig, pk[:31]
+    return item
+
+
+@settings(max_examples=60, deadline=None)
+@given(draws=st.lists(st.tuples(st.integers(0, 3), st.binary(max_size=40),
+                                st.sampled_from(["none", "none", "payload", "signature",
+                                                 "key", "short-key"])),
+                      max_size=150),
+       seed=st.integers(0, 2 ** 32))
+def test_verify_batch_equals_verify_in_order(two_shares, draws, seed):
+    rng = Random(seed)
+    items = [corrupt(signed_item(key, payload), how, rng) for key, payload, how in draws]
+    assert crypto.verify_batch(items) == [crypto.verify(*item) for item in items]
+
+
+def test_verify_batch_on_one_cpu_starts_no_worker(monkeypatch):
+    crypto._stop_workers()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    try:
+        items = [signed_item(i % 4, bytes([i])) for i in range(9)]
+        items[8] = corrupt(items[8], "payload", Random(0))
+        assert crypto.verify_batch(items) == [True] * 8 + [False]
+        assert crypto._workers == []
+    finally:
+        crypto._stop_workers()
+
+
+def test_a_killed_worker_is_replaced_and_its_share_still_checked(two_shares):
+    good = [signed_item(i % 4, bytes([i])) for i in range(10)]
+    assert crypto.verify_batch(good) == [True] * 10
+    worker = crypto._workers[0]
+    os.kill(worker.process.pid, signal.SIGKILL)
+    worker.process.join(timeout=10)
+    assert not worker.process.is_alive()
+    # the worker's share, the second half, holds only bad signatures
+    bad = good[:5] + [corrupt(item, "signature", Random(i)) for i, item in enumerate(good[5:])]
+    assert crypto.verify_batch(bad) == [True] * 5 + [False] * 5
+    replacement = crypto._workers[0]
+    assert replacement.process.is_alive() and replacement.process.pid != worker.process.pid
+    assert crypto.verify_batch(bad) == [True] * 5 + [False] * 5
 
 
 # =============================================================================

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mutate_export
 from potchain import consensus, crypto, ledger
 from potchain.consensus import DifficultyParams
 from potchain.ledger import (
@@ -203,6 +204,23 @@ def test_append_bad_tx_signature(identities):
         chain.verify_block(block)
 
 
+@pytest.mark.parametrize("bad", [0, 9], ids=["caller-share", "worker-share"])
+def test_append_bad_tx_signature_in_either_share(identities, two_shares, bad):
+    """Ten signed transactions are verified in two shares of five; the one
+    bad signature, in either share, rejects the block."""
+    chain = fresh_chain(identities)
+    txs = [ledger.make_signed_tx(TxKind.REWARD, bytes([i]), identities[i % 3])
+           for i in range(10)]
+    txs[bad] = replace(txs[bad], signature=txs[(bad + 3) % 10].signature)
+    block = ledger.make_block(chain, txs, dict(chain.tip.account_states), identities[0],
+                              chain.tip.header.timestamp_ms + 900)
+    with pytest.raises(BadSignature, match="transaction signature invalid"):
+        chain.verify_block(block)
+    chain.append_block(ledger.make_block(
+        chain, txs[:bad] + txs[bad + 1:], dict(chain.tip.account_states), identities[0],
+        chain.tip.header.timestamp_ms + 900))
+
+
 def test_links_survive_many_appends(identities):
     chain = fresh_chain(identities)
     rng = Random(3)
@@ -374,8 +392,8 @@ def test_import_rejects_tampered_record(identities):
     chain = build_long_chain(identities, 4)
     lines = ledger.export_chain(chain).splitlines()
     lines[2] = lines[2].replace('"balance":1000', '"balance":999999')
-    with pytest.raises(ledger.LedgerError):
-        ledger.import_chain("\n".join(lines), CHAIN_PARAMS)
+    with pytest.raises(BadRoot):
+        ledger.import_chain("\n".join(lines) + "\n", CHAIN_PARAMS)
 
 
 def _mutated_export(chain, line: int, mutate) -> str:
@@ -410,6 +428,11 @@ def _set_tx(key, value):
     pytest.param(_set_tx("payload", " 00"), id="spaced-hex"),
     pytest.param(_set_tx("signer", "ab" * 33), id="signer-length"),
     pytest.param(_mutated(lambda obj: obj["accounts"].reverse()), id="account-order"),
+    pytest.param(lambda chain: ledger.export_chain(chain)[:-1], id="no-final-newline"),
+    pytest.param(lambda chain: ledger.export_chain(chain)[:-1] + " ", id="trailing-space"),
+    pytest.param(lambda chain: ledger.export_chain(chain) + "\n", id="blank-line"),
+    pytest.param(lambda chain: ledger.export_chain(chain).replace("\n", "\r", 1),
+                 id="carriage-return"),
 ])
 def test_import_raises_malformed_record(identities, make_text):
     chain = build_long_chain(identities, 3)
@@ -441,6 +464,41 @@ def test_import_refuses_account_field_outside_wire_range(identities, field, valu
     text = _mutated_export(chain, 2, lambda obj: obj["accounts"][1].__setitem__(field, value))
     with pytest.raises(MalformedRecord):
         ledger.import_chain(text, CHAIN_PARAMS)
+
+
+@pytest.mark.parametrize("field", ["payload", "signature", "account_id"])
+def test_import_refuses_uppercase_hex(identities, field):
+    """Uppercase hex decodes to the same bytes, so it passes every root and
+    signature; decoding must refuse it, or the import re-exports other text."""
+    chain = fresh_chain(identities)
+    chain.append_block(next_block(chain, identities[0], note=b"\xab\xcd"))
+
+    def mutate(obj):
+        owner = obj["accounts"][0] if field == "account_id" else obj["transactions"][0]
+        text = owner[field]
+        i = next(i for i, c in enumerate(text) if c in "abcdef")
+        owner[field] = text[:i] + text[i].upper() + text[i + 1:]
+
+    with pytest.raises(MalformedRecord):
+        ledger.import_chain(_mutated_export(chain, 1, mutate), CHAIN_PARAMS)
+
+
+@pytest.fixture(scope="module")
+def seven_block_export(identities):
+    return ledger.export_chain(build_long_chain(identities, 7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_import_of_a_mutated_export_raises_or_is_exact(seven_block_export, rng):
+    """Any single-character or single-field mutation of an export either
+    raises a LedgerError or imports a chain that exports the same text."""
+    text = mutate_export(seven_block_export, rng)
+    try:
+        chain = ledger.import_chain(text, CHAIN_PARAMS)
+    except ledger.LedgerError:
+        return
+    assert ledger.export_chain(chain) == text
 
 
 def test_quantize_tv():

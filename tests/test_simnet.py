@@ -1,12 +1,16 @@
 """Simulator: behavior draws, selection schemes, the round loop, audits."""
 
+import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from potchain import contracts, ledger, simnet
+from potchain import contracts, crypto, ledger, simnet
 from potchain.config import load_config
 from potchain.simnet import (
     NodeKind,
@@ -154,6 +158,44 @@ def test_world_runs_and_chain_verifies():
     report = world.reports[-1]
     assert len(report.rows) == 12
     world.audit()
+
+
+WORKER_EXIT_SCRIPT = """
+import sys
+from dataclasses import replace
+from potchain import crypto
+from potchain.config import load_config
+from potchain.simnet import World
+world = World(replace(load_config(sys.argv[1]).sim, rounds=3))
+world.run()
+print(*(worker.process.pid for worker in crypto._workers))
+"""
+
+
+def test_a_run_exits_and_leaves_no_verify_workers():
+    """A process that verified blocks exits promptly, and its verify
+    workers die with it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", WORKER_EXIT_SCRIPT,
+                           str(CONFIG_DIR / "smoke.cfg")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == len(os.sched_getaffinity(0)) - 1
+    deadline = time.monotonic() + 10
+    while pids and time.monotonic() < deadline:
+        pids = [pid for pid in pids if os.path.exists(f"/proc/{pid}")]
+        time.sleep(0.05)
+    assert pids == []
+
+
+def test_worlds_in_one_process_share_the_verify_workers():
+    """Every World of a process uses the same cpus - 1 workers."""
+    pids = set()
+    for seed in range(4):
+        World(small_cfg(seed=seed, rounds=2)).run()
+        pids |= {worker.process.pid for worker in crypto._workers}
+    assert len(pids) == len(os.sched_getaffinity(0)) - 1
 
 
 def test_world_deterministic():
