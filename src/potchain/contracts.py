@@ -185,9 +185,9 @@ class CscState:
                  tv: float) -> bool:
         """Admit a sensor; over-capacity admissions evict the weakest."""
         self._require(CscPhase.REGISTERING)
-        if ring_pk.n <= 0 or ring_pk.e <= 0:
-            raise IllegalRing(f"ring key needs a positive modulus and exponent, got "
-                              f"n={ring_pk.n} e={ring_pk.e}")
+        if ring_pk.n < 1 << (crypto.MIN_RSA_BITS - 1) or ring_pk.e <= 0:
+            raise IllegalRing(f"ring key needs a modulus of at least {crypto.MIN_RSA_BITS} "
+                              f"bits and a positive exponent, got n={ring_pk.n} e={ring_pk.e}")
         cfg = self.config
         if deposit < cfg.d_s:
             raise InsufficientDeposit(f"deposit {deposit} < d_s {cfg.d_s}")

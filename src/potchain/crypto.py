@@ -37,6 +37,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 DIGEST_BYTES = 32
 FEISTEL_ROUNDS = 16
 DEFAULT_RSA_BITS = 512
+MIN_RSA_BITS = 64         # shortest ring modulus a sensing contract seats
 DOMAIN_MARGIN_BITS = 64
 
 RSA_E = 65537

@@ -405,7 +405,23 @@ def _hex(obj: dict, key: str, size: int | None = None) -> bytes:
     return value
 
 
+_BLOCK_KEYS = frozenset(("prev_hash", "tx_root", "state_root", "miner_id", "miner_trust",
+                         "timestamp_ms", "nonce", "miner_sig", "transactions", "accounts"))
+_TX_KEYS = frozenset(("kind", "payload", "signer", "signature"))
+_ACCOUNT_KEYS = frozenset(("account_id", "sig_pk", "ring_n", "ring_e", "balance", "tv",
+                           "n_right", "wrong_rounds", "r_sleep", "last_round",
+                           "sensing_rounds"))
+
+
+def _record(obj, keys: frozenset) -> dict:
+    """obj, if it is a JSON object with exactly the keys the export writes."""
+    if type(obj) is not dict or obj.keys() != keys:
+        raise MalformedRecord(f"expected an object with the keys {', '.join(sorted(keys))}")
+    return obj
+
+
 def _tx_from_obj(obj: dict) -> Transaction:
+    _record(obj, _TX_KEYS)
     signer = _hex(obj, "signer")
     if len(signer) not in (len(RING_SIGNER), 32):
         raise MalformedRecord("signer is neither an account id nor RING_SIGNER")
@@ -414,6 +430,7 @@ def _tx_from_obj(obj: dict) -> Transaction:
 
 
 def _account_from_obj(obj: dict) -> AccountState:
+    _record(obj, _ACCOUNT_KEYS)
     ring_n = obj["ring_n"]
     n = int(ring_n) if type(ring_n) is str and ring_n.isdigit() else 0
     if str(n) != ring_n or not 0 < n.bit_length() <= 8 * 255:
@@ -459,7 +476,7 @@ def block_from_record(line: str) -> Block:
     """Decode one export line. Anything that is not a well-formed record,
     or holds a field outside its wire range, raises MalformedRecord."""
     try:
-        obj = json.loads(line)
+        obj = _record(json.loads(line), _BLOCK_KEYS)
         header = BlockHeader(
             prev_hash=_hex(obj, "prev_hash", 32),
             tx_root=_hex(obj, "tx_root", 32),
@@ -483,6 +500,21 @@ def block_from_record(line: str) -> Block:
     return Block(header=header, transactions=txs, account_states=accounts)
 
 
+def _check_genesis_signature(genesis: Block) -> None:
+    """A plain genesis (miner ZERO32) carries no signature; a compressed one
+    carries its compressor's, over its header hash, by the key the
+    compressor's account holds in that genesis."""
+    header = genesis.header
+    if header.miner_id == ZERO32:
+        ok = header.miner_sig == b""
+    else:
+        compressor = genesis.account_states.get(header.miner_id)
+        ok = compressor is not None and crypto.verify(
+            header.header_hash(), header.miner_sig, compressor.sig_pk)
+    if not ok:
+        raise BadSignature("genesis signature invalid")
+
+
 def export_chain(chain: Chain) -> str:
     return "\n".join(block_to_record(b) for b in chain.blocks) + "\n"
 
@@ -499,6 +531,7 @@ def import_chain(text: str, params: DifficultyParams) -> Chain:
     if not genesis.is_genesis():
         raise LedgerError("first record is not a genesis block")
     check_roots(genesis)
+    _check_genesis_signature(genesis)
     chain = Chain(params=params, blocks=[genesis], beta=params.beta0)
     for line in lines[1:]:
         chain.append_block(block_from_record(line))

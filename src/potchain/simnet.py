@@ -23,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from random import Random
+from typing import NamedTuple
 
 from . import consensus, contracts, crypto, ledger
 from .consensus import DifficultyParams
-from .contracts import CscConfig, CscState, SacConfig, SacState, TokenMove
+from .contracts import CscConfig, CscState, SacConfig, SacState, SettlementRecord, TokenMove
 from .ledger import AccountState, Chain, Transaction, TxKind
 from .trust import Outcome, TrustParams, TrustState, update_trust
 
@@ -137,6 +138,8 @@ class SimConfig:
             ("d_a", self.d_a > 0, "must be > 0"),
             ("commit_cap", self.commit_cap >= 1, "must be >= 1"),
             ("p_active", 0.0 <= self.p_active <= 1.0, "outside [0, 1]"),
+            ("rsa_bits", self.rsa_bits >= crypto.MIN_RSA_BITS,
+             f"must be >= {crypto.MIN_RSA_BITS}"),
             ("bid_min", self.bid_min >= 0, "must be >= 0"),
             ("bid_max", self.bid_max >= self.bid_min, "must be >= bid_min"),
         )
@@ -215,6 +218,15 @@ class RoundReport:
     warmup: bool
 
 
+class RoundPlay(NamedTuple):
+    """A round's report plus the contract results a scripted caller reads."""
+    report: RoundReport
+    admitted: list[Node]        # registered with the CSC
+    refused: list[Node]         # applied, but no payable deposit clears tv_thr
+    settlement: dict[bytes, SettlementRecord]
+    winner: tuple[bytes, int] | None
+
+
 class ConservationViolation(Exception):
     """Round-level token audit failed."""
 
@@ -250,6 +262,8 @@ class World:
         self.chain = Chain.genesis(self._account_snapshot(), chain_params)
         self.reports: list[RoundReport] = []
         self.force_flip: set[tuple[int, int]] = set()    # (round, node index)
+        # (round, node index) -> (real, decoy) bid, placed whatever bid_probability says
+        self.force_bids: dict[tuple[int, int], tuple[int, int]] = {}
 
     # ---- randomness streams -------------------------------------------------
     def stream(self, label: str) -> Random:
@@ -310,14 +324,18 @@ class World:
 
     # ---- the round loop -----------------------------------------------------
     def run_round(self, round_idx: int) -> RoundReport:
+        report = self.play_round(round_idx).report
+        self.reports.append(report)
+        return report
+
+    def play_round(self, round_idx: int) -> RoundPlay:
+        """Play one round on the chain; the report is not kept."""
         cfg = self.cfg
         base_ms = round_idx * ROUND_MS
-        t_ddl = base_ms + 300
         t_self_d = base_ms + 600
         warmup = round_idx < cfg.warmup
 
-        channel = self.stream("channel")
-        pu_truth = 1 if channel.random() < cfg.p_active else 0
+        pu_truth = 1 if self.stream("channel").random() < cfg.p_active else 0
 
         issuer = self.task_issuer()
         csc_id = crypto.sha256(round_idx.to_bytes(8, "big") + b"csc")[:16]
@@ -325,7 +343,7 @@ class World:
         # Warm-up rounds lift the sensor cap so every applicant takes part
         # and builds a behavior-reflecting trust value.
         round_n1 = max(cfg.n1, len(self.nodes)) if warmup else cfg.n1
-        csc = CscState(CscConfig(csc_id=csc_id, t_ddl_ms=t_ddl, n1=round_n1,
+        csc = CscState(CscConfig(csc_id=csc_id, t_ddl_ms=base_ms + 300, n1=round_n1,
                                  tv_thr=cfg.tv_thr, d_s=cfg.d_s,
                                  reward_sensing=cfg.reward_sensing))
         sac = SacState(SacConfig(sac_id=sac_id, csc_id=csc_id, n2=cfg.n2,
@@ -344,7 +362,7 @@ class World:
         # the deposit that clears the trust threshold.
         arrival = list(self.nodes)
         self.stream("arrival").shuffle(arrival)
-        candidates = []
+        candidates, refused = [], []
         deposits: dict[bytes, int] = {}
         for node in arrival:
             if self.node_rng(node).random() >= node.profile.participation:
@@ -353,13 +371,12 @@ class World:
             if deposit is not None and deposit <= self.balances[node.account_id]:
                 candidates.append(node)
                 deposits[node.account_id] = deposit
+            else:
+                refused.append(node)
 
         # Phase 3: selection (warm-up rounds select everyone who applied).
-        if warmup:
-            selected = list(candidates)
-        else:
-            selected = select_sensors(candidates, cfg.selection, cfg.n1,
-                                      self.stream("select"))
+        selected = candidates if warmup else select_sensors(
+            candidates, cfg.selection, cfg.n1, self.stream("select"))
         admitted: list[Node] = []
         for node in selected:
             deposit = deposits[node.account_id]
@@ -377,13 +394,15 @@ class World:
         bid_rng = self.stream("bids")
         bidder_plan: dict[bytes, tuple[int, int, bytes, bytes]] = {}
         for node in arrival:
-            if bid_rng.random() >= cfg.bid_probability:
-                continue
-            valuation = bid_rng.randint(cfg.bid_min, cfg.bid_max)
-            decoy = bid_rng.randint(cfg.bid_min, cfg.bid_max)
-            if self.balances[node.account_id] < cfg.d_a + valuation + decoy:
-                continue
-            if not sac.register(node.account_id, cfg.d_a):
+            bid = self.force_bids.get((round_idx, node.index))
+            if bid is None:
+                if bid_rng.random() >= cfg.bid_probability:
+                    continue
+                bid = (bid_rng.randint(cfg.bid_min, cfg.bid_max),
+                       bid_rng.randint(cfg.bid_min, cfg.bid_max))
+            valuation, decoy = bid
+            if (self.balances[node.account_id] < cfg.d_a + valuation + decoy
+                    or not sac.register(node.account_id, cfg.d_a)):
                 continue
             rnd_real = bid_rng.getrandbits(256).to_bytes(32, "big")
             rnd_decoy = bid_rng.getrandbits(256).to_bytes(32, "big")
@@ -513,8 +532,7 @@ class World:
         report = RoundReport(round=round_idx, pu_truth=pu_truth,
                              fusion_result=fusion, miner=miner.label, rows=rows,
                              warmup=warmup)
-        self.reports.append(report)
-        return report
+        return RoundPlay(report, admitted, refused, csc.settlement, winner)
 
     def _pick_miner(self, parent_state) -> Node:
         """The node with the lowest parent-state difficulty mines the block."""
@@ -592,11 +610,9 @@ def experiment_mining_cost(cfg: SimConfig) -> tuple[list[str], dict]:
     return lines, stats
 
 
-def experiment_sensing(cfg: SimConfig, n1_values: list[int],
-                       schemes: list[SelectionScheme] | None = None,
-                       rounds_per_point: int = 500) -> tuple[list[str], dict]:
+def experiment_sensing(cfg: SimConfig, n1_values: list[int], schemes: list[SelectionScheme],
+                       rounds_per_point: int) -> tuple[list[str], dict]:
     """Cooperative detection / false-alarm rates per (scheme, n1)."""
-    schemes = schemes or list(SelectionScheme)
     lines = [SENSING_CSV_HEADER]
     table: dict[tuple[str, int], tuple[float, float]] = {}
     for scheme in schemes:
@@ -670,96 +686,40 @@ def injected_error_recovery(cfg: SimConfig) -> dict:
 
 
 # =============================================================================
-# Scripted single-round demonstration (contract walkthrough)
+# Scripted single-round demonstration: the contract walkthrough is round 0
+# of a World, with hand-set trusts, forced bids and at most one forced flip
 # =============================================================================
 
 DEMO_TRUSTS = (0.91, 0.92, 0.87, 0.93, 0.94)
-DEMO_RESULTS = (0, 1, 1, 0, 1)
 DEMO_BIDS = ((100, 200), (150, 300))    # (real, decoy) per bidder
+DEMO_DISSENTER = 3                      # sensor4 reports idle on a busy band
 
 
 def demo_round(cfg: SimConfig, pu_force: str) -> dict:
-    """One hand-set round: five sensors with preset trusts, two bidders.
+    """Round 0 of cfg's World: its first nodes are five sensors with preset
+    trusts, the next two are bidders with forced bids.
 
-    The contract settings (n1, tv_thr, d_s, reward_sensing, n2, d_a,
-    commit_cap), the seed and the key size come from cfg. pu_force="none"
-    keeps the preset reports (busy verdict, no auction); pu_force="idle"
-    makes the sensors report a free band and runs the auction to settlement.
+    pu_force="idle" keeps the primary user off, so the sensors report a
+    free band and the auction runs to settlement; pu_force="none" keeps it
+    on and flips sensor4's report, so fusion says busy and there is no
+    auction. A sensor is rejected when no deposit it can pay clears tv_thr.
     """
-    rng = Random(f"{cfg.seed}:demo")
-    sensors = [crypto.make_identity(rng, rsa_bits=cfg.rsa_bits) for _ in DEMO_TRUSTS]
-    bidders = [crypto.make_identity(rng, rsa_bits=cfg.rsa_bits) for _ in DEMO_BIDS]
-    trusts = dict(zip((s.account_id for s in sensors), DEMO_TRUSTS))
-
-    csc_id = crypto.sha256(b"demo-csc")[:16]
-    sac_id = crypto.sha256(b"demo-sac")[:16]
-    csc = CscState(CscConfig(csc_id=csc_id, t_ddl_ms=1000, n1=cfg.n1,
-                             tv_thr=cfg.tv_thr, d_s=cfg.d_s,
-                             reward_sensing=cfg.reward_sensing))
-    sac = SacState(SacConfig(sac_id=sac_id, csc_id=csc_id, n2=cfg.n2,
-                             t_self_d_ms=2000, d_a=cfg.d_a,
-                             commit_cap=cfg.commit_cap))
-
-    rejected = []
-    for sensor in sensors:
-        try:
-            ok = csc.register(sensor.account_id, sensor.ring_sk.public(), cfg.d_s,
-                              trusts[sensor.account_id])
-        except contracts.BelowThreshold:
-            ok = False
-        if not ok:
-            rejected.append(sensor)
-    selected = [s for s in sensors if s.account_id in csc.registered]
-    selected_trusts = sorted(trusts[s.account_id] for s in selected)
-
-    csc.begin_sensing()
-    ring = [csc.registered[s.account_id].ring_pk for s in selected]
-    reveals = []
-    for position, sensor in enumerate(selected):
-        idx = sensors.index(sensor)
-        sr = 0 if pu_force == "idle" else DEMO_RESULTS[idx]
-        msg_id = f"I am user {idx}".encode()
-        rnd = rng.getrandbits(256).to_bytes(32, "big")
-        packet = crypto.make_packet(msg_id, sr, 500)
-        sig = crypto.ring_sign(packet, position, sensor.ring_sk, ring, rng)
-        csc.upload(packet, sig, 500)
-        csc.add_commitment(crypto.commit(sr, rnd, msg_id, csc_id,
-                                         sensor.account_id))
-        reveals.append((sensor.account_id, sr, rnd, msg_id))
-    fusion = csc.fuse()
-
-    winner = None
-    if fusion == 0:
-        for bidder in bidders:
-            sac.register(bidder.account_id, cfg.d_a)
-        sac.begin_committing()
-        opens = {}
-        for bidder, (real, decoy) in zip(bidders, DEMO_BIDS):
-            rnd_real = rng.getrandbits(256).to_bytes(32, "big")
-            rnd_decoy = rng.getrandbits(256).to_bytes(32, "big")
-            sac.commit(bidder.account_id,
-                       contracts.bid_commitment_digest(real, True, rnd_real), real)
-            sac.commit(bidder.account_id,
-                       contracts.bid_commitment_digest(decoy, False, rnd_decoy), decoy)
-            opens[bidder.account_id] = ([real, decoy], [True, False],
-                                        [rnd_real, rnd_decoy])
-        sac.open_reveal(fusion)
-        for bidder in bidders:
-            dps, bools, rnds = opens[bidder.account_id]
-            sac.reveal(bidder.account_id, dps, bools, rnds)
-        winner = sac.win()
-    sac.destroy(2000)
-
-    settlement = csc.settle(reveals)
-    labels = {s.account_id: f"sensor{i + 1}" for i, s in enumerate(sensors)}
-    labels.update({b.account_id: f"bidder{i + 1}" for i, b in enumerate(bidders)})
+    world = World(replace(cfg, p_active=0.0 if pu_force == "idle" else 1.0))
+    sensors, bidders = world.nodes[:len(DEMO_TRUSTS)], world.nodes[len(DEMO_TRUSTS):]
+    for node, tv in zip(sensors, DEMO_TRUSTS):
+        node.trust = TrustState(tv=tv)
+    world.force_bids = {(0, node.index): bid for node, bid in zip(bidders, DEMO_BIDS)}
+    if pu_force == "none":
+        world.force_flip = {(0, DEMO_DISSENTER)}
+    play = world.play_round(0)
+    labels = {node.account_id: f"{kind}{i + 1}" for kind, group in
+              (("sensor", sensors), ("bidder", bidders)) for i, node in enumerate(group)}
     return {
-        "selected_trusts": selected_trusts,
-        "rejected": [labels[s.account_id] for s in rejected],
-        "fusion": fusion,
-        "winner": labels[winner[0]] if winner else None,
-        "price": winner[1] if winner else None,
-        "settlement": {labels[pk]: (rec.outcome.value, rec.reward,
-                                    rec.deposit_returned)
-                       for pk, rec in settlement.items()},
+        "selected_trusts": sorted(DEMO_TRUSTS[node.index] for node in play.admitted),
+        "rejected": sorted(labels[node.account_id] for node in play.refused),
+        "fusion": play.report.fusion_result,
+        "winner": labels[play.winner[0]] if play.winner else None,
+        "price": play.winner[1] if play.winner else None,
+        "settlement": {labels[pk]: (rec.outcome.value, rec.reward, rec.deposit_returned)
+                       for pk, rec in play.settlement.items()},
     }

@@ -91,7 +91,8 @@ def mutate_export(text: str, rng: Random) -> str:
     export. A field mutation deletes one key or list item anywhere in one
     record, or replaces its value: an int by a neighbour, a string by one
     with a character swapped for a hex digit, or anything by a value of
-    `_FIELD_VALUES`; the record is then re-encoded as the export writes it."""
+    `_FIELD_VALUES`, or it adds an unknown key to the object that holds the
+    field. The record is then re-encoded as the export writes it."""
     if rng.random() < 0.5:
         i = rng.randrange(len(text))
         return text[:i] + rng.choice(_CHARS.replace(text[i], "")) + text[i + 1:]
@@ -103,9 +104,11 @@ def mutate_export(text: str, rng: Random) -> str:
     for key in parents:
         container = container[key]
     old = container[last]
-    choice = rng.randrange(4)
+    choice = rng.randrange(5)
     if choice == 0:
         del container[last]
+    elif choice == 4:   # an unknown key beside the field, or in the record
+        (container if type(container) is dict else record)["extra"] = rng.choice(_FIELD_VALUES)
     elif choice == 1 and type(old) is int:
         container[last] = old + rng.choice((-1, 1))
     elif choice == 1 and type(old) is str and old:

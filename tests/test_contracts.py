@@ -135,10 +135,13 @@ def test_register_wrong_phase(identities):
         csc.register(identities[0].account_id, identities[0].ring_pk, 100, 0.95)
 
 
-@pytest.mark.parametrize("n, e", [(0, 65537), (-(2 ** 63 + 1), 65537), (None, 0)])
+@pytest.mark.parametrize("n, e", [(0, 65537), (-(2 ** 63 + 1), 65537), (None, 0),
+                                  (1, 65537), ((1 << 63) - 1, 65537)])
 def test_register_refuses_non_positive_ring_key(identities, n, e):
     """Such a key breaks every honest ring_sign over the group (a modulus of
-    0 divides by zero), so it never gets a seat."""
+    0 divides by zero), so it never gets a seat. Nor does a modulus under
+    MIN_RSA_BITS: with n = 1 the trapdoor is the identity, so anyone can
+    sign for a ring that holds it."""
     csc = new_csc()
     ident = identities[0]
     bad = crypto.RingPublicKey(ident.ring_pk.n if n is None else n, e)

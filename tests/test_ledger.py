@@ -428,6 +428,10 @@ def _set_tx(key, value):
     pytest.param(_set_tx("payload", " 00"), id="spaced-hex"),
     pytest.param(_set_tx("signer", "ab" * 33), id="signer-length"),
     pytest.param(_mutated(lambda obj: obj["accounts"].reverse()), id="account-order"),
+    pytest.param(_set("extra", 1), id="unknown-block-key"),
+    pytest.param(_set_tx("extra", 1), id="unknown-tx-key"),
+    pytest.param(_mutated(lambda obj: obj["accounts"][0].__setitem__("extra", 1)),
+                 id="unknown-account-key"),
     pytest.param(lambda chain: ledger.export_chain(chain)[:-1], id="no-final-newline"),
     pytest.param(lambda chain: ledger.export_chain(chain)[:-1] + " ", id="trailing-space"),
     pytest.param(lambda chain: ledger.export_chain(chain) + "\n", id="blank-line"),
@@ -481,6 +485,30 @@ def test_import_refuses_uppercase_hex(identities, field):
 
     with pytest.raises(MalformedRecord):
         ledger.import_chain(_mutated_export(chain, 1, mutate), CHAIN_PARAMS)
+
+
+def test_import_refuses_a_signed_plain_genesis(identities):
+    """A plain genesis has no miner, so a signature on it can only be junk,
+    which the import would otherwise keep and re-export."""
+    text = _mutated_export(build_long_chain(identities, 3), 0,
+                           lambda obj: obj.__setitem__("miner_sig", "ab" * 64))
+    with pytest.raises(BadSignature):
+        ledger.import_chain(text, CHAIN_PARAMS)
+
+
+def test_import_checks_the_compressed_genesis_signature(identities):
+    chain = build_long_chain(identities, COMPRESS_MIN_LEN)
+    authority = ledger.compression_authority(chain.tip)
+    compressed = ledger.compress_chain(
+        chain, next(i for i in identities if i.account_id == authority))
+
+    def flip(obj):
+        sig = bytearray.fromhex(obj["miner_sig"])
+        sig[-1] ^= 1
+        obj["miner_sig"] = sig.hex()
+
+    with pytest.raises(BadSignature):
+        ledger.import_chain(_mutated_export(compressed, 0, flip), CHAIN_PARAMS)
 
 
 @pytest.fixture(scope="module")

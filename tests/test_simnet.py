@@ -66,7 +66,8 @@ def chain_reimports(chain):
     ({"bid_min": 300, "bid_max": 50}, "bid_max"),
     ({"n2": 0}, "n2"),
     ({"population": ()}, "population"),
-], ids=["commit_cap", "bid_max", "n2", "population"])
+    ({"rsa_bits": 63}, "rsa_bits"),
+], ids=["commit_cap", "bid_max", "n2", "population", "rsa_bits"])
 def test_world_rejects_bad_setting_at_construction(overrides, field_name):
     with pytest.raises(simnet.SettingInvalid) as err:
         World(small_cfg(**overrides))
@@ -375,7 +376,7 @@ def test_demo_round_idle_path_runs_auction():
 
 def test_demo_round_reads_contract_settings():
     assert simnet.demo_round(demo_cfg(), "idle")["rejected"] == ["sensor3"]
-    # below every preset trust, the 0.87 sensor is admitted, then evicted
+    # below every preset trust, the 0.87 sensor applies with d_s and is not selected
     assert simnet.demo_round(demo_cfg(tv_thr=0.80), "idle")["rejected"] == []
     # four seats keep the 0.91 sensor too
     result = simnet.demo_round(demo_cfg(n1=4), "idle")
@@ -384,3 +385,11 @@ def test_demo_round_reads_contract_settings():
     settlement = simnet.demo_round(demo_cfg(d_s=250, reward_sensing=40),
                                    "idle")["settlement"]
     assert set(settlement.values()) == {("consistent", 40, 250)}
+
+
+def test_demo_round_rejects_only_a_sensor_that_cannot_pay():
+    """With 10,000 wei the 0.87 sensor buys its 4,000-wei top-up, becomes a
+    candidate and loses only the selection."""
+    result = simnet.demo_round(demo_cfg(initial_balance=10_000), "idle")
+    assert result["rejected"] == []
+    assert result["selected_trusts"] == [0.92, 0.93, 0.94]
