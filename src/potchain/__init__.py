@@ -2,7 +2,9 @@
 
 __version__ = "0.1.0"
 
-from . import cli, config, consensus, contracts, crypto, ledger, simnet, trust
+# `cli` is left out here, so that `python -m potchain.cli` runs it fresh;
+# `from potchain import cli` still imports it.
+from . import config, consensus, contracts, crypto, ledger, simnet, trust
 
 __all__ = ["cli", "config", "consensus", "contracts", "crypto", "ledger",
            "simnet", "trust", "__version__"]

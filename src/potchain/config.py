@@ -20,6 +20,8 @@ from pathlib import Path
 
 from .consensus import DifficultyParams
 from .simnet import (
+    DEMO_BIDS,
+    DEMO_TRUSTS,
     NodeKind,
     NodeProfile,
     PopulationGroup,
@@ -73,6 +75,13 @@ class RunConfig:
             raise ConfigInvalid("sensing-experiment.n1_sweep", "empty sweep")
         if self.pu_force not in ("none", "idle"):
             raise ConfigInvalid("demo.pu_force", "must be 'none' or 'idle'")
+        if self.experiment == "demo-round":
+            participation = [group.profile.participation for group in self.sim.population
+                             for _ in range(group.count)]
+            if participation != [1.0] * len(DEMO_TRUSTS) + [0.0] * len(DEMO_BIDS):
+                raise ConfigInvalid(
+                    "population", f"demo-round scripts {len(DEMO_TRUSTS)} sensors "
+                    f"(participation 1) then {len(DEMO_BIDS)} bidders (participation 0)")
 
 
 def _bool(raw: str) -> bool:

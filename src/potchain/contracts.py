@@ -214,20 +214,28 @@ class CscState:
         self._require(CscPhase.REGISTERING)
         self.phase = CscPhase.SENSING
 
-    def upload(self, packet: SensingPacket, ring_sig: RingSignature,
+    def upload(self, uploads: list[tuple[SensingPacket, RingSignature]],
                now_ms: int) -> None:
-        """Accept an anonymous sensing packet from the registered group."""
+        """Accept anonymous (packet, ring signature) uploads from the
+        registered group: all of them, or none if any is refused."""
         self._require(CscPhase.SENSING)
         if now_ms > self.config.t_ddl_ms:
             raise PastDeadline(f"upload at {now_ms} after {self.config.t_ddl_ms}")
+        uploads = list(uploads)
         member_keys = {(r.ring_pk.n, r.ring_pk.e) for r in self.registered.values()}
-        if any((pk.n, pk.e) not in member_keys for pk in ring_sig.ring):
-            raise IllegalRing("ring contains an unregistered key")
-        if not crypto.ring_verify(packet, ring_sig):
-            raise IllegalRing("ring signature does not verify")
-        if any(p.msg_id_hash == packet.msg_id_hash for p, _ in self.packets):
-            raise DuplicateTag("msg id hash already uploaded")
-        self.packets.append((packet, ring_sig))
+        for i, (_, ring_sig) in enumerate(uploads):
+            if any((pk.n, pk.e) not in member_keys for pk in ring_sig.ring):
+                raise IllegalRing(f"upload {i}: ring contains an unregistered key")
+        verified = crypto.ring_verify_batch(uploads)
+        if not all(verified):
+            raise IllegalRing(f"upload {verified.index(False)}: "
+                              "ring signature does not verify")
+        tags = {p.msg_id_hash for p, _ in self.packets}
+        for i, (packet, _) in enumerate(uploads):
+            if packet.msg_id_hash in tags:
+                raise DuplicateTag(f"upload {i}: msg id hash already uploaded")
+            tags.add(packet.msg_id_hash)
+        self.packets += uploads
 
     def add_commitment(self, commitment: Commitment) -> None:
         self._require(CscPhase.SENSING)

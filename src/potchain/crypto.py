@@ -76,122 +76,6 @@ def verify(payload: bytes, sig: bytes, pk: bytes) -> bool:
         return False
 
 
-# Batch verification. The checks of a batch are independent, so the batch
-# is cut into one contiguous share per CPU: the caller checks the first and
-# one forked worker per extra CPU checks each of the others. A worker gets
-# its share over a pipe written by the caller itself; a pool's feeder thread
-# would wait for the GIL, which OpenSSL's verify holds, until the caller's
-# own share is done. Workers are forked, not spawned: a spawned worker
-# re-imports the caller's __main__, which fails in a script that builds a
-# World without a main guard. potchain starts no threads, so the fork is safe.
-
-def _verify_share(items, check=verify) -> list[bool]:
-    # `check` is bound here, so a wrapper later set on `crypto.verify` sees
-    # neither the caller's share nor a worker's
-    return [check(*item) for item in items]
-
-
-def _serve(conn, parent_end) -> None:
-    """Worker loop: answer each share received on `conn` with its results."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)    # the caller handles Ctrl-C
-    parent_end.close()
-    for worker in _workers:                         # a sibling's pipe, inherited
-        worker.conn.close()
-    while True:
-        try:
-            conn.send(_verify_share(conn.recv()))
-        except Exception:
-            # The caller closed the pipe, or sent a share `verify` cannot
-            # take; in the second case the caller re-checks it and raises.
-            return
-
-
-class _Worker:
-    """A forked daemon process that checks the shares sent to it."""
-
-    def __init__(self):
-        import multiprocessing          # paid for only by a process that verifies a batch
-        context = multiprocessing.get_context("fork")
-        self.conn, child_end = context.Pipe()
-        self.process = context.Process(target=_serve, args=(child_end, self.conn),
-                                       daemon=True)
-        self.process.start()
-        child_end.close()
-        self.sent = False
-
-    def send(self, share: list) -> None:
-        try:
-            self.conn.send(share)
-            self.sent = True
-        except OSError:                 # the worker has died
-            self.sent = False
-
-    def results(self) -> list[bool] | None:
-        """The answer to the last share sent, or None if the worker died."""
-        if not self.sent:
-            return None
-        self.sent = False
-        try:
-            return self.conn.recv()
-        except (EOFError, OSError):
-            return None
-
-    def stop(self) -> None:
-        self.conn.close()
-        self.process.terminate()
-        self.process.join()
-
-
-_workers: list[_Worker] = []    # this process's workers, one per CPU after the first
-_workers_pid = 0                # the process they belong to
-
-
-def _pool() -> list[_Worker]:
-    """This process's workers, started on the first batch; none on one CPU."""
-    global _workers_pid
-    if _workers_pid != os.getpid():
-        _workers.clear()        # a forked child does not own its parent's workers
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        for _ in range(cpus - 1):
-            _workers.append(_Worker())
-        _workers_pid = os.getpid()
-    return _workers
-
-
-def _stop_workers() -> None:
-    """Stop this process's workers; the next batch starts new ones."""
-    global _workers_pid
-    if _workers_pid == os.getpid():
-        for worker in _workers:
-            worker.stop()
-    _workers.clear()
-    _workers_pid = 0
-
-
-def verify_batch(items) -> list[bool]:
-    """`[verify(*item) for item in items]` for (payload, signature, public
-    key) triples, checked on every CPU this process may run on."""
-    items = list(items)
-    workers = _pool()
-    size = max(1, -(-len(items) // (len(workers) + 1)))
-    shares = [items[i:i + size] for i in range(size, len(items), size)]
-    try:
-        for worker, share in zip(workers, shares):
-            worker.send(share)
-        results = _verify_share(items[:size])
-        for i, share in enumerate(shares):
-            answer = workers[i].results()
-            if answer is None:          # never trust a share nobody checked
-                workers[i].stop()
-                workers[i] = _Worker()
-                answer = _verify_share(share)
-            results += answer
-    except BaseException:
-        _stop_workers()                 # answers may be left unread in the pipes
-        raise
-    return results
-
-
 # =============================================================================
 # RSA trapdoor permutation (ring-signature building block)
 # =============================================================================
@@ -418,27 +302,36 @@ def _close_ring(key: bytes, v: int, ys: list[int | None], bits: int,
     return _unpermute(round_keys, out, bits) ^ acc
 
 
-def ring_sign(packet: SensingPacket, signer_index: int, signer_sk: RingSecretKey,
-              ring: list[RingPublicKey], rng: Random) -> RingSignature:
-    """Sign a packet as an anonymous member of `ring`."""
+def _signer_key(signer_index: int, signer_sk: RingSecretKey,
+                ring: list[RingPublicKey]) -> RingPublicKey:
+    """The signer's ring slot, checked against its secret key."""
     if not 0 <= signer_index < len(ring):
         raise IndexError("signer_index outside ring")
     pk = ring[signer_index]
     if pk.n != signer_sk.n or pk.e != signer_sk.e:
         raise BadKey("secret key does not match ring slot")
+    return pk
 
+
+def _ring_draws(ring: list[RingPublicKey], rng: Random) -> list[int]:
+    """A signature's random values in draw order: v, then x_i for every
+    member but the signer, each as wide as the ring's common domain."""
+    bits = _common_domain_bits(ring)
+    return [rng.getrandbits(bits) for _ in ring]
+
+
+def ring_sign(packet: SensingPacket, signer_index: int, signer_sk: RingSecretKey,
+              ring: list[RingPublicKey], rng: Random) -> RingSignature:
+    """Sign a packet as an anonymous member of `ring`."""
+    pk = _signer_key(signer_index, signer_sk, ring)
     bits = _common_domain_bits(ring)
     domain = 1 << bits
     key = sha256(packet.canonical_bytes())
 
-    v = rng.getrandbits(bits)
-    xs: list[int | None] = [None] * len(ring)
-    ys: list[int | None] = [None] * len(ring)
-    for i, member in enumerate(ring):
-        if i == signer_index:
-            continue
-        xs[i] = rng.getrandbits(bits)
-        ys[i] = _forward(member, xs[i], domain)
+    v, *others = _ring_draws(ring, rng)
+    xs: list[int | None] = others[:signer_index] + [None] + others[signer_index:]
+    ys = [None if x is None else _forward(member, x, domain)
+          for member, x in zip(ring, xs)]
 
     y_s = _close_ring(key, v, ys, bits, solve_index=signer_index)
     x_s = _inverse(signer_sk, y_s, domain)
@@ -466,6 +359,171 @@ def ring_verify(packet: SensingPacket, sig: RingSignature) -> bool:
         return _close_ring(key, sig.v, ys, bits) == sig.v
     except (TypeError, ValueError, AttributeError):
         return False
+
+
+# =============================================================================
+# Batches on every CPU
+# =============================================================================
+
+# The worker pool serves Ed25519 checks, ring closings and ring checks. The
+# items of a batch are independent, so a batch is cut into one contiguous
+# share per CPU: the caller works the first and one forked worker per extra
+# CPU works each of the others. A worker gets its share over a pipe written
+# by the caller itself; a pool's feeder thread would wait for the GIL, which
+# OpenSSL's verify holds, until the caller's own share is done. Workers are
+# forked, not spawned: a spawned worker re-imports the caller's __main__,
+# which fails in a script that builds a World without a main guard. potchain
+# starts no threads, so the fork is safe.
+
+def _serve(conn, parent_end) -> None:
+    """Worker loop: answer each (function name, share) received on `conn`
+    with the function's results over the share."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)    # the caller handles Ctrl-C
+    parent_end.close()
+    for worker in _workers:                         # a sibling's pipe, inherited
+        worker.conn.close()
+    while True:
+        try:
+            name, share = conn.recv()
+            task = _TASKS[name]
+            conn.send([task(*item) for item in share])
+        except Exception:
+            # The caller closed the pipe, or sent a share the task raises
+            # on; in the second case the caller reruns the share and raises.
+            return
+
+
+class _Worker:
+    """A forked daemon process that works the shares sent to it."""
+
+    def __init__(self):
+        import multiprocessing          # paid for only by a process that runs a batch
+        context = multiprocessing.get_context("fork")
+        self.conn, child_end = context.Pipe()
+        self.process = context.Process(target=_serve, args=(child_end, self.conn),
+                                       daemon=True)
+        self.process.start()
+        child_end.close()
+        self.sent = False
+
+    def send(self, task: str, share: list) -> None:
+        try:
+            self.conn.send((task, share))
+            self.sent = True
+        except OSError:                 # the worker has died
+            self.sent = False
+
+    def results(self) -> list | None:
+        """The answer to the last share sent, or None if the worker died."""
+        if not self.sent:
+            return None
+        self.sent = False
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return None
+
+    def stop(self) -> None:
+        self.conn.close()
+        self.process.terminate()
+        self.process.join()
+
+
+_workers: list[_Worker] = []    # this process's workers, one per CPU after the first
+_workers_pid = 0                # the process they belong to
+
+# What a worker runs, by name: the functions as defined here, so a wrapper
+# later set on a module attribute never runs in a worker.
+_TASKS = {task.__name__: task for task in (verify, ring_sign, ring_verify)}
+
+
+def _pool() -> list[_Worker]:
+    """This process's workers, started on the first batch; none on one CPU."""
+    global _workers_pid
+    if _workers_pid != os.getpid():
+        _workers.clear()        # a forked child does not own its parent's workers
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        for _ in range(cpus - 1):
+            _workers.append(_Worker())
+        _workers_pid = os.getpid()
+    return _workers
+
+
+def _stop_workers() -> None:
+    """Stop this process's workers; the next batch starts new ones."""
+    global _workers_pid
+    if _workers_pid == os.getpid():
+        for worker in _workers:
+            worker.stop()
+    _workers.clear()
+    _workers_pid = 0
+
+
+def _map(fn, items: list) -> list:
+    """`[fn(*item) for item in items]`, worked on every CPU this process may
+    run on. A worker runs the task named like `fn`; the caller runs `fn` on
+    the first share, and on the share of a worker that died, which is then
+    replaced. Any exception stops every worker and propagates."""
+    workers = _pool()
+    size = max(1, -(-len(items) // (len(workers) + 1)))
+    shares = [items[i:i + size] for i in range(size, len(items), size)]
+    try:
+        for worker, share in zip(workers, shares):
+            worker.send(fn.__name__, share)
+        results = [fn(*item) for item in items[:size]]
+        for i, share in enumerate(shares):
+            answer = workers[i].results()
+            if answer is None:          # never trust a share nobody worked
+                workers[i].stop()
+                workers[i] = _Worker()
+                answer = [fn(*item) for item in share]
+            results += answer
+    except BaseException:
+        _stop_workers()                 # answers may be left unread in the pipes
+        raise
+    return results
+
+
+def verify_batch(items) -> list[bool]:
+    """`[verify(*item) for item in items]` for (payload, signature, public
+    key) triples. The check is bound here, so a wrapper later set on
+    `crypto.verify` sees neither the caller's share nor a worker's."""
+    return _map(_TASKS["verify"], list(items))
+
+
+def ring_verify_batch(pairs) -> list[bool]:
+    """`[ring_verify(packet, sig) for packet, sig in pairs]`, with the check
+    bound as in `verify_batch`."""
+    return _map(_TASKS["ring_verify"], list(pairs))
+
+
+class _Replay:
+    """Stands in for the batch's Random in one `ring_sign` call, giving back
+    in order the draws taken for that call."""
+
+    def __init__(self, draws: list[int]):
+        self.draws = iter(draws)
+
+    def getrandbits(self, bits: int) -> int:
+        return next(self.draws)
+
+
+def ring_sign_batch(jobs, rng: Random) -> list[RingSignature]:
+    """`[ring_sign(*job, rng) for job in jobs]` for (packet, signer index,
+    secret key, ring) jobs, the rings closed on every CPU.
+
+    Every job's index and key are checked before `rng` is drawn from. The
+    draws are then taken job by job in `ring_sign` order, so the signatures
+    and the final state of `rng` are those of the sequential calls.
+    """
+    jobs = list(jobs)
+    for packet, signer_index, signer_sk, ring in jobs:
+        _signer_key(signer_index, signer_sk, ring)
+    calls = [(packet, signer_index, signer_sk, ring, _Replay(_ring_draws(ring, rng)))
+             for packet, signer_index, signer_sk, ring in jobs]
+    # ring_sign is looked up at the call, not bound: a wrapper set on
+    # `crypto.ring_sign` times the caller's share of the signatures
+    return _map(ring_sign, calls)
 
 
 # =============================================================================

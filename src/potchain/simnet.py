@@ -432,11 +432,9 @@ class World:
         ring_members = sorted(admitted, key=lambda n: csc.registered[n.account_id].order)
         ring = [n.identity.ring_pk for n in ring_members]
         msgid_rng = self.stream("msgid")
-        sig_rng = self.stream("ringsig")
-        reveals: list[tuple[bytes, int, bytes, bytes]] = []
-        uploaded: set[bytes] = set()
+        drawn: list[tuple[Node, int, bytes, bytes, crypto.SensingPacket]] = []
         now_upload = base_ms + 200
-        for position, node in enumerate(ring_members):
+        for node in ring_members:
             sr = sense(node.profile, pu_truth, self.node_rng(node),
                        node.trust.sensing_rounds)
             if (round_idx, node.index) in self.force_flip:
@@ -447,9 +445,13 @@ class World:
                 msg_id, sr, now_upload,
                 lat_microdeg=msgid_rng.randint(-90_000_000, 90_000_000),
                 lon_microdeg=msgid_rng.randint(-180_000_000, 180_000_000))
-            ring_sig = crypto.ring_sign(packet, position, node.identity.ring_sk,
-                                        ring, sig_rng)
-            csc.upload(packet, ring_sig, now_upload)
+            drawn.append((node, sr, rnd, msg_id, packet))
+        jobs = [(packet, position, node.identity.ring_sk, ring)
+                for position, (node, _, _, _, packet) in enumerate(drawn)]
+        ring_sigs = crypto.ring_sign_batch(jobs, self.stream("ringsig"))
+        csc.upload([(job[0], ring_sig) for job, ring_sig in zip(jobs, ring_sigs)], now_upload)
+        reveals: list[tuple[bytes, int, bytes, bytes]] = []
+        for (node, sr, rnd, msg_id, packet), ring_sig in zip(drawn, ring_sigs):
             csc.add_commitment(crypto.commit(sr, rnd, msg_id, csc_id,
                                              node.account_id))
             txs.append(Transaction(kind=TxKind.SENSING_UPLOAD,
@@ -462,7 +464,6 @@ class World:
                     csc_id, csc.commitments[node.account_id].digest, node.account_id),
                 node.identity))
             reveals.append((node.account_id, sr, rnd, msg_id))
-            uploaded.add(node.account_id)
 
         fusion: int | None
         try:
@@ -523,7 +524,7 @@ class World:
             tv_mining = parent_state[node.account_id].trust.tv
             rows.append(RoundRow(
                 node=node.label, kind=node.profile.kind.value,
-                uploaded=node.account_id in uploaded,
+                uploaded=node.account_id in csc.commitments,
                 outcome=outcome.value, tv_after=node.trust.tv,
                 tv_mining=tv_mining,
                 z_bits=consensus.mining_target(

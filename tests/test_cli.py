@@ -2,6 +2,9 @@
 
 import configparser
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -184,6 +187,38 @@ def test_run_demo_exits_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "AC7-second-price: PASS" in out
     assert (tmp_path / "demo" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("edit", ["drop-bidders", "bidders-sense", "extra-sensor"])
+def test_run_demo_rejects_a_population_it_does_not_script(tmp_path, capsys, edit):
+    parser = configparser.ConfigParser()
+    parser.read(CONFIG_DIR / "demo_round.cfg")
+    if edit == "drop-bidders":
+        parser.remove_option("population", "uanode")
+    elif edit == "bidders-sense":
+        parser.set("population", "uanode", "2, 1.0, 0.0, 1.0")
+    else:
+        parser.set("population", "rnode", "6, 1.0, 0.0")
+    path = tmp_path / "demo.cfg"
+    with path.open("w") as fh:
+        parser.write(fh)
+    with pytest.raises(ConfigInvalid) as err:
+        load_config(path)
+    assert err.value.field_name == "population"
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "demo")]) == 1
+    assert capsys.readouterr().err.startswith("config invalid - population: ")
+    assert not (tmp_path / "demo").exists()
+
+
+def test_module_run_gives_no_runpy_warning():
+    """`python -m potchain.cli` finds no potchain.cli already imported."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "potchain.cli", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage" in done.stdout
 
 
 def test_run_small_experiment_writes_artifacts(tmp_path, capsys):

@@ -186,7 +186,7 @@ def upload_for(csc, identities, sensor_results, rng):
         rnd = rng.getrandbits(256).to_bytes(32, "big")
         packet = crypto.make_packet(msg_id, sr, 500)
         sig = crypto.ring_sign(packet, position, ident.ring_sk, ring, rng)
-        csc.upload(packet, sig, 500)
+        csc.upload([(packet, sig)], 500)
         csc.add_commitment(crypto.commit(sr, rnd, msg_id, CSC_ID, reg.pk))
         reveals.append((reg.pk, sr, rnd, msg_id))
     return reveals
@@ -214,7 +214,7 @@ def test_upload_rejects_foreign_ring(identities):
     packet = crypto.make_packet(b"m", 1, 100)
     sig = crypto.ring_sign(packet, len(ring) - 1, outsider.ring_sk, ring, rng)
     with pytest.raises(IllegalRing):
-        csc.upload(packet, sig, 100)
+        csc.upload([(packet, sig)], 100)
 
 
 def test_upload_rejects_invalid_signature(identities):
@@ -227,7 +227,7 @@ def test_upload_rejects_invalid_signature(identities):
     sig = crypto.ring_sign(packet, 0, ident.ring_sk, ring, rng)
     other = crypto.make_packet(b"m", 0, 100)
     with pytest.raises(IllegalRing):
-        csc.upload(other, sig, 100)
+        csc.upload([(other, sig)], 100)
 
 
 def test_upload_past_deadline(identities):
@@ -239,7 +239,7 @@ def test_upload_past_deadline(identities):
     packet = crypto.make_packet(b"m", 1, 100)
     sig = crypto.ring_sign(packet, 0, ident.ring_sk, ring, rng)
     with pytest.raises(PastDeadline):
-        csc.upload(packet, sig, 5000)
+        csc.upload([(packet, sig)], 5000)
 
 
 def test_upload_duplicate_tag(identities):
@@ -250,10 +250,73 @@ def test_upload_duplicate_tag(identities):
     by_account = {i.account_id: i for i in identities}
     packet = crypto.make_packet(b"same-id", 1, 100)
     first = crypto.ring_sign(packet, 0, by_account[members[0].pk].ring_sk, ring, rng)
-    csc.upload(packet, first, 100)
+    csc.upload([(packet, first)], 100)
     second = crypto.ring_sign(packet, 1, by_account[members[1].pk].ring_sk, ring, rng)
     with pytest.raises(DuplicateTag):
-        csc.upload(packet, second, 100)
+        csc.upload([(packet, second)], 100)
+
+
+def signed_uploads(csc, identities, msg_ids, rng):
+    """One (packet, ring signature) upload per msg id, signed in one batch
+    by the registered sensors in turn."""
+    members = sorted(csc.registered.values(), key=lambda r: r.order)
+    ring = [r.ring_pk for r in members]
+    by_account = {i.account_id: i for i in identities}
+    jobs = []
+    for i, msg_id in enumerate(msg_ids):
+        signer = i % len(members)
+        jobs.append((crypto.make_packet(msg_id, 1, 100), signer,
+                     by_account[members[signer].pk].ring_sk, ring))
+    sigs = crypto.ring_sign_batch(jobs, rng)
+    return [(job[0], sig) for job, sig in zip(jobs, sigs)]
+
+
+@pytest.mark.parametrize("bad", [0, 3], ids=["caller-share", "worker-share"])
+def test_upload_batch_bad_signature_in_either_share(identities, two_shares, bad):
+    """Four uploads are checked in two shares of two; the one bad ring
+    signature, first or last, refuses the whole batch."""
+    csc = registered_csc(identities)
+    uploads = signed_uploads(csc, identities, [b"a", b"b", b"c", b"d"], Random(30))
+    packet, sig = uploads[bad]
+    uploads[bad] = (crypto.make_packet(b"forged", 0, 100), sig)
+    with pytest.raises(IllegalRing, match=f"upload {bad}: ring signature does not verify"):
+        csc.upload(uploads, 100)
+    assert csc.packets == []
+    del uploads[bad]
+    csc.upload(uploads, 100)
+    assert len(csc.packets) == 3
+
+
+def test_upload_batch_duplicate_tag_within_and_across_batches(identities, two_shares):
+    csc = registered_csc(identities)
+    uploads = signed_uploads(csc, identities, [b"a", b"b", b"c", b"a"], Random(31))
+    with pytest.raises(DuplicateTag, match="upload 3"):
+        csc.upload(uploads, 100)
+    assert csc.packets == []
+    csc.upload(uploads[:2], 100)
+    with pytest.raises(DuplicateTag, match="upload 1"):
+        csc.upload(uploads[2:], 100)
+    assert csc.packets == uploads[:2]
+
+
+def test_upload_batch_past_deadline_admits_none(identities):
+    csc = registered_csc(identities)
+    uploads = signed_uploads(csc, identities, [b"a", b"b", b"c"], Random(32))
+    with pytest.raises(PastDeadline):
+        csc.upload(uploads, 5000)
+    assert csc.packets == []
+
+
+def test_upload_batch_with_a_foreign_ring_admits_none(identities):
+    csc = registered_csc(identities)
+    uploads = signed_uploads(csc, identities, [b"a", b"b"], Random(33))
+    outsider = identities[5]
+    ring = [uploads[0][1].ring[0], outsider.ring_pk]
+    packet = crypto.make_packet(b"c", 1, 100)
+    uploads.append((packet, crypto.ring_sign(packet, 1, outsider.ring_sk, ring, Random(34))))
+    with pytest.raises(IllegalRing, match="upload 2: ring contains an unregistered key"):
+        csc.upload(uploads, 100)
+    assert csc.packets == []
 
 
 def test_fuse_unanimous_idle(identities):
@@ -349,7 +412,7 @@ def test_settle_ambiguous_link_forfeits_both(identities):
     msg_id = b"shared-identifier"
     packet = crypto.make_packet(msg_id, 1, 100)
     sig = crypto.ring_sign(packet, 0, by_account[members[0].pk].ring_sk, ring, rng)
-    csc.upload(packet, sig, 100)
+    csc.upload([(packet, sig)], 100)
     reveals = []
     for reg in members[:2]:          # two sensors claim the same packet
         rnd = rng.getrandbits(256).to_bytes(32, "big")

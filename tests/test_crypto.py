@@ -3,6 +3,7 @@
 import hashlib
 import os
 import signal
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -120,19 +121,37 @@ def test_verify_batch_on_one_cpu_starts_no_worker(monkeypatch):
         crypto._stop_workers()
 
 
-def test_a_killed_worker_is_replaced_and_its_share_still_checked(two_shares):
-    good = [signed_item(i % 4, bytes([i])) for i in range(10)]
-    assert crypto.verify_batch(good) == [True] * 10
+def kill_first_worker():
     worker = crypto._workers[0]
     os.kill(worker.process.pid, signal.SIGKILL)
     worker.process.join(timeout=10)
     assert not worker.process.is_alive()
+    return worker
+
+
+def test_a_killed_worker_is_replaced_and_its_share_still_checked(two_shares, toy_ring):
+    good = [signed_item(i % 4, bytes([i])) for i in range(10)]
+    assert crypto.verify_batch(good) == [True] * 10
+    worker = kill_first_worker()
     # the worker's share, the second half, holds only bad signatures
     bad = good[:5] + [corrupt(item, "signature", Random(i)) for i, item in enumerate(good[5:])]
     assert crypto.verify_batch(bad) == [True] * 5 + [False] * 5
     replacement = crypto._workers[0]
     assert replacement.process.is_alive() and replacement.process.pid != worker.process.pid
     assert crypto.verify_batch(bad) == [True] * 5 + [False] * 5
+
+    # ring batches sent after a kill are answered in full and correctly
+    kill_first_worker()
+    pairs = ring_pairs(toy_ring, Random(2))
+    expected = [crypto.ring_verify(*pair) for pair in pairs]
+    assert True in expected[4:] and False in expected[4:]     # the worker's share
+    assert crypto.ring_verify_batch(pairs) == expected
+    kill_first_worker()
+    jobs = ring_jobs(toy_ring, [(5, i, bytes([i]), i % 2) for i in range(6)])
+    sequential = Random(3)
+    assert (crypto.ring_sign_batch(jobs, Random(3))
+            == [crypto.ring_sign(*job, sequential) for job in jobs])
+    assert crypto._workers[0].process.is_alive()
 
 
 # =============================================================================
@@ -281,6 +300,112 @@ def test_ring_signature_serialization_roundtrippable(toy_ring):
     assert isinstance(raw, bytes) and len(raw) > 0
     # deterministic serialization
     assert raw == sig.canonical_bytes()
+
+
+# =============================================================================
+# Ring batches
+# =============================================================================
+
+def ring_jobs(toy_ring, specs):
+    """(packet, signer index, secret key, ring) jobs from (ring size,
+    signer, msg id, sensing result) specs; the signer wraps to the ring."""
+    identities, pks = toy_ring
+    jobs = []
+    for size, signer, msg_id, sr in specs:
+        signer %= size
+        jobs.append((crypto.make_packet(msg_id, sr, 1000), signer,
+                     identities[signer].ring_sk, pks[:size]))
+    return jobs
+
+
+RING_FLAWS = ["none", "none", "packet", "x-out-of-domain", "v-out-of-domain",
+              "empty-ring", "modulus-0", "short-xs"]
+
+
+def flawed(packet, sig, how):
+    """The (packet, signature) pair with one flaw, which ring_verify must
+    refuse without raising."""
+    domain = 1 << crypto._common_domain_bits(list(sig.ring))
+    if how == "packet":
+        return crypto.make_packet(b"tampered", packet.sensing_result, 1000), sig
+    if how == "x-out-of-domain":
+        return packet, replace(sig, xs=(domain,) + sig.xs[1:])
+    if how == "v-out-of-domain":
+        return packet, replace(sig, v=-1)
+    if how == "empty-ring":
+        return packet, crypto.RingSignature(ring=(), v=0, xs=())
+    if how == "modulus-0":
+        return packet, replace(sig, ring=(crypto.RingPublicKey(0, 65537),) + sig.ring[1:])
+    if how == "short-xs":
+        return packet, replace(sig, xs=sig.xs[1:])
+    return packet, sig
+
+
+def ring_pairs(toy_ring, rng):
+    """Eight signed packets, every flaw once, in a shuffled order."""
+    jobs = ring_jobs(toy_ring, [(size, size - 1, bytes([size]), size % 2)
+                                for size in range(1, 9)])
+    sigs = [crypto.ring_sign(*job, rng) for job in jobs]
+    flaws = list(RING_FLAWS)
+    rng.shuffle(flaws)
+    return [flawed(job[0], sig, how) for job, sig, how in zip(jobs, sigs, flaws)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(specs=st.lists(st.tuples(st.integers(1, 8), st.integers(0, 7),
+                                st.binary(max_size=8), st.integers(0, 1)),
+                      max_size=12),
+       seed=st.integers(0, 2 ** 32))
+def test_ring_sign_batch_equals_ring_sign_in_order(two_shares, toy_ring, specs, seed):
+    """Same signatures as one ring_sign call per job on an equal Random,
+    and that Random left in the same state."""
+    jobs = ring_jobs(toy_ring, specs)
+    batch_rng, sequential_rng = Random(seed), Random(seed)
+    sigs = crypto.ring_sign_batch(jobs, batch_rng)
+    assert sigs == [crypto.ring_sign(*job, sequential_rng) for job in jobs]
+    assert batch_rng.getstate() == sequential_rng.getstate()
+    assert all(crypto.ring_verify_batch([(job[0], sig) for job, sig in zip(jobs, sigs)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(specs=st.lists(st.tuples(st.integers(1, 8), st.integers(0, 7),
+                                st.binary(max_size=8), st.integers(0, 1),
+                                st.sampled_from(RING_FLAWS)),
+                      max_size=16),
+       seed=st.integers(0, 2 ** 32))
+def test_ring_verify_batch_equals_ring_verify_in_order(two_shares, toy_ring, specs, seed):
+    jobs = ring_jobs(toy_ring, [spec[:4] for spec in specs])
+    sigs = crypto.ring_sign_batch(jobs, Random(seed))
+    pairs = [flawed(job[0], sig, spec[4]) for job, sig, spec in zip(jobs, sigs, specs)]
+    assert crypto.ring_verify_batch(pairs) == [crypto.ring_verify(*p) for p in pairs]
+
+
+def test_ring_batches_on_one_cpu_start_no_worker(monkeypatch, toy_ring):
+    crypto._stop_workers()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    try:
+        pairs = ring_pairs(toy_ring, Random(1))
+        assert crypto.ring_verify_batch(pairs) == [crypto.ring_verify(*p) for p in pairs]
+        jobs = ring_jobs(toy_ring, [(4, i, b"one", 0) for i in range(4)])
+        sequential = Random(4)
+        assert (crypto.ring_sign_batch(jobs, Random(4))
+                == [crypto.ring_sign(*job, sequential) for job in jobs])
+        assert crypto._workers == []
+    finally:
+        crypto._stop_workers()
+
+
+@pytest.mark.parametrize("bad_job, error", [((0, 1), crypto.BadKey), ((3, 3), IndexError)])
+def test_ring_sign_batch_checks_every_job_before_drawing(toy_ring, bad_job, error):
+    identities, pks = toy_ring
+    signer, key = bad_job
+    jobs = ring_jobs(toy_ring, [(3, i, b"ok", 1) for i in range(3)])
+    jobs.append((make_packet(), signer, identities[key].ring_sk, pks[:3]))
+    rng = Random(21)
+    state = rng.getstate()
+    with pytest.raises(error):
+        crypto.ring_sign_batch(jobs, rng)
+    assert rng.getstate() == state
 
 
 # =============================================================================
