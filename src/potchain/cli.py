@@ -189,7 +189,15 @@ def cmd_calibrate(args) -> int:
     if args.runs < 1:
         print("--runs must be at least 1", file=sys.stderr)
         return 1
+    if args.t0_ms <= 0:
+        print("--t0-ms must be positive", file=sys.stderr)
+        return 1
     out = Path(os.environ.get("POTCHAIN_OUT") or args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)      # fail before the searches, not after
+    except OSError as exc:
+        print(f"io error - {exc}", file=sys.stderr)
+        return 1
     runs_lines = ["leading_zero_bits,run_index,trials,wall_ms"]
     summary_lines = ["z,mean_wall_ms,mean_trials"]
     means = []
@@ -211,8 +219,12 @@ def cmd_calibrate(args) -> int:
         print(f"z={z:2d} mean_trials={mean_trials:10.1f} "
               f"(expected {consensus.expected_cost(z):8d}) "
               f"mean_wall={mean_wall:10.3f} ms")
-    _write(out / "mining_runs.csv", runs_lines)
-    _write(out / "calibration.csv", summary_lines)
+    try:
+        _write(out / "mining_runs.csv", runs_lines)
+        _write(out / "calibration.csv", summary_lines)
+    except OSError as exc:
+        print(f"io error - {exc}", file=sys.stderr)
+        return 1
     best = min(means, key=lambda m: abs(m[1] - args.t0_ms))
     print(f"recommended base difficulty: beta0 = 2^{best[0]} = {1 << best[0]} "
           f"(mean wall {best[1]:.1f} ms vs target {args.t0_ms} ms)")

@@ -16,10 +16,11 @@ nonce is 2^z hash trials.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+from . import crypto
 
 MAX_TARGET_BITS = 256
 
@@ -93,23 +94,17 @@ def mine(header_preimage: bytes, z: int, nonce_start: int = 0,
          max_trials: int = 1 << 30) -> MineResult:
     """Search nonces until H(preimage || nonce_be8) has >= z leading zero bits.
 
-    The preimage is hashed once per search. Each trial copies that state,
-    hashes only the 8-byte nonce and compares the digest with
-    `target_bound(z)`. For the 138-byte header preimage that is one SHA-256
-    block per trial, where hashing preimage || nonce from scratch takes three.
+    Nonces run from `nonce_start` upward and wrap at 2^64. The scan is
+    `crypto.scan_nonces_batch` against `target_bound(z)`, worked on every
+    CPU, so the nonce and the trial count are those of the sequential search.
     """
     if not 1 <= z <= MAX_TARGET_BITS:
         raise ValueError("target bits outside [1, 256]")
-    prefix = hashlib.sha256(header_preimage)
-    bound = target_bound(z)
-    nonce = nonce_start
-    for trial in range(1, max_trials + 1):
-        h = prefix.copy()
-        h.update((nonce & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"))
-        if h.digest() < bound:
-            return MineResult(nonce=nonce & 0xFFFFFFFFFFFFFFFF, trials=trial)
-        nonce += 1
-    raise Exhausted(f"no nonce within {max_trials} trials at z={z}")
+    trials = crypto.scan_nonces_batch(header_preimage, target_bound(z), nonce_start,
+                                      max_trials)
+    if trials is None:
+        raise Exhausted(f"no nonce within {max_trials} trials at z={z}")
+    return MineResult(nonce=(nonce_start + trials - 1) % crypto.NONCE_SPACE, trials=trials)
 
 
 def expected_cost(z: int) -> int:

@@ -9,6 +9,9 @@ Implements:
    2^b domain, glued by a keyed Feistel permutation.
 4. Hash commitments over (sensing result, random nonce, message id) plus
    the reveal-side binding check.
+5. The trial loop of the proof-of-trust nonce search.
+6. Batches of signature checks, ring closings, ring checks and nonce scans
+   worked on every CPU by a pool of forked workers.
 
 Ring signature byte conventions (reproducible across implementations):
 - common domain: integers in [0, 2^b), b even, b >= max modulus bits + 64
@@ -362,18 +365,50 @@ def ring_verify(packet: SensingPacket, sig: RingSignature) -> bool:
 
 
 # =============================================================================
+# Nonce scans (the trial loop of the proof-of-trust puzzle)
+# =============================================================================
+
+NONCE_SPACE = 1 << 64       # a nonce is 8 big-endian bytes and wraps to 0
+
+
+def scan_nonces(preimage: bytes, bound: bytes, start: int, count: int) -> int | None:
+    """The 1-based index of the first nonce in start .. start+count-1 (mod
+    2^64) whose SHA-256(preimage || nonce_be8) is below `bound`, or None.
+
+    The preimage is hashed once per scan. Each trial copies that state and
+    hashes only the 8-byte nonce: for the 138-byte header preimage that is
+    one SHA-256 block per trial, where hashing preimage || nonce from
+    scratch takes three. `count` is at most 2^64.
+    """
+    prefix = hashlib.sha256(preimage)
+    start %= NONCE_SPACE
+    before_wrap = max(0, min(count, NONCE_SPACE - start))
+    for skipped, first, stop in ((0, start, start + before_wrap),
+                                 (before_wrap, 0, count - before_wrap)):
+        for nonce in range(first, stop):
+            h = prefix.copy()
+            h.update(nonce.to_bytes(8, "big"))
+            if h.digest() < bound:
+                return skipped + nonce - first + 1
+    return None
+
+
+# =============================================================================
 # Batches on every CPU
 # =============================================================================
 
-# The worker pool serves Ed25519 checks, ring closings and ring checks. The
-# items of a batch are independent, so a batch is cut into one contiguous
-# share per CPU: the caller works the first and one forked worker per extra
-# CPU works each of the others. A worker gets its share over a pipe written
-# by the caller itself; a pool's feeder thread would wait for the GIL, which
-# OpenSSL's verify holds, until the caller's own share is done. Workers are
-# forked, not spawned: a spawned worker re-imports the caller's __main__,
-# which fails in a script that builds a World without a main guard. potchain
-# starts no threads, so the fork is safe.
+# The worker pool serves Ed25519 checks, ring closings, ring checks and nonce
+# scans. The items of a batch are independent, so a batch is cut into one
+# contiguous share per CPU: the caller works the first and one forked worker
+# per extra CPU works each of the others. A worker gets its share over a pipe
+# written by the caller itself; a pool's feeder thread would wait for the
+# GIL, which OpenSSL's verify holds, until the caller's own share is done.
+# The caller never waits on a worker: a vCPU the host does not run for some
+# ms, or a worker woken on the caller's CPU, would otherwise hold up the
+# batch, so the caller works a late worker's share itself from its far end.
+# Workers are forked, not spawned: a spawned worker re-imports the caller's
+# __main__, which fails in a script that builds a World without a main
+# guard. potchain starts no threads, so the fork is safe.
 
 def _serve(conn, parent_end) -> None:
     """Worker loop: answer each (function name, share) received on `conn`
@@ -404,24 +439,37 @@ class _Worker:
                                        daemon=True)
         self.process.start()
         child_end.close()
-        self.sent = False
+        self.unread = 0         # 1 from a send until its answer is read, never more
 
-    def send(self, task: str, share: list) -> None:
+    def send(self, task: str, share: list) -> bool:
+        """Send a share, unless the answer to the last one is still to come
+        (one that has come is read and dropped): whether it was sent. Raises
+        OSError or EOFError if the worker has died."""
+        if self.unread and self.conn.poll():
+            self.conn.recv()            # an answer nobody waited for
+            self.unread = 0
+        if self.unread:
+            return False
+        self.conn.send((task, share))
+        self.unread = 1
+        return True
+
+    def answered(self) -> bool:
+        """Whether `results` can return without waiting: the answer has come,
+        or the worker has died."""
         try:
-            self.conn.send((task, share))
-            self.sent = True
-        except OSError:                 # the worker has died
-            self.sent = False
+            return self.conn.poll()
+        except OSError:
+            return True
 
     def results(self) -> list | None:
-        """The answer to the last share sent, or None if the worker died."""
-        if not self.sent:
-            return None
-        self.sent = False
+        """The answer to the share sent, or None if the worker has died."""
         try:
-            return self.conn.recv()
+            answer = self.conn.recv()
         except (EOFError, OSError):
             return None
+        self.unread = 0
+        return answer
 
     def stop(self) -> None:
         self.conn.close()
@@ -434,7 +482,7 @@ _workers_pid = 0                # the process they belong to
 
 # What a worker runs, by name: the functions as defined here, so a wrapper
 # later set on a module attribute never runs in a worker.
-_TASKS = {task.__name__: task for task in (verify, ring_sign, ring_verify)}
+_TASKS = {task.__name__: task for task in (verify, ring_sign, ring_verify, scan_nonces)}
 
 
 def _pool() -> list[_Worker]:
@@ -459,27 +507,64 @@ def _stop_workers() -> None:
     _workers_pid = 0
 
 
-def _map(fn, items: list) -> list:
+def _send(workers: list[_Worker], i: int, task: str, share: list) -> bool:
+    """Send worker i a share as in `_Worker.send`; a dead worker is replaced
+    and the share sent to its replacement."""
+    try:
+        return workers[i].send(task, share)
+    except (EOFError, OSError):
+        workers[i].stop()
+        workers[i] = _Worker()
+        return workers[i].send(task, share)
+
+
+def _collect(workers: list[_Worker], i: int, fn, share: list) -> list:
+    """`[fn(*item) for item in share]` for the share sent to worker i. While
+    its answer has not come, the caller works the share from the far end, an
+    item at a time; an answer that comes after the caller has covered the
+    share stays unread until the next send. A worker that has died is
+    replaced, and the caller works the rest of its share."""
+    worker, tail = workers[i], []
+    while len(tail) < len(share) and not worker.answered():
+        tail.append(fn(*share[len(share) - 1 - len(tail)]))
+    rest = share[:len(share) - len(tail)]
+    if rest:
+        answer = worker.results()
+        if answer is None:              # never trust a share nobody worked
+            worker.stop()
+            workers[i] = _Worker()
+            answer = [fn(*item) for item in rest]
+        tail += reversed(answer[:len(rest)])
+    return tail[::-1]
+
+
+def _map(fn, items: list, stop=None) -> list:
     """`[fn(*item) for item in items]`, worked on every CPU this process may
-    run on. A worker runs the task named like `fn`; the caller runs `fn` on
-    the first share, and on the share of a worker that died, which is then
-    replaced. Any exception stops every worker and propagates."""
+    run on; with `stop`, only the results up to the first r with stop(r).
+
+    A worker runs the task named like `fn`. The caller runs `fn` in order on
+    the first share and on the share of a worker still busy with an earlier
+    batch, which is sent nothing, and covers a late worker's share as in
+    `_collect`. `stop` is checked on each result in order, so the caller
+    stops at a hit in its own share. Any exception stops every worker and
+    propagates.
+    """
     workers = _pool()
     size = max(1, -(-len(items) // (len(workers) + 1)))
-    shares = [items[i:i + size] for i in range(size, len(items), size)]
+    shares = [items[i:i + size] for i in range(0, len(items), size)]
+    results = []
     try:
-        for worker, share in zip(workers, shares):
-            worker.send(fn.__name__, share)
-        results = [fn(*item) for item in items[:size]]
+        sent = [False] + [_send(workers, i, fn.__name__, share)
+                          for i, share in enumerate(shares[1:])]
         for i, share in enumerate(shares):
-            answer = workers[i].results()
-            if answer is None:          # never trust a share nobody worked
-                workers[i].stop()
-                workers[i] = _Worker()
-                answer = [fn(*item) for item in share]
-            results += answer
+            answer = (_collect(workers, i - 1, fn, share) if sent[i]
+                      else (fn(*item) for item in share))
+            for result in answer:
+                results.append(result)
+                if stop is not None and stop(result):
+                    return results
     except BaseException:
-        _stop_workers()                 # answers may be left unread in the pipes
+        _stop_workers()                 # a pipe may be left in the middle of a message
         raise
     return results
 
@@ -524,6 +609,40 @@ def ring_sign_batch(jobs, rng: Random) -> list[RingSignature]:
     # ring_sign is looked up at the call, not bound: a wrapper set on
     # `crypto.ring_sign` times the caller's share of the signatures
     return _map(ring_sign, calls)
+
+
+# A trial takes about 1 us, and a round trip to a worker 35-50 us when it
+# was busy a moment ago and up to about 170 us when it has slept for a few
+# ms (2-vCPU Xeon VM, Python 3.11). The head is a few round trips' worth of
+# trials, so a search that ends there, as every block the simulation mines
+# at z <= 4 does, starts no worker; a chunk makes the round trip a few
+# percent of a round. A piece is short enough that the caller, covering a
+# late worker's chunk, takes its answer within about 0.1 ms of its arrival.
+SCAN_HEAD = 256             # nonces the caller scans before it uses the pool
+SCAN_CHUNK = 2048           # nonces per CPU per round
+SCAN_PIECE = 128            # nonces per item of a round's `_map`
+
+
+def scan_nonces_batch(preimage: bytes, bound: bytes, start: int, count: int) -> int | None:
+    """`scan_nonces(preimage, bound, start, count)`, worked on every CPU.
+
+    The caller scans the first SCAN_HEAD nonces. The rest go out in rounds
+    of up to SCAN_CHUNK nonces per CPU, each round one `_map` of the scan
+    over SCAN_PIECE-nonce pieces that stops at the first piece with a hit,
+    so the index is the sequential scan's.
+    """
+    scan = _TASKS["scan_nonces"]
+    hit = scan(preimage, bound, start, min(count, SCAN_HEAD))
+    done = SCAN_HEAD
+    while hit is None and done < count:
+        end = min(count, done + (len(_pool()) + 1) * SCAN_CHUNK)
+        found = _map(scan, [(preimage, bound, start + lo, min(SCAN_PIECE, end - lo))
+                            for lo in range(done, end, SCAN_PIECE)],
+                     stop=lambda piece: piece is not None)
+        if found[-1] is not None:
+            hit = done + (len(found) - 1) * SCAN_PIECE + found[-1]
+        done = end
+    return hit
 
 
 # =============================================================================

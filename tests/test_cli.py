@@ -306,6 +306,28 @@ def test_calibrate_rejects_no_runs(tmp_path, capsys, runs):
     assert not (tmp_path / "cal0").exists()
 
 
+@pytest.mark.parametrize("t0_ms", ["0", "-5"])
+def test_calibrate_rejects_a_non_positive_block_interval(tmp_path, capsys, t0_ms):
+    rc = cli.main(["calibrate", "--max-z", "2", "--runs", "1", "--t0-ms", t0_ms,
+                   "--out", str(tmp_path / "cal0")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "--t0-ms must be positive" in captured.err
+    assert "recommended" not in captured.out
+    assert not (tmp_path / "cal0").exists()
+
+
+def test_calibrate_unwritable_output_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory\n")
+    rc = cli.main(["calibrate", "--max-z", "2", "--runs", "1", "--out", str(blocker)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("io error - ")
+    assert "recommended" not in captured.out
+    assert blocker.read_text() == "a file, not a directory\n"
+
+
 def test_calibrate_wall_time_grows_with_target(tmp_path, capsys):
     # two-point isotonic check: 2^12 trials dwarf 2^8, noise cannot flip it
     rc = cli.main(["calibrate", "--max-z", "12", "--runs", "8",

@@ -2,6 +2,8 @@
 adaptation, and fork choice."""
 
 import itertools
+import os
+import signal
 from random import Random
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import mine_reference
-from potchain import consensus
+from potchain import consensus, crypto
 from potchain.consensus import DifficultyParams
 from potchain.crypto import sha256
 from potchain.ledger import BlockHeader
@@ -139,6 +141,111 @@ def test_mine_matches_reference_property(preimage, z, nonce_start, max_trials):
     # boundary; starts just below 2^64 make the search wrap to nonce 0.
     assert (_search(consensus.mine, preimage, z, nonce_start, max_trials)
             == _search(mine_reference, preimage, z, nonce_start, max_trials))
+
+
+# Spans of the pooled search: the caller's head, then rounds of one chunk per
+# CPU. Under `two_shares` a round is the caller's chunk and one worker's.
+HEAD, ROUND = crypto.SCAN_HEAD, 2 * crypto.SCAN_CHUNK
+
+
+@settings(max_examples=300, deadline=None)
+@given(preimage=st.binary(min_size=0, max_size=200),
+       z=st.integers(8, 14),
+       nonce_start=st.one_of(st.integers(-NONCE_WRAP, 2 ** 70),
+                             st.integers(NONCE_WRAP - HEAD - 2 * ROUND, NONCE_WRAP - 1)),
+       max_trials=st.integers(HEAD + 1, HEAD + 3 * ROUND))
+@example(preimage=b"", z=8, nonce_start=0, max_trials=0)
+@example(preimage=b"", z=8, nonce_start=NONCE_WRAP - 1, max_trials=-1)
+@example(preimage=b"", z=14, nonce_start=0, max_trials=HEAD)
+def test_pooled_mine_matches_reference_property(two_shares, preimage, z, nonce_start,
+                                                max_trials):
+    # z from 8 to 14 puts hits in the head, in the caller's chunk and in the
+    # worker's; starts within a few rounds of 2^64 put the wrap to nonce 0
+    # inside a chunk, the worker's included.
+    assert (_search(consensus.mine, preimage, z, nonce_start, max_trials)
+            == _search(mine_reference, preimage, z, nonce_start, max_trials))
+
+
+def test_pooled_mine_finds_hits_in_the_workers_chunk(two_shares):
+    # The wrap to nonce 0 falls in the middle of the first round's worker chunk.
+    start = NONCE_WRAP - HEAD - crypto.SCAN_CHUNK - crypto.SCAN_CHUNK // 2
+    preimages = [bytes([i]) for i in range(32)]
+    results = [_search(consensus.mine, p, 12, start, HEAD + ROUND) for p in preimages]
+    assert results == [_search(mine_reference, p, 12, start, HEAD + ROUND) for p in preimages]
+    after_wrap = [r for r in results if r != consensus.Exhausted and r.nonce < start]
+    assert after_wrap and all(r.trials > HEAD + crypto.SCAN_CHUNK for r in after_wrap)
+
+
+def test_search_ending_inside_the_head_starts_no_worker(two_shares):
+    crypto._stop_workers()
+    assert consensus.mine(b"x", 1) == mine_reference(b"x", 1)
+    with pytest.raises(consensus.Exhausted):
+        consensus.mine(b"y", 64, max_trials=HEAD)
+    assert crypto._workers == []
+
+
+def test_a_worker_killed_between_searches_is_replaced(two_shares):
+    reference = {p: _search(mine_reference, p, 12, 0, HEAD + 3 * ROUND)
+                 for p in (bytes([i]) for i in range(16))}
+    # the first search after the kill has its hit in the dead worker's chunk
+    in_workers_chunk = [p for p, r in reference.items() if r != consensus.Exhausted
+                        and HEAD + crypto.SCAN_CHUNK < r.trials <= HEAD + ROUND]
+    assert in_workers_chunk
+    assert _search(consensus.mine, b"k", 64, 0, HEAD + ROUND) == consensus.Exhausted
+    worker = crypto._workers[0]
+    os.kill(worker.process.pid, signal.SIGKILL)
+    worker.process.join(timeout=10)
+    assert not worker.process.is_alive()
+    for p in in_workers_chunk[:1] + list(reference):
+        assert _search(consensus.mine, p, 12, 0, HEAD + 3 * ROUND) == reference[p]
+    replacement = crypto._workers[0]
+    assert replacement.process.is_alive() and replacement.process.pid != worker.process.pid
+
+
+def test_a_stalled_worker_is_covered_and_its_late_answers_dropped(two_shares):
+    assert _search(consensus.mine, b"s", 64, 0, HEAD + ROUND) == consensus.Exhausted
+    worker = crypto._workers[0]
+    preimages = [bytes([i]) for i in range(8)]
+    os.kill(worker.process.pid, signal.SIGSTOP)     # a vCPU the host does not run
+    try:
+        # the caller scans every worker chunk itself
+        for p in preimages:
+            assert (_search(consensus.mine, p, 12, 0, HEAD + 2 * ROUND)
+                    == _search(mine_reference, p, 12, 0, HEAD + 2 * ROUND))
+    finally:
+        os.kill(worker.process.pid, signal.SIGCONT)
+    assert crypto._workers[0] is worker and worker.unread > 0
+    # every batch after it reads its own answers, not the stale scan answers
+    sk = crypto.make_signing_key(Random(1))
+    items = [(p, crypto.sign(p, sk), crypto.signing_pubkey(sk)) for p in preimages]
+    assert crypto.verify_batch(items) == [True] * len(items)
+    for p in preimages:
+        assert (_search(consensus.mine, p, 13, 0, HEAD + 2 * ROUND)
+                == _search(mine_reference, p, 13, 0, HEAD + 2 * ROUND))
+
+
+def test_many_short_searches_leave_at_most_one_unread_answer(two_shares):
+    # At z = 8 a search that leaves the head mostly ends in the caller's
+    # chunk while the worker is still scanning its own; those answers must
+    # not pile up in the pipes, which would end in a deadlock.
+    class Hung(Exception):
+        """Not an OSError, which the pool takes for a dead worker."""
+
+    def hang(signum, frame):
+        raise Hung("the pooled searches hung")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(120)
+    try:
+        results = [_search(consensus.mine, i.to_bytes(2, "big"), 8, 0, HEAD + 3 * ROUND)
+                   for i in range(3000)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert results == [_search(mine_reference, i.to_bytes(2, "big"), 8, 0, HEAD + 3 * ROUND)
+                       for i in range(3000)]
+    assert sum(r != consensus.Exhausted and r.trials > HEAD for r in results) > 500
+    assert all(worker.unread <= 1 for worker in crypto._workers)
 
 
 def test_target_bound_agrees_with_leading_zero_count():

@@ -154,6 +154,28 @@ def test_a_killed_worker_is_replaced_and_its_share_still_checked(two_shares, toy
     assert crypto._workers[0].process.is_alive()
 
 
+def test_a_stalled_workers_share_is_checked_by_the_caller(two_shares, toy_ring):
+    good = [signed_item(i % 4, bytes([i])) for i in range(10)]
+    assert crypto.verify_batch(good) == [True] * 10
+    worker = crypto._workers[0]
+    os.kill(worker.process.pid, signal.SIGSTOP)     # a vCPU the host does not run
+    try:
+        # the worker's share, the second half, holds a bad signature
+        bad = good[:7] + [corrupt(good[7], "signature", Random(0))] + good[8:]
+        assert crypto.verify_batch(bad) == [True] * 7 + [False, True, True]
+        pairs = ring_pairs(toy_ring, Random(2))
+        assert crypto.ring_verify_batch(pairs) == [crypto.ring_verify(*p) for p in pairs]
+        jobs = ring_jobs(toy_ring, [(5, i, bytes([i]), i % 2) for i in range(6)])
+        sequential = Random(3)
+        assert (crypto.ring_sign_batch(jobs, Random(3))
+                == [crypto.ring_sign(*job, sequential) for job in jobs])
+        assert crypto._workers[0] is worker and worker.unread == 1
+    finally:
+        os.kill(worker.process.pid, signal.SIGCONT)
+    assert crypto.verify_batch(bad) == [True] * 7 + [False, True, True]
+    assert crypto.verify_batch(good) == [True] * 10
+
+
 # =============================================================================
 # Sensing packets
 # =============================================================================
