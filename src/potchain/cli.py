@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     potchain run CONFIG [--seed N] [--out DIR]
-    potchain calibrate [--max-z N] [--runs N] [--seed N] [--out DIR]
+    potchain calibrate [--max-z N] [--runs N] [--seed N] [--t0-ms MS] [--out DIR]
 
 `run` executes the experiment named in the config, writes its CSV
 artifact plus a summary.txt whose PASS/FAIL lines are keyed to the
@@ -10,7 +10,7 @@ all expectations hold, 2 when any fails, 1 on configuration or I/O
 errors.
 
 `calibrate` benchmarks real nonce searches per leading-zero count and
-recommends a base difficulty for the configured block interval.
+recommends a base difficulty for the block interval --t0-ms.
 """
 
 from __future__ import annotations

@@ -130,14 +130,12 @@ OPTIONS = {
     "run": {"seed": int, "experiment": str, "rounds": int, "output_dir": str},
     "trust": {"rho": float, "eta": float, "window": int, "k1": int, "k2": int,
               "r1": float, "r2": float},
-    "difficulty": {"beta0": int, "t0_ms": int, "beta_min": int},
+    "difficulty": {"beta0": int},
     "csc": {"n1": int, "tv_thr": float, "d_s": int, "reward_sensing": int},
-    "sac": {"n2": int, "d_a": int, "commit_cap": int},
+    "sac": {"n2": int, "d_a": int},
     "simulation": {"selection": SelectionScheme, "warmup_rounds": int,
-                   "reward_mining": int, "p_active": float,
-                   "initial_balance": int, "chain_beta": int, "rsa_bits": int,
-                   "bid_probability": float, "bid_min": int, "bid_max": int,
-                   "inject_forks": _bool},
+                   "p_active": float, "initial_balance": int, "rsa_bits": int,
+                   "bid_probability": float, "inject_forks": _bool},
     "sensing-experiment": {"n1_sweep": _int_list, "rounds_per_point": int},
     "demo": {"pu_force": str},
 }

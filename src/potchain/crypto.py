@@ -41,6 +41,7 @@ DIGEST_BYTES = 32
 FEISTEL_ROUNDS = 16
 DEFAULT_RSA_BITS = 512
 MIN_RSA_BITS = 64         # shortest ring modulus a sensing contract seats
+MAX_RSA_BITS = 8 * 255    # longest an account's one-byte modulus width holds
 DOMAIN_MARGIN_BITS = 64
 
 RSA_E = 65537
@@ -428,6 +429,11 @@ def _serve(conn, parent_end) -> None:
             return
 
 
+# What a pipe raises when the worker at its other end has died. Any other
+# error, such as a TimeoutError from an alarm, stops the batch.
+_DEAD = (EOFError, BrokenPipeError, ConnectionResetError)
+
+
 class _Worker:
     """A forked daemon process that works the shares sent to it."""
 
@@ -444,7 +450,7 @@ class _Worker:
     def send(self, task: str, share: list) -> bool:
         """Send a share, unless the answer to the last one is still to come
         (one that has come is read and dropped): whether it was sent. Raises
-        OSError or EOFError if the worker has died."""
+        one of _DEAD if the worker has died."""
         if self.unread and self.conn.poll():
             self.conn.recv()            # an answer nobody waited for
             self.unread = 0
@@ -459,14 +465,14 @@ class _Worker:
         or the worker has died."""
         try:
             return self.conn.poll()
-        except OSError:
+        except _DEAD:
             return True
 
     def results(self) -> list | None:
         """The answer to the share sent, or None if the worker has died."""
         try:
             answer = self.conn.recv()
-        except (EOFError, OSError):
+        except _DEAD:
             return None
         self.unread = 0
         return answer
@@ -512,7 +518,7 @@ def _send(workers: list[_Worker], i: int, task: str, share: list) -> bool:
     and the share sent to its replacement."""
     try:
         return workers[i].send(task, share)
-    except (EOFError, OSError):
+    except _DEAD:
         workers[i].stop()
         workers[i] = _Worker()
         return workers[i].send(task, share)

@@ -433,7 +433,7 @@ def _account_from_obj(obj: dict) -> AccountState:
     _record(obj, _ACCOUNT_KEYS)
     ring_n = obj["ring_n"]
     n = int(ring_n) if type(ring_n) is str and ring_n.isdigit() else 0
-    if str(n) != ring_n or not 0 < n.bit_length() <= 8 * 255:
+    if str(n) != ring_n or not 0 < n.bit_length() <= crypto.MAX_RSA_BITS:
         raise MalformedRecord(f"ring_n {ring_n!r} is not a positive decimal modulus")
     wrong_rounds = obj["wrong_rounds"]
     if (type(wrong_rounds) is not list or len(wrong_rounds) >= U16

@@ -31,7 +31,12 @@ from .contracts import CscConfig, CscState, SacConfig, SacState, SettlementRecor
 from .ledger import AccountState, Chain, Transaction, TxKind
 from .trust import Outcome, TrustParams, TrustState, update_trust
 
+# The simulated chain mines small targets (z <= 4) so 1000-round runs stay
+# fast; experiments charge expected cost against SimConfig.difficulty instead.
+CHAIN_DIFFICULTY = DifficultyParams(beta0=16, t0_ms=1000, beta_min=2)
 ROUND_MS = 900  # keeps block intervals under t0 so the chain base stays put
+REWARD_MINING = 50                  # minted to each block's miner
+BID_MIN, BID_MAX = 50, 300          # range of a random real or decoy bid
 
 
 class NodeKind(Enum):
@@ -83,6 +88,7 @@ class SettingInvalid(ValueError):
 class SimConfig:
     seed: int = 42
     trust: TrustParams = field(default_factory=TrustParams)
+    # expected-cost accounting reads only beta0; the chain mines at CHAIN_DIFFICULTY
     difficulty: DifficultyParams = field(default_factory=DifficultyParams)
     population: tuple[PopulationGroup, ...] = ()
     rounds: int = 100
@@ -94,15 +100,10 @@ class SimConfig:
     reward_sensing: int = 150
     n2: int = 8
     d_a: int = 100
-    commit_cap: int = contracts.DEFAULT_COMMIT_CAP
-    reward_mining: int = 50
     p_active: float = 0.5
     initial_balance: int = 1_000_000
-    chain_beta: int = 16
     rsa_bits: int = crypto.DEFAULT_RSA_BITS
     bid_probability: float = 0.5
-    bid_min: int = 50
-    bid_max: int = 300
     inject_forks: bool = False
 
     @property
@@ -112,7 +113,8 @@ class SimConfig:
         return 3 * self.trust.window
 
     def validate(self) -> None:
-        """Raise SettingInvalid naming the first field out of range."""
+        """Raise SettingInvalid naming the first field out of range, or too
+        wide for the fixed-width field a round writes it to."""
         if not self.population:
             raise SettingInvalid("population", "at least one node kind required")
         for name, params in (("trust", self.trust), ("difficulty", self.difficulty)):
@@ -131,17 +133,16 @@ class SimConfig:
             ("rounds", self.rounds >= 0, "must be >= 0"),
             ("warmup_rounds",
              self.warmup_rounds is None or self.warmup_rounds >= 0, "must be >= 0"),
-            ("n1", self.n1 >= 1, "must be >= 1"),
+            ("n1", 1 <= self.n1 < ledger.U16, "outside [1, 2^16)"),
             ("tv_thr", 0.0 <= self.tv_thr <= 1.0, "outside [0, 1]"),
-            ("d_s", self.d_s > 0, "must be > 0"),
-            ("n2", self.n2 >= 1, "must be >= 1"),
-            ("d_a", self.d_a > 0, "must be > 0"),
-            ("commit_cap", self.commit_cap >= 1, "must be >= 1"),
+            ("d_s", 0 < self.d_s < ledger.U64, "outside [1, 2^64)"),
+            ("reward_sensing", 0 <= self.reward_sensing < ledger.U64, "outside [0, 2^64)"),
+            ("n2", 1 <= self.n2 < ledger.U16, "outside [1, 2^16)"),
+            ("d_a", 0 < self.d_a < ledger.U64, "outside [1, 2^64)"),
             ("p_active", 0.0 <= self.p_active <= 1.0, "outside [0, 1]"),
-            ("rsa_bits", self.rsa_bits >= crypto.MIN_RSA_BITS,
-             f"must be >= {crypto.MIN_RSA_BITS}"),
-            ("bid_min", self.bid_min >= 0, "must be >= 0"),
-            ("bid_max", self.bid_max >= self.bid_min, "must be >= bid_min"),
+            ("initial_balance", 0 <= self.initial_balance < ledger.U64, "outside [0, 2^64)"),
+            ("rsa_bits", crypto.MIN_RSA_BITS <= self.rsa_bits <= crypto.MAX_RSA_BITS,
+             f"outside [{crypto.MIN_RSA_BITS}, {crypto.MAX_RSA_BITS}]"),
         )
         for name, ok, message in ranges:
             if not ok:
@@ -258,8 +259,7 @@ class World:
         self.burned = 0
         self.escrowed = 0
 
-        chain_params = DifficultyParams(beta0=cfg.chain_beta, t0_ms=1000, beta_min=2)
-        self.chain = Chain.genesis(self._account_snapshot(), chain_params)
+        self.chain = Chain.genesis(self._account_snapshot(), CHAIN_DIFFICULTY)
         self.reports: list[RoundReport] = []
         self.force_flip: set[tuple[int, int]] = set()    # (round, node index)
         # (round, node index) -> (real, decoy) bid, placed whatever bid_probability says
@@ -347,8 +347,7 @@ class World:
                                  tv_thr=cfg.tv_thr, d_s=cfg.d_s,
                                  reward_sensing=cfg.reward_sensing))
         sac = SacState(SacConfig(sac_id=sac_id, csc_id=csc_id, n2=cfg.n2,
-                                 t_self_d_ms=t_self_d, d_a=cfg.d_a,
-                                 commit_cap=cfg.commit_cap))
+                                 t_self_d_ms=t_self_d, d_a=cfg.d_a))
         txs: list[Transaction] = [
             ledger.make_signed_tx(TxKind.CONTRACT_DEPLOY,
                                   contracts.encode_csc_deploy(csc.config),
@@ -398,8 +397,8 @@ class World:
             if bid is None:
                 if bid_rng.random() >= cfg.bid_probability:
                     continue
-                bid = (bid_rng.randint(cfg.bid_min, cfg.bid_max),
-                       bid_rng.randint(cfg.bid_min, cfg.bid_max))
+                bid = (bid_rng.randint(BID_MIN, BID_MAX),
+                       bid_rng.randint(BID_MIN, BID_MAX))
             valuation, decoy = bid
             if (self.balances[node.account_id] < cfg.d_a + valuation + decoy
                     or not sac.register(node.account_id, cfg.d_a)):
@@ -549,23 +548,22 @@ class World:
         if self.cfg.inject_forks and len(self.nodes) > 1:
             candidates.append(next(n for n in sorted(self.nodes, key=lambda n: n.account_id)
                                    if n.account_id != miner.account_id))
-        reward = self.cfg.reward_mining
         accounts = self._account_snapshot()
         blocks = []
         for node in candidates:
             account = accounts[node.account_id]
             paid = {**accounts,
-                    node.account_id: replace(account, balance=account.balance + reward)}
+                    node.account_id: replace(account, balance=account.balance + REWARD_MINING)}
             reward_tx = ledger.make_signed_tx(
-                TxKind.REWARD, contracts.encode_reward(node.account_id, reward),
+                TxKind.REWARD, contracts.encode_reward(node.account_id, REWARD_MINING),
                 node.identity)
             blocks.append(ledger.make_block(self.chain, txs + [reward_tx], paid,
                                             node.identity, timestamp_ms))
         chosen = consensus.resolve_fork([block.header for block in blocks])
         block = next(block for block in blocks if block.header is chosen)
         winner = self.by_account[block.header.miner_id]
-        self.minted += reward
-        self.balances[winner.account_id] += reward
+        self.minted += REWARD_MINING
+        self.balances[winner.account_id] += REWARD_MINING
         self.chain.append_block(block)
         return winner
 

@@ -273,7 +273,7 @@ def test_ac8_crypto_suite():
 def test_ac9_ledger_integrity(fig9):
     rng = Random(909)
     identities = [crypto.make_identity(rng, rsa_bits=64) for _ in range(3)]
-    params = consensus.DifficultyParams(beta0=16, t0_ms=1000, beta_min=2)
+    params = simnet.CHAIN_DIFFICULTY
     accounts = {
         ident.account_id: AccountState(
             account_id=ident.account_id, sig_pk=ident.sig_pk,

@@ -133,18 +133,43 @@ def test_config_defaults_come_from_the_dataclasses(tmp_path):
     assert cfg == RunConfig(experiment="mining-cost", sim=cfg.sim)
 
 
+U64 = str(1 << 64)
+
 REJECTED = [
-    ("sac", {"commit_cap": "0"}, "sac.commit_cap"),
     ("sac", {"n2": "0"}, "sac.n2"),
+    ("sac", {"n2": "65536"}, "sac.n2"),
     ("sac", {"d_a": "0"}, "sac.d_a"),
+    ("sac", {"d_a": U64}, "sac.d_a"),
+    ("csc", {"n1": "65536"}, "csc.n1"),
     ("csc", {"tv_thr": "1.5"}, "csc.tv_thr"),
     ("csc", {"d_s": "0"}, "csc.d_s"),
-    ("simulation", {"bid_min": "-1"}, "simulation.bid_min"),
-    ("simulation", {"bid_min": "301", "bid_max": "300"}, "simulation.bid_max"),
+    ("csc", {"d_s": U64}, "csc.d_s"),
+    ("csc", {"reward_sensing": "-1"}, "csc.reward_sensing"),
+    ("simulation", {"initial_balance": "-1"}, "simulation.initial_balance"),
+    ("simulation", {"rsa_bits": "2041"}, "simulation.rsa_bits"),
     ("simulation", {"warmup_rounds": "-1"}, "simulation.warmup_rounds"),
     ("simulation", {"rsa_bit": "64"}, "simulation.rsa_bit"),
     ("simulation", {"stochastic_mining": "true"}, "simulation.stochastic_mining"),
+    # deleted options fail the load, as any unknown option does
+    ("difficulty", {"t0_ms": "7"}, "difficulty.t0_ms"),
+    ("difficulty", {"beta_min": "2"}, "difficulty.beta_min"),
+    ("sac", {"commit_cap": "1"}, "sac.commit_cap"),
+    ("simulation", {"chain_beta": "16"}, "simulation.chain_beta"),
+    ("simulation", {"reward_mining": "50"}, "simulation.reward_mining"),
+    ("simulation", {"bid_min": "50"}, "simulation.bid_min"),
+    ("simulation", {"bid_max": "300"}, "simulation.bid_max"),
 ]
+
+
+def case_ids(cases):
+    """Each case's field name, plus its value where an earlier case names
+    the same field."""
+    seen, ids = set(), []
+    for _section, options, field_name in cases:
+        ids.append(f"{field_name}={','.join(options.values())}"
+                   if field_name in seen else field_name)
+        seen.add(field_name)
+    return ids
 
 
 def write_cfg_with(tmp_path, section, options):
@@ -159,7 +184,7 @@ def write_cfg_with(tmp_path, section, options):
 
 
 @pytest.mark.parametrize("section, options, field_name", REJECTED,
-                         ids=[r[2] for r in REJECTED])
+                         ids=case_ids(REJECTED))
 def test_config_rejects_bad_setting(tmp_path, capsys, section, options, field_name):
     path = write_cfg_with(tmp_path, section, options)
     with pytest.raises(ConfigInvalid) as err:

@@ -176,6 +176,24 @@ def test_a_stalled_workers_share_is_checked_by_the_caller(two_shares, toy_ring):
     assert crypto.verify_batch(good) == [True] * 10
 
 
+@pytest.mark.parametrize("method", ["send", "poll"])
+def test_a_timeout_on_a_workers_pipe_stops_the_batch(two_shares, method):
+    """Only a pipe error that means the worker died replaces the worker; a
+    TimeoutError, as an alarm handler raises, stops the batch and the pool."""
+    good = [signed_item(i % 4, bytes([i])) for i in range(10)]
+    assert crypto.verify_batch(good) == [True] * 10
+    conn = crypto._workers[0].conn
+
+    def timeout(*args):
+        raise TimeoutError("alarm")
+
+    setattr(conn, method, timeout)
+    with pytest.raises(TimeoutError):
+        crypto.verify_batch(good)
+    assert crypto._workers == []
+    assert crypto.verify_batch(good) == [True] * 10
+
+
 # =============================================================================
 # Sensing packets
 # =============================================================================

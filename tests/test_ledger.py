@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import mutate_export
-from potchain import consensus, crypto, ledger
+from potchain import consensus, crypto, ledger, simnet
 from potchain.consensus import DifficultyParams
 from potchain.ledger import (
     AccountState,
@@ -32,7 +32,7 @@ from potchain.ledger import (
 )
 from potchain.trust import TrustState
 
-CHAIN_PARAMS = DifficultyParams(beta0=16, t0_ms=1000, beta_min=2)
+CHAIN_PARAMS = simnet.CHAIN_DIFFICULTY
 
 
 def H(data: bytes) -> bytes:

@@ -62,12 +62,19 @@ def chain_reimports(chain):
 
 
 @pytest.mark.parametrize("overrides, field_name", [
-    ({"commit_cap": 0}, "commit_cap"),
-    ({"bid_min": 300, "bid_max": 50}, "bid_max"),
     ({"n2": 0}, "n2"),
     ({"population": ()}, "population"),
     ({"rsa_bits": 63}, "rsa_bits"),
-], ids=["commit_cap", "bid_max", "n2", "population", "rsa_bits"])
+    # each of these overflows the fixed-width field a round writes it to
+    ({"initial_balance": -1}, "initial_balance"),
+    ({"reward_sensing": -1}, "reward_sensing"),
+    ({"d_s": 1 << 64}, "d_s"),
+    ({"d_a": 1 << 64}, "d_a"),
+    ({"n1": 1 << 16}, "n1"),
+    ({"n2": 1 << 16}, "n2"),
+    ({"rsa_bits": crypto.MAX_RSA_BITS + 1}, "rsa_bits"),
+], ids=["n2", "population", "rsa_bits", "initial_balance", "reward_sensing", "d_s",
+        "d_a", "n1", "n2=65536", "rsa_bits=2041"])
 def test_world_rejects_bad_setting_at_construction(overrides, field_name):
     with pytest.raises(simnet.SettingInvalid) as err:
         World(small_cfg(**overrides))
@@ -257,7 +264,7 @@ def test_fork_injection_still_builds_valid_chain():
         assert report.miner == world.by_account[miner_id].label
         rewards = [tx for tx in block.transactions if tx.kind is ledger.TxKind.REWARD]
         assert [(tx.signer, tx.payload) for tx in rewards] == [
-            (miner_id, contracts.encode_reward(miner_id, world.cfg.reward_mining))]
+            (miner_id, contracts.encode_reward(miner_id, simnet.REWARD_MINING))]
         rival_won += report.miner != picked[report.round]
     assert rival_won > 0
 
@@ -278,7 +285,7 @@ def test_miner_is_lowest_difficulty_node():
     parent = world.chain.blocks[-2].account_states
     best = min(world.nodes,
                key=lambda n: (simnet.consensus.difficulty(
-                   parent[n.account_id].trust.tv, world.cfg.chain_beta),
+                   parent[n.account_id].trust.tv, world.chain.params.beta0),
                    n.account_id))
     assert report.miner == best.label
 
