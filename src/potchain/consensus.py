@@ -35,12 +35,6 @@ class DifficultyParams:
     t0_ms: int = 1000             # ideal inter-block interval
     beta_min: int = 1024
 
-    def validate(self) -> None:
-        if not self.beta0 >= self.beta_min >= 2:
-            raise ValueError("need beta0 >= beta_min >= 2")
-        if self.t0_ms <= 0:
-            raise ValueError("t0_ms must be positive")
-
 
 @dataclass(frozen=True)
 class MiningTarget:

@@ -26,9 +26,11 @@ Ring signature byte conventions (reproducible across implementations):
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 import signal
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
 
 from cryptography.exceptions import InvalidSignature
@@ -370,27 +372,33 @@ def ring_verify(packet: SensingPacket, sig: RingSignature) -> bool:
 # =============================================================================
 
 NONCE_SPACE = 1 << 64       # a nonce is 8 big-endian bytes and wraps to 0
+_LAST_BYTES = [bytes([low]) for low in range(256)]     # a nonce's last byte, by value
 
 
 def scan_nonces(preimage: bytes, bound: bytes, start: int, count: int) -> int | None:
     """The 1-based index of the first nonce in start .. start+count-1 (mod
     2^64) whose SHA-256(preimage || nonce_be8) is below `bound`, or None.
 
-    The preimage is hashed once per scan. Each trial copies that state and
-    hashes only the 8-byte nonce: for the 138-byte header preimage that is
-    one SHA-256 block per trial, where hashing preimage || nonce from
-    scratch takes three. `count` is at most 2^64.
+    The preimage is hashed once per scan, and with a nonce's seven high
+    bytes once per 256 nonces. Each trial copies that state and hashes only
+    the nonce's last byte: for the 138-byte header preimage that is one
+    SHA-256 block per trial, where hashing preimage || nonce from scratch
+    takes three. `count` is at most 2^64.
     """
     prefix = hashlib.sha256(preimage)
-    start %= NONCE_SPACE
-    before_wrap = max(0, min(count, NONCE_SPACE - start))
-    for skipped, first, stop in ((0, start, start + before_wrap),
-                                 (before_wrap, 0, count - before_wrap)):
-        for nonce in range(first, stop):
-            h = prefix.copy()
-            h.update(nonce.to_bytes(8, "big"))
+    nonce, done = start % NONCE_SPACE, 0
+    while done < count:
+        high = prefix.copy()
+        high.update((nonce >> 8).to_bytes(7, "big"))
+        first = nonce & 0xFF
+        last = min(256, first + count - done)
+        for low in _LAST_BYTES[first:last]:
+            h = high.copy()
+            h.update(low)
             if h.digest() < bound:
-                return skipped + nonce - first + 1
+                return done + low[0] - first + 1
+        done += last - first
+        nonce = (nonce + last - first) % NONCE_SPACE
     return None
 
 
@@ -404,25 +412,37 @@ def scan_nonces(preimage: bytes, bound: bytes, start: int, count: int) -> int | 
 # per extra CPU works each of the others. A worker gets its share over a pipe
 # written by the caller itself; a pool's feeder thread would wait for the
 # GIL, which OpenSSL's verify holds, until the caller's own share is done.
-# The caller never waits on a worker: a vCPU the host does not run for some
-# ms, or a worker woken on the caller's CPU, would otherwise hold up the
-# batch, so the caller works a late worker's share itself from its far end.
+# The two then claim a share's items from opposite ends, as in the Cilk-5
+# work deque (Frigo, Leiserson and Randall, PLDI 1998): the worker from the
+# front, the caller from the back once its own share is done. The caller
+# writes its back to a page shared across the fork and the worker stops
+# there, so at worst both work the item where they meet. No lock is taken
+# that a dying or stopped worker could leave held. The caller never waits on
+# a worker, which a vCPU the host does not run would hold up: until the
+# answer comes, it goes on taking items from the back, the worker's too.
 # Workers are forked, not spawned: a spawned worker re-imports the caller's
 # __main__, which fails in a script that builds a World without a main
 # guard. potchain starts no threads, so the fork is safe.
 
-def _serve(conn, parent_end) -> None:
-    """Worker loop: answer each (function name, share) received on `conn`
-    with the function's results over the share."""
+def _serve(conn, parent_end, back) -> None:
+    """Worker loop: for each (function name, share, stop) received on
+    `conn`, answer with the results of the share's items in order, up to
+    the caller's claims (index `back[0]` on) or the first r with stop(r)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # the caller handles Ctrl-C
     parent_end.close()
     for worker in _workers:                         # a sibling's pipe, inherited
         worker.conn.close()
     while True:
         try:
-            name, share = conn.recv()
-            task = _TASKS[name]
-            conn.send([task(*item) for item in share])
+            name, share, stop = conn.recv()
+            task, results = _TASKS[name], []
+            for i, item in enumerate(share):
+                if i >= back[0]:
+                    break
+                results.append(task(*item))
+                if stop is not None and stop(results[-1]):
+                    break
+            conn.send(results)
         except Exception:
             # The caller closed the pipe, or sent a share the task raises
             # on; in the second case the caller reruns the share and raises.
@@ -440,14 +460,16 @@ class _Worker:
     def __init__(self):
         import multiprocessing          # paid for only by a process that runs a batch
         context = multiprocessing.get_context("fork")
+        # the first item of the share sent that the caller has claimed
+        self.back = memoryview(mmap.mmap(-1, 8)).cast("q")
         self.conn, child_end = context.Pipe()
-        self.process = context.Process(target=_serve, args=(child_end, self.conn),
+        self.process = context.Process(target=_serve, args=(child_end, self.conn, self.back),
                                        daemon=True)
         self.process.start()
         child_end.close()
         self.unread = 0         # 1 from a send until its answer is read, never more
 
-    def send(self, task: str, share: list) -> bool:
+    def send(self, task: str, share: list, stop) -> bool:
         """Send a share, unless the answer to the last one is still to come
         (one that has come is read and dropped): whether it was sent. Raises
         one of _DEAD if the worker has died."""
@@ -456,7 +478,8 @@ class _Worker:
             self.unread = 0
         if self.unread:
             return False
-        self.conn.send((task, share))
+        self.back[0] = len(share)
+        self.conn.send((task, share, stop))
         self.unread = 1
         return True
 
@@ -513,65 +536,69 @@ def _stop_workers() -> None:
     _workers_pid = 0
 
 
-def _send(workers: list[_Worker], i: int, task: str, share: list) -> bool:
+def _send(workers: list[_Worker], i: int, task: str, share: list, stop) -> bool:
     """Send worker i a share as in `_Worker.send`; a dead worker is replaced
     and the share sent to its replacement."""
     try:
-        return workers[i].send(task, share)
+        return workers[i].send(task, share, stop)
     except _DEAD:
         workers[i].stop()
         workers[i] = _Worker()
-        return workers[i].send(task, share)
+        return workers[i].send(task, share, stop)
 
 
-def _collect(workers: list[_Worker], i: int, fn, share: list) -> list:
-    """`[fn(*item) for item in share]` for the share sent to worker i. While
-    its answer has not come, the caller works the share from the far end, an
-    item at a time; an answer that comes after the caller has covered the
-    share stays unread until the next send. A worker that has died is
-    replaced, and the caller works the rest of its share."""
-    worker, tail = workers[i], []
-    while len(tail) < len(share) and not worker.answered():
-        tail.append(fn(*share[len(share) - 1 - len(tail)]))
-    rest = share[:len(share) - len(tail)]
-    if rest:
+def _collect(workers: list[_Worker], i: int, fn, share: list):
+    """`fn(*item) for item in share`, in order, for the share sent to worker
+    i: until the answer comes, the caller claims items from the back. An
+    answer that comes after it took every item stays unread until the next
+    send. A dead worker is replaced, and the caller works the items it held."""
+    worker, back, tail = workers[i], len(share), []
+    while back and not worker.answered():
+        back -= 1
+        worker.back[0] = back
+        tail.append(fn(*share[back]))
+    if back:
         answer = worker.results()
-        if answer is None:              # never trust a share nobody worked
+        if answer is None:              # never trust items nobody worked
             worker.stop()
             workers[i] = _Worker()
-            answer = [fn(*item) for item in rest]
-        tail += reversed(answer[:len(rest)])
-    return tail[::-1]
+            answer = []
+        yield from answer[:back]
+        # items it gave no result for: all if it died, else only past a hit
+        yield from (fn(*item) for item in share[len(answer):back])
+    yield from reversed(tail)
 
 
 def _map(fn, items: list, stop=None) -> list:
     """`[fn(*item) for item in items]`, worked on every CPU this process may
     run on; with `stop`, only the results up to the first r with stop(r).
 
-    A worker runs the task named like `fn`. The caller runs `fn` in order on
-    the first share and on the share of a worker still busy with an earlier
-    batch, which is sent nothing, and covers a late worker's share as in
-    `_collect`. `stop` is checked on each result in order, so the caller
-    stops at a hit in its own share. Any exception stops every worker and
-    propagates.
+    A worker runs the task named like `fn`, and `stop`, which must pickle.
+    The caller runs `fn` in order on the first share and on the share of a
+    worker still busy with an earlier batch, which is sent nothing, and
+    claims the others' items as in `_collect`. A worker still on a share
+    when the batch ends stops after its item. Any exception stops every
+    worker and propagates.
     """
     workers = _pool()
     size = max(1, -(-len(items) // (len(workers) + 1)))
     shares = [items[i:i + size] for i in range(0, len(items), size)]
     results = []
     try:
-        sent = [False] + [_send(workers, i, fn.__name__, share)
+        sent = [False] + [_send(workers, i, fn.__name__, share, stop)
                           for i, share in enumerate(shares[1:])]
-        for i, share in enumerate(shares):
-            answer = (_collect(workers, i - 1, fn, share) if sent[i]
-                      else (fn(*item) for item in share))
-            for result in answer:
-                results.append(result)
-                if stop is not None and stop(result):
-                    return results
+        for result in chain.from_iterable(
+                _collect(workers, i - 1, fn, share) if sent[i]
+                else (fn(*item) for item in share)
+                for i, share in enumerate(shares)):
+            results.append(result)
+            if stop is not None and stop(result):
+                break
     except BaseException:
         _stop_workers()                 # a pipe may be left in the middle of a message
         raise
+    for worker in workers:
+        worker.back[0] = 0              # every item left is claimed
     return results
 
 
@@ -617,14 +644,15 @@ def ring_sign_batch(jobs, rng: Random) -> list[RingSignature]:
     return _map(ring_sign, calls)
 
 
-# A trial takes about 1 us, and a round trip to a worker 35-50 us when it
+# A trial takes about 0.4 us, and a round trip to a worker 35-50 us when it
 # was busy a moment ago and up to about 170 us when it has slept for a few
-# ms (2-vCPU Xeon VM, Python 3.11). The head is a few round trips' worth of
-# trials, so a search that ends there, as every block the simulation mines
-# at z <= 4 does, starts no worker; a chunk makes the round trip a few
-# percent of a round. A piece is short enough that the caller, covering a
-# late worker's chunk, takes its answer within about 0.1 ms of its arrival.
-SCAN_HEAD = 256             # nonces the caller scans before it uses the pool
+# ms (2-vCPU Xeon VM, Python 3.11). A search expecting at most 4 * SCAN_HEAD
+# trials (2^z at z <= 10 leading zero bits) scans a head of four times that,
+# at least SCAN_HEAD, in the caller alone: 98% end there and wake no worker.
+# A longer search starts on every CPU at its first nonce. A chunk makes the
+# round trip a few percent of a round; a piece, the unit of a claim, is
+# about 0.05 ms of scanning.
+SCAN_HEAD = 256             # nonces the caller scans alone, at least
 SCAN_CHUNK = 2048           # nonces per CPU per round
 SCAN_PIECE = 128            # nonces per item of a round's `_map`
 
@@ -632,19 +660,21 @@ SCAN_PIECE = 128            # nonces per item of a round's `_map`
 def scan_nonces_batch(preimage: bytes, bound: bytes, start: int, count: int) -> int | None:
     """`scan_nonces(preimage, bound, start, count)`, worked on every CPU.
 
-    The caller scans the first SCAN_HEAD nonces. The rest go out in rounds
-    of up to SCAN_CHUNK nonces per CPU, each round one `_map` of the scan
-    over SCAN_PIECE-nonce pieces that stops at the first piece with a hit,
-    so the index is the sequential scan's.
+    The caller scans the head alone. The rest goes out in rounds of up to
+    SCAN_CHUNK nonces per CPU, each round one `_map` of the scan over
+    SCAN_PIECE-nonce pieces that stops at the first piece with a hit, so
+    the index is the sequential scan's.
     """
     scan = _TASKS["scan_nonces"]
-    hit = scan(preimage, bound, start, min(count, SCAN_HEAD))
-    done = SCAN_HEAD
+    expected = (1 << 256) // max(1, int.from_bytes(bound, "big"))     # 2^z at z bits
+    head = max(SCAN_HEAD, 4 * expected) if expected <= 4 * SCAN_HEAD else 0
+    if count <= max(head, SCAN_HEAD):
+        return scan(preimage, bound, start, count)
+    hit, done = scan(preimage, bound, start, head), head
     while hit is None and done < count:
         end = min(count, done + (len(_pool()) + 1) * SCAN_CHUNK)
         found = _map(scan, [(preimage, bound, start + lo, min(SCAN_PIECE, end - lo))
-                            for lo in range(done, end, SCAN_PIECE)],
-                     stop=lambda piece: piece is not None)
+                            for lo in range(done, end, SCAN_PIECE)], stop=bool)
         if found[-1] is not None:
             hit = done + (len(found) - 1) * SCAN_PIECE + found[-1]
         done = end

@@ -117,11 +117,10 @@ class SimConfig:
         wide for the fixed-width field a round writes it to."""
         if not self.population:
             raise SettingInvalid("population", "at least one node kind required")
-        for name, params in (("trust", self.trust), ("difficulty", self.difficulty)):
-            try:
-                params.validate()
-            except ValueError as exc:
-                raise SettingInvalid(name, str(exc)) from exc
+        try:
+            self.trust.validate()
+        except ValueError as exc:
+            raise SettingInvalid("trust", str(exc)) from exc
         for group in self.population:
             try:
                 group.profile.validate()
@@ -140,7 +139,11 @@ class SimConfig:
             ("n2", 1 <= self.n2 < ledger.U16, "outside [1, 2^16)"),
             ("d_a", 0 < self.d_a < ledger.U64, "outside [1, 2^64)"),
             ("p_active", 0.0 <= self.p_active <= 1.0, "outside [0, 1]"),
-            ("initial_balance", 0 <= self.initial_balance < ledger.U64, "outside [0, 2^64)"),
+            ("beta0", self.difficulty.beta0 >= 2, "must be >= 2"),
+            # room for all a run can credit one account: each round's rewards
+            ("initial_balance", 0 <= self.initial_balance
+             < ledger.U64 - self.rounds * (REWARD_MINING + self.reward_sensing),
+             "outside [0, 2^64 - rounds * (REWARD_MINING + reward_sensing))"),
             ("rsa_bits", crypto.MIN_RSA_BITS <= self.rsa_bits <= crypto.MAX_RSA_BITS,
              f"outside [{crypto.MIN_RSA_BITS}, {crypto.MAX_RSA_BITS}]"),
         )

@@ -10,11 +10,13 @@ from potchain import crypto
 @pytest.fixture(scope="module")
 def two_shares():
     """Every `crypto` batch (`verify_batch`, `ring_sign_batch` and
-    `ring_verify_batch`) cut into two shares, the second worked by a forked
-    worker, and every nonce search past `crypto.SCAN_HEAD` (`consensus.mine`
-    through `scan_nonces_batch`) worked in rounds of two chunks, the second
-    by that worker, on any host: the worker pool restarts as if this process
-    may run on two CPUs, and restarts at the real count afterwards."""
+    `ring_verify_batch`) cut into two shares, the second sent to a forked
+    worker, which claims its items from the front while the caller claims
+    them from the back, and every pooled nonce search (`consensus.mine`
+    through `scan_nonces_batch`, past its caller-only head) worked in rounds
+    of two chunks split the same way, on any host: the worker pool restarts
+    as if this process may run on two CPUs, and restarts at the real count
+    afterwards."""
     crypto._stop_workers()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

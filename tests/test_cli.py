@@ -146,6 +146,9 @@ REJECTED = [
     ("csc", {"d_s": U64}, "csc.d_s"),
     ("csc", {"reward_sensing": "-1"}, "csc.reward_sensing"),
     ("simulation", {"initial_balance": "-1"}, "simulation.initial_balance"),
+    # no room for the rewards of rounds = 4
+    ("simulation", {"initial_balance": str((1 << 64) - 1)}, "simulation.initial_balance"),
+    ("difficulty", {"beta0": "1"}, "difficulty.beta0"),
     ("simulation", {"rsa_bits": "2041"}, "simulation.rsa_bits"),
     ("simulation", {"warmup_rounds": "-1"}, "simulation.warmup_rounds"),
     ("simulation", {"rsa_bit": "64"}, "simulation.rsa_bit"),
@@ -195,6 +198,17 @@ def test_config_rejects_bad_setting(tmp_path, capsys, section, options, field_na
     assert stderr.startswith(f"config invalid - {field_name}: ")
     assert "Traceback" not in stderr
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("z", [1, 9, 28])
+def test_config_accepts_every_beta0_calibrate_recommends(tmp_path, z):
+    """`potchain calibrate` recommends beta0 = 2^z for z in [1, 28]; 512 is
+    below the chain's floor of 1024, which no config sets."""
+    path = write_cfg_with(tmp_path, "difficulty", {"beta0": str(1 << z)})
+    assert load_config(path).sim.difficulty.beta0 == 1 << z
+    if z == 9:      # it runs; four rounds need not pass the AC3 band
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) in (0, 2)
+        assert (tmp_path / "o" / "summary.txt").exists()
 
 
 # =============================================================================

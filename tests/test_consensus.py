@@ -143,8 +143,31 @@ def test_mine_matches_reference_property(preimage, z, nonce_start, max_trials):
             == _search(mine_reference, preimage, z, nonce_start, max_trials))
 
 
-# Spans of the pooled search: the caller's head, then rounds of one chunk per
-# CPU. Under `two_shares` a round is the caller's chunk and one worker's.
+@pytest.mark.parametrize("start, count", [
+    (5, 700),                       # starts off a 256-nonce block, ends inside one
+    (3 * 256 + 200, 300),
+    (NONCE_WRAP - 3, 600),          # wraps at 2^64 inside a block
+    (NONCE_WRAP - 300, 400),
+])
+def test_scan_nonces_matches_reference_across_256_nonce_blocks(start, count):
+    found = []
+    for preimage in (bytes([i]) * 138 for i in range(24)):
+        for z in (2, 6, 9, 16):
+            reference = _search(mine_reference, preimage, z, start, count)
+            trials = crypto.scan_nonces(preimage, consensus.target_bound(z), start, count)
+            assert trials == (None if reference == consensus.Exhausted else reference.trials)
+            found.append(trials)
+    # hits fall in the first block, in later ones and, at the wrap, past it
+    first_block = 256 - start % 256
+    assert any(t is not None and t <= first_block for t in found)
+    assert any(t is not None and t > first_block for t in found)
+    assert None in found
+
+
+# Spans of the pooled search: a search of at most HEAD nonces runs in the
+# caller alone, and from z = 11 the rest goes out in rounds of one chunk per
+# CPU from the first nonce. Under `two_shares` a round is the caller's chunk
+# and one worker's, which the two claim from opposite ends.
 HEAD, ROUND = crypto.SCAN_HEAD, 2 * crypto.SCAN_CHUNK
 
 

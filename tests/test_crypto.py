@@ -3,12 +3,15 @@
 import hashlib
 import os
 import signal
+import time
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from random import Random
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import feistel_inverse_reference, feistel_reference
@@ -446,6 +449,133 @@ def test_ring_sign_batch_checks_every_job_before_drawing(toy_ring, bad_job, erro
     with pytest.raises(error):
         crypto.ring_sign_batch(jobs, rng)
     assert rng.getstate() == state
+
+
+# =============================================================================
+# Claims: the caller and a worker split a share from opposite ends
+# =============================================================================
+
+CALLER = os.getpid()
+
+
+def logged(log: str, index: int, hit: bool, pauses: tuple, signum: int):
+    """A pool task for these tests: in a worker, first send the worker
+    `signum` unless it is 0; append "index pid" to `log`; pause for
+    pauses[0] s in the caller or pauses[1] s in a worker; give (index, hit)."""
+    in_caller = os.getpid() == CALLER
+    if signum and not in_caller:
+        os.kill(os.getpid(), signum)
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, b"%d %d\n" % (index, os.getpid()))
+    finally:
+        os.close(fd)
+    pause = pauses[0] if in_caller else pauses[1]
+    if pause:
+        time.sleep(pause)
+    return index, hit
+
+
+def is_hit(result) -> bool:
+    return result[1]
+
+
+@pytest.fixture(scope="module")
+def claims(two_shares):
+    """`logged` runs in the workers: it is registered before the pool restarts."""
+    crypto._stop_workers()
+    crypto._TASKS["logged"] = logged
+    yield
+    del crypto._TASKS["logged"]
+    crypto._stop_workers()
+
+
+@settings(max_examples=80, deadline=None)
+@given(size=st.integers(0, 200), hits=st.sets(st.integers(0, 199), max_size=3),
+       pause=st.sampled_from([0, 0.0001, 0.0004]))
+@example(size=200, hits={100}, pause=0.0001)    # the first item of the worker's share
+@example(size=200, hits={199}, pause=0.0001)    # the first item the caller claims
+@example(size=200, hits={150, 151}, pause=0.0004)
+@example(size=1, hits={0}, pause=0)
+def test_map_is_the_sequential_prefix_up_to_the_first_hit(claims, size, hits, pause):
+    # Pauses from 0 to 0.4 ms an item move the point where the caller's
+    # claims meet the worker's along the worker's share, so the hits fall on
+    # both sides of it.
+    items = [(os.devnull, i, i in hits, (pause, pause), 0) for i in range(size)]
+    first = min((i for i in hits if i < size), default=size - 1)
+    assert crypto._map(logged, items, is_hit) == [(i, i in hits) for i in range(first + 1)]
+
+
+def worked(log) -> list[tuple[int, int]]:
+    """The (index, pid) pairs `logged` appended to `log`."""
+    return [tuple(map(int, line.split())) for line in Path(log).read_text().splitlines()]
+
+
+def test_a_healthy_batch_works_each_item_once_but_where_the_ends_meet(claims, tmp_path):
+    # The caller's own share is quick, so it starts claiming while the worker
+    # is in the middle of its share. There an item takes the caller 4 ms and
+    # the worker 1 ms, so the worker's answer comes while the caller is on
+    # the one item both may have taken.
+    for batch in range(4):
+        log = tmp_path / f"batch{batch}"
+        items = [(str(log), i, False, (0.0005, 0.0005) if i < 10 else (0.004, 0.001), 0)
+                 for i in range(20)]
+        assert crypto._map(logged, items) == [(i, False) for i in range(20)]
+        assert crypto._workers[0].unread == 0
+        counts = Counter(index for index, _ in worked(log))
+        assert sorted(counts) == list(range(20))
+        assert sum(n - 1 for n in counts.values()) <= len(crypto._workers)
+        by_caller = {index for index, pid in worked(log) if pid == CALLER}
+        assert set(range(10)) <= by_caller
+        assert by_caller & set(range(10, 20)) and set(range(10, 20)) - by_caller
+
+
+def test_claims_hold_with_more_workers_than_cores(claims, monkeypatch):
+    """Three workers and the caller share this host's cores, so a claim is
+    often written while the worker that reads it is descheduled; every batch
+    still gives the sequential prefix."""
+    crypto._stop_workers()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    rng, deadline = Random(5), time.monotonic() + 60
+    try:
+        for _ in range(300):
+            size = rng.randrange(120)
+            hits = {rng.randrange(150) for _ in range(rng.randrange(3))}
+            items = [(os.devnull, i, i in hits, (0, 0), 0) for i in range(size)]
+            first = min((i for i in hits if i < size), default=size - 1)
+            assert crypto._map(logged, items, is_hit) == [(i, i in hits)
+                                                          for i in range(first + 1)]
+            assert time.monotonic() < deadline
+        assert len(crypto._workers) == 3 and all(w.unread <= 1 for w in crypto._workers)
+    finally:
+        crypto._stop_workers()
+
+
+@pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGSTOP])
+def test_a_worker_killed_or_stopped_mid_batch(claims, tmp_path, signum):
+    def batch(poison):
+        items = [(os.devnull, i, i == 17, (0.001, 0.0005), signum if i == poison else 0)
+                 for i in range(20)]
+        return crypto._map(logged, items)
+
+    expected = [(i, i == 17) for i in range(20)]
+    assert batch(None) == expected
+    worker = crypto._workers[0]
+    try:
+        # the worker signals itself on item 13, long before the caller claims it
+        assert batch(13) == expected
+        if signum == signal.SIGKILL:
+            worker.process.join(timeout=10)
+            assert not worker.process.is_alive() and crypto._workers[0] is not worker
+        else:
+            assert crypto._workers[0] is worker and worker.unread == 1
+    finally:
+        if worker.process.is_alive():
+            os.kill(worker.process.pid, signal.SIGCONT)
+    for _ in range(5):
+        assert batch(None) == expected
+        assert all(w.unread <= 1 for w in crypto._workers)
+    assert crypto._workers[0].process.is_alive()
 
 
 # =============================================================================

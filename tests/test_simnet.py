@@ -12,6 +12,7 @@ import pytest
 
 from potchain import contracts, crypto, ledger, simnet
 from potchain.config import load_config
+from potchain.consensus import DifficultyParams
 from potchain.simnet import (
     NodeKind,
     NodeProfile,
@@ -73,12 +74,27 @@ def chain_reimports(chain):
     ({"n1": 1 << 16}, "n1"),
     ({"n2": 1 << 16}, "n2"),
     ({"rsa_bits": crypto.MAX_RSA_BITS + 1}, "rsa_bits"),
+    # the first reward would overflow the balance
+    ({"initial_balance": (1 << 64) - 1, "rounds": 2}, "initial_balance"),
+    ({"difficulty": DifficultyParams(beta0=1)}, "beta0"),
 ], ids=["n2", "population", "rsa_bits", "initial_balance", "reward_sensing", "d_s",
-        "d_a", "n1", "n2=65536", "rsa_bits=2041"])
+        "d_a", "n1", "n2=65536", "rsa_bits=2041", "initial_balance=2^64-1", "beta0"])
 def test_world_rejects_bad_setting_at_construction(overrides, field_name):
     with pytest.raises(simnet.SettingInvalid) as err:
         World(small_cfg(**overrides))
     assert err.value.field_name == field_name
+
+
+def test_world_runs_at_the_largest_initial_balance():
+    """The largest balance `validate` accepts holds every reward a run can
+    credit one account, so every round seals."""
+    rounds = 3
+    top = (1 << 64) - 1 - rounds * (simnet.REWARD_MINING + 150)
+    world = World(small_cfg(initial_balance=top, rounds=rounds, reward_sensing=150))
+    assert len(world.run()) == rounds
+    assert max(world.balances.values()) <= (1 << 64) - 1
+    with pytest.raises(simnet.SettingInvalid):
+        World(small_cfg(initial_balance=top + 1, rounds=rounds, reward_sensing=150))
 
 
 # =============================================================================
