@@ -22,7 +22,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from . import consensus, simnet
+from . import consensus, crypto, simnet
 from .config import ConfigInvalid, RunConfig, load_config
 
 
@@ -201,6 +201,7 @@ def cmd_calibrate(args) -> int:
     runs_lines = ["leading_zero_bits,run_index,trials,wall_ms"]
     summary_lines = ["z,mean_wall_ms,mean_trials"]
     means = []
+    crypto.start_pool()         # so that no timed search pays for the fork
     for z in range(1, args.max_z + 1):
         trials_sum = 0
         wall_sum = 0.0

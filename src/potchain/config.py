@@ -71,6 +71,10 @@ class RunConfig:
                 "trust.rho",
                 f"on-off resistance requires rho > eta/(1-exp(-eta)) - eta; "
                 f"rho={trust.rho} fails the bound for eta={trust.eta}")
+        if self.experiment == "mining-cost" and self.sim.rounds <= self.sim.warmup:
+            raise ConfigInvalid(
+                "run.rounds", f"a mining-cost run averages the rounds after its "
+                f"{self.sim.warmup} warm-up rounds, so it needs more than {self.sim.warmup}")
         if self.experiment == "sensing" and not self.n1_sweep:
             raise ConfigInvalid("sensing-experiment.n1_sweep", "empty sweep")
         if self.pu_force not in ("none", "idle"):

@@ -10,8 +10,8 @@ Implements:
 4. Hash commitments over (sensing result, random nonce, message id) plus
    the reveal-side binding check.
 5. The trial loop of the proof-of-trust nonce search.
-6. Batches of signature checks, ring closings, ring checks and nonce scans
-   worked on every CPU by a pool of forked workers.
+6. Batches of signatures, signature checks, ring closings, ring checks and
+   nonce scans worked on every CPU by a pool of forked workers.
 
 Ring signature byte conventions (reproducible across implementations):
 - common domain: integers in [0, 2^b), b even, b >= max modulus bits + 64
@@ -30,8 +30,10 @@ import mmap
 import os
 import signal
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from random import Random
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -61,17 +63,27 @@ def sha256(data: bytes) -> bytes:
 # Regular account signatures (Ed25519 behind a byte-level interface)
 # =============================================================================
 
-def make_signing_key(rng: Random) -> Ed25519PrivateKey:
-    """Signing key parsed once from a 32-byte seed drawn from `rng`."""
-    return Ed25519PrivateKey.from_private_bytes(rng.getrandbits(256).to_bytes(32, "big"))
+KEY_CACHE = 4096        # parsed signing keys a process keeps, at most
 
 
-def signing_pubkey(sk: Ed25519PrivateKey) -> bytes:
-    return sk.public_key().public_bytes_raw()
+def make_signing_key(rng: Random) -> bytes:
+    """An Ed25519 secret key: the 32-byte seed (RFC 8032) drawn from `rng`."""
+    return rng.getrandbits(256).to_bytes(32, "big")
 
 
-def sign(payload: bytes, sk: Ed25519PrivateKey) -> bytes:
-    return sk.sign(payload)
+@lru_cache(maxsize=KEY_CACHE)
+def _parsed(seed: bytes) -> Ed25519PrivateKey:
+    """The key a seed names, parsed once per process: a forked worker
+    inherits the caller's parses and adds its own."""
+    return Ed25519PrivateKey.from_private_bytes(seed)
+
+
+def signing_pubkey(seed: bytes) -> bytes:
+    return _parsed(seed).public_key().public_bytes_raw()
+
+
+def sign(payload: bytes, seed: bytes) -> bytes:
+    return _parsed(seed).sign(payload)
 
 
 def verify(payload: bytes, sig: bytes, pk: bytes) -> bool:
@@ -406,14 +418,17 @@ def scan_nonces(preimage: bytes, bound: bytes, start: int, count: int) -> int | 
 # Batches on every CPU
 # =============================================================================
 
-# The worker pool serves Ed25519 checks, ring closings, ring checks and nonce
-# scans. The items of a batch are independent, so a batch is cut into one
-# contiguous share per CPU: the caller works the first and one forked worker
-# per extra CPU works each of the others. A worker gets its share over a pipe
-# written by the caller itself; a pool's feeder thread would wait for the
-# GIL, which OpenSSL's verify holds, until the caller's own share is done.
-# The two then claim a share's items from opposite ends, as in the Cilk-5
-# work deque (Frigo, Leiserson and Randall, PLDI 1998): the worker from the
+# The worker pool serves Ed25519 signatures and checks, ring closings, ring
+# checks and nonce scans. The items of a batch are independent, so a batch is
+# cut into one contiguous share per CPU: the caller works the first and one
+# forked worker per extra CPU works each of the others. A worker gets its
+# share over a pipe written by the caller itself; a pool's feeder thread
+# would wait for the GIL, which OpenSSL's verify holds, until the caller's
+# own share is done. A batch is started (`_start` sends the shares) and then
+# finished (`Batch.finish` works the caller's share, claims and reads the
+# answers), and the caller may do other work in between. The caller and a
+# worker claim the worker's items from opposite ends, as in the Cilk-5 work
+# deque (Frigo, Leiserson and Randall, PLDI 1998): the worker from the
 # front, the caller from the back once its own share is done. The caller
 # writes its back to a page shared across the fork and the worker stops
 # there, so at worst both work the item where they meet. No lock is taken
@@ -511,11 +526,12 @@ _workers_pid = 0                # the process they belong to
 
 # What a worker runs, by name: the functions as defined here, so a wrapper
 # later set on a module attribute never runs in a worker.
-_TASKS = {task.__name__: task for task in (verify, ring_sign, ring_verify, scan_nonces)}
+_TASKS = {task.__name__: task for task in (sign, verify, ring_sign, ring_verify, scan_nonces)}
 
 
 def _pool() -> list[_Worker]:
-    """This process's workers, started on the first batch; none on one CPU."""
+    """This process's workers, started by the first batch or `start_pool`;
+    none on one CPU."""
     global _workers_pid
     if _workers_pid != os.getpid():
         _workers.clear()        # a forked child does not own its parent's workers
@@ -524,6 +540,12 @@ def _pool() -> list[_Worker]:
             _workers.append(_Worker())
         _workers_pid = os.getpid()
     return _workers
+
+
+def start_pool() -> None:
+    """Start this process's workers now, so that no timed batch pays for
+    the fork."""
+    _pool()
 
 
 def _stop_workers() -> None:
@@ -569,49 +591,95 @@ def _collect(workers: list[_Worker], i: int, fn, share: list):
     yield from reversed(tail)
 
 
-def _map(fn, items: list, stop=None) -> list:
-    """`[fn(*item) for item in items]`, worked on every CPU this process may
-    run on; with `stop`, only the results up to the first r with stop(r).
+class Batch(NamedTuple):
+    """A batch started on the workers by `_start`: each worker is working
+    the share it was sent while the caller goes on. `finish` gives the
+    batch's results; `abandon` gives up on them. No other batch may start
+    in between."""
+    fn: object
+    shares: list
+    sent: list          # whether each share was sent; the caller's never is
+    stop: object
+
+    def finish(self) -> list:
+        """The results of `_map`: the caller runs `fn` in order on the first
+        share and on each share that was not sent, and claims the others'
+        items as in `_collect`. Any exception stops every worker and
+        propagates."""
+        fn, stop, workers, results = self.fn, self.stop, _workers, []
+        try:
+            for result in chain.from_iterable(
+                    _collect(workers, i - 1, fn, share) if self.sent[i]
+                    else (fn(*item) for item in share)
+                    for i, share in enumerate(self.shares)):
+                results.append(result)
+                if stop is not None and stop(result):
+                    break
+        except BaseException:
+            _stop_workers()
+            raise
+        self.abandon()
+        return results
+
+    @staticmethod
+    def abandon() -> None:
+        """Claim every item left, so a worker still on a share stops after
+        its current item; its answer is dropped at its next send."""
+        for worker in _workers:
+            worker.back[0] = 0
+
+
+def _start(fn, items: list, stop=None) -> Batch:
+    """Cut `items` into one contiguous share per CPU this process may run on
+    and send each worker its share: the first half of `_map`.
 
     A worker runs the task named like `fn`, and `stop`, which must pickle.
-    The caller runs `fn` in order on the first share and on the share of a
-    worker still busy with an earlier batch, which is sent nothing, and
-    claims the others' items as in `_collect`. A worker still on a share
-    when the batch ends stops after its item. Any exception stops every
-    worker and propagates.
+    A worker still busy with an earlier batch is sent nothing. Any exception
+    stops every worker and propagates.
     """
     workers = _pool()
     size = max(1, -(-len(items) // (len(workers) + 1)))
     shares = [items[i:i + size] for i in range(0, len(items), size)]
-    results = []
     try:
         sent = [False] + [_send(workers, i, fn.__name__, share, stop)
                           for i, share in enumerate(shares[1:])]
-        for result in chain.from_iterable(
-                _collect(workers, i - 1, fn, share) if sent[i]
-                else (fn(*item) for item in share)
-                for i, share in enumerate(shares)):
-            results.append(result)
-            if stop is not None and stop(result):
-                break
     except BaseException:
         _stop_workers()                 # a pipe may be left in the middle of a message
         raise
-    for worker in workers:
-        worker.back[0] = 0              # every item left is claimed
-    return results
+    return Batch(fn, shares, sent, stop)
+
+
+def _map(fn, items: list, stop=None) -> list:
+    """`[fn(*item) for item in items]`, worked on every CPU this process may
+    run on; with `stop`, only the results up to the first r with stop(r).
+    A worker still on a share when the batch ends stops after its item."""
+    return _start(fn, items, stop).finish()
+
+
+def start_verify_batch(items) -> Batch:
+    """`verify_batch(items)` started: the workers check their shares while
+    the caller does other work, and `finish()` gives the results. The check
+    is bound here, so a wrapper later set on `crypto.verify` sees neither
+    the caller's share nor a worker's."""
+    return _start(_TASKS["verify"], list(items))
 
 
 def verify_batch(items) -> list[bool]:
     """`[verify(*item) for item in items]` for (payload, signature, public
-    key) triples. The check is bound here, so a wrapper later set on
-    `crypto.verify` sees neither the caller's share nor a worker's."""
-    return _map(_TASKS["verify"], list(items))
+    key) triples, with the check bound as in `start_verify_batch`."""
+    return start_verify_batch(items).finish()
+
+
+def sign_batch(items) -> list[bytes]:
+    """`[sign(*item) for item in items]` for (payload, seed) pairs, with the
+    signature bound as in `start_verify_batch`. Ed25519 signatures are
+    deterministic, so a worker's are the caller's byte for byte."""
+    return _map(_TASKS["sign"], list(items))
 
 
 def ring_verify_batch(pairs) -> list[bool]:
     """`[ring_verify(packet, sig) for packet, sig in pairs]`, with the check
-    bound as in `verify_batch`."""
+    bound as in `start_verify_batch`."""
     return _map(_TASKS["ring_verify"], list(pairs))
 
 
@@ -719,9 +787,10 @@ def reveal_check(c: Commitment, sr: int, rnd: bytes, msg_id: bytes) -> bool:
 
 @dataclass(frozen=True)
 class NodeIdentity:
-    """Account keys: Ed25519 for transactions, RSA trapdoor for rings."""
+    """Account keys: Ed25519 for transactions (`sig_sk` is the 32-byte
+    seed), RSA trapdoor for rings."""
     account_id: bytes
-    sig_sk: Ed25519PrivateKey
+    sig_sk: bytes
     sig_pk: bytes
     ring_sk: RingSecretKey
 

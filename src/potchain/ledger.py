@@ -129,6 +129,19 @@ def make_signed_tx(kind: TxKind, payload: bytes, identity: crypto.NodeIdentity) 
                        signature=crypto.sign(payload, identity.sig_sk))
 
 
+def sign_txs(entries) -> list[Transaction]:
+    """`entries` in order, each (kind, payload, identity) triple made into
+    `make_signed_tx(kind, payload, identity)` and each Transaction kept: the
+    signatures are made as one `crypto.sign_batch`, so on every CPU."""
+    unsigned = [entry for entry in entries if not isinstance(entry, Transaction)]
+    signatures = iter(crypto.sign_batch([(payload, identity.sig_sk)
+                                         for _, payload, identity in unsigned]))
+    return [entry if isinstance(entry, Transaction)
+            else Transaction(kind=entry[0], payload=entry[1], signer=entry[2].account_id,
+                             signature=next(signatures))
+            for entry in entries]
+
+
 @dataclass(frozen=True)
 class AccountState:
     """Balance, trust, and the public keys verifiers need."""
@@ -303,17 +316,25 @@ class Chain:
             raise BadParent("prev_hash does not point at the tip")
         if header.timestamp_ms <= parent.header.timestamp_ms:
             raise BadTimestamp("timestamp not after parent")
-        check_roots(block)
-        self.check_seal(header)
-        batch = []      # every account signature, checked as one batch on all CPUs
+        # Every account signature is checked as one batch on all CPUs, the
+        # workers' shares while the caller checks the roots and the seal.
+        batch, signed = [], True
         for tx in block.transactions:
             if tx.signer == RING_SIGNER:
                 continue  # ring-signed uploads are checked at contract admission
             signer = block.account_states.get(tx.signer) or parent.account_states.get(tx.signer)
             if signer is None:
-                raise BadSignature("transaction signature invalid")
+                signed = False
+                break
             batch.append((tx.payload, tx.signature, signer.sig_pk))
-        if not all(crypto.verify_batch(batch)):
+        checks = crypto.start_verify_batch(batch if signed else [])
+        try:
+            check_roots(block)
+            self.check_seal(header)
+        except BaseException:
+            checks.abandon()
+            raise
+        if not (all(checks.finish()) and signed):
             raise BadSignature("transaction signature invalid")
 
     def append_block(self, block: Block) -> None:

@@ -351,13 +351,11 @@ class World:
                                  reward_sensing=cfg.reward_sensing))
         sac = SacState(SacConfig(sac_id=sac_id, csc_id=csc_id, n2=cfg.n2,
                                  t_self_d_ms=t_self_d, d_a=cfg.d_a))
-        txs: list[Transaction] = [
-            ledger.make_signed_tx(TxKind.CONTRACT_DEPLOY,
-                                  contracts.encode_csc_deploy(csc.config),
-                                  issuer.identity),
-            ledger.make_signed_tx(TxKind.CONTRACT_DEPLOY,
-                                  contracts.encode_sac_deploy(sac.config),
-                                  issuer.identity),
+        # Account-signed transactions wait as (kind, payload, identity) for
+        # the round's one signing batch; ring-signed uploads go in as made.
+        txs: list = [
+            (TxKind.CONTRACT_DEPLOY, contracts.encode_csc_deploy(csc.config), issuer.identity),
+            (TxKind.CONTRACT_DEPLOY, contracts.encode_sac_deploy(sac.config), issuer.identity),
         ]
 
         # Phase 2: who shows up this round, in network-arrival order, with
@@ -385,7 +383,7 @@ class World:
             if csc.register(node.account_id, node.identity.ring_pk, deposit,
                             node.trust.tv):
                 admitted.append(node)
-                txs.append(ledger.make_signed_tx(
+                txs.append((
                     TxKind.DEPOSIT,
                     contracts.encode_csc_deposit(node.account_id, node.trust.tv,
                                                  csc_id, deposit),
@@ -409,7 +407,7 @@ class World:
             rnd_real = bid_rng.getrandbits(256).to_bytes(32, "big")
             rnd_decoy = bid_rng.getrandbits(256).to_bytes(32, "big")
             bidder_plan[node.account_id] = (valuation, decoy, rnd_real, rnd_decoy)
-            txs.append(ledger.make_signed_tx(
+            txs.append((
                 TxKind.DEPOSIT,
                 contracts.encode_sac_deposit(
                     node.account_id, node.trust.tv, sac_id, cfg.d_a,
@@ -423,7 +421,7 @@ class World:
                                       (decoy, False, rnd_decoy)):
                 digest = contracts.bid_commitment_digest(amount, real, rnd)
                 sac.commit(pk, digest, amount)
-                txs.append(ledger.make_signed_tx(
+                txs.append((
                     TxKind.BID_COMMIT,
                     contracts.encode_bid_commit(sac_id, digest, amount),
                     node.identity))
@@ -460,7 +458,7 @@ class World:
                                    payload=contracts.encode_sensing_upload(csc_id, packet),
                                    signer=ledger.RING_SIGNER,
                                    signature=ring_sig.canonical_bytes()))
-            txs.append(ledger.make_signed_tx(
+            txs.append((
                 TxKind.BID_COMMIT,
                 contracts.encode_sensing_commit(
                     csc_id, csc.commitments[node.account_id].digest, node.account_id),
@@ -481,7 +479,7 @@ class World:
                 valuation, decoy, rnd_real, rnd_decoy = bidder_plan[pk]
                 sac.reveal(pk, [valuation, decoy], [True, False],
                            [rnd_real, rnd_decoy])
-                txs.append(ledger.make_signed_tx(
+                txs.append((
                     TxKind.REVEAL,
                     contracts.encode_auction_reveal(sac_id, [valuation, decoy],
                                                     [True, False],
@@ -498,13 +496,13 @@ class World:
         outcomes: dict[bytes, Outcome] = {}
         if fusion is not None:
             for pk, sr, rnd, msg_id in reveals:
-                txs.append(ledger.make_signed_tx(
+                txs.append((
                     TxKind.REVEAL,
                     contracts.encode_sensing_reveal(csc_id, sr, rnd, msg_id),
                     self.by_account[pk].identity))
             settlement = csc.settle(reveals)
             self.apply_moves(csc)
-            txs.append(ledger.make_signed_tx(
+            txs.append((
                 TxKind.SETTLEMENT,
                 contracts.encode_settlement(csc_id, fusion, settlement),
                 issuer.identity))
@@ -516,7 +514,7 @@ class World:
 
         # Mining, then expected-cost accounting over the parent-state trust.
         parent_state = self.chain.tip.account_states
-        miner = self._append_block(txs, self._pick_miner(parent_state),
+        miner = self._append_block(ledger.sign_txs(txs), self._pick_miner(parent_state),
                                    (round_idx + 1) * ROUND_MS)
         self.audit()
 

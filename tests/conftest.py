@@ -9,8 +9,8 @@ from potchain import crypto
 
 @pytest.fixture(scope="module")
 def two_shares():
-    """Every `crypto` batch (`verify_batch`, `ring_sign_batch` and
-    `ring_verify_batch`) cut into two shares, the second sent to a forked
+    """Every `crypto` batch (`sign_batch`, `verify_batch`, `ring_sign_batch`
+    and `ring_verify_batch`) cut into two shares, the second sent to a forked
     worker, which claims its items from the front while the caller claims
     them from the back, and every pooled nonce search (`consensus.mine`
     through `scan_nonces_batch`, past its caller-only head) worked in rounds

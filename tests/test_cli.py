@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from potchain import cli, crypto
+from potchain import cli, consensus, crypto
 from potchain.config import ConfigInvalid, RunConfig, load_config
 from potchain.consensus import DifficultyParams
 from potchain.simnet import SimConfig
@@ -211,6 +211,37 @@ def test_config_accepts_every_beta0_calibrate_recommends(tmp_path, z):
         assert (tmp_path / "o" / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("rounds", ["12", "0"])
+def test_a_mining_run_with_no_round_after_warmup_is_refused(tmp_path, capsys, rounds):
+    """smoke.cfg warms up for 12 rounds; a run of 12 or fewer has no round
+    to average, and is refused rather than skipping its checks."""
+    parser = configparser.ConfigParser()
+    parser.read(CONFIG_DIR / "smoke.cfg")
+    parser.set("run", "rounds", rounds)
+    path = tmp_path / "short.cfg"
+    with path.open("w") as fh:
+        parser.write(fh)
+    with pytest.raises(ConfigInvalid) as err:
+        load_config(path)
+    assert err.value.field_name == "run.rounds"
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("config invalid - run.rounds: ")
+    assert not (tmp_path / "o").exists()
+    parser.set("run", "rounds", "13")
+    with path.open("w") as fh:
+        parser.write(fh)
+    assert load_config(path).sim.rounds == 13
+
+
+def test_a_single_type_population_skips_the_ac3_checks(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    path.write_text(path.read_text().replace("lnode = 2, 0.5, 0.5\n", ""))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "AC3 checks skipped: population has a single node type" in out
+    assert "AC3-" not in out
+
+
 # =============================================================================
 # CLI commands
 # =============================================================================
@@ -329,6 +360,22 @@ def test_calibrate_mean_trials_tracks_expectation(tmp_path, capsys):
         z = int(z)
         if z >= 4:     # tiny z means are noisy at 30 runs
             assert abs(float(mean_trials) - 2 ** z) / 2 ** z < 0.5
+
+
+def test_calibrate_starts_the_pool_before_its_first_timed_search(two_shares, tmp_path,
+                                                                capsys, monkeypatch):
+    crypto._stop_workers()
+    pools, search = [], consensus.mine
+
+    def mine(*args, **kwargs):
+        pools.append((crypto._workers_pid, len(crypto._workers)))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(consensus, "mine", mine)
+    rc = cli.main(["calibrate", "--max-z", "2", "--runs", "2", "--out", str(tmp_path / "c")])
+    capsys.readouterr()
+    assert rc == 0
+    assert pools[0] == (os.getpid(), 1)
 
 
 def test_calibrate_rejects_silly_z(capsys):

@@ -62,10 +62,11 @@ def test_verify_rejects_wrong_key():
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 77])
 def test_sign_matches_key_parsed_from_seed_bytes(seed):
-    """Signing with an identity's parsed key gives the bytes of a key
-    parsed afresh from the same 32 seeded bytes."""
+    """An identity keeps the 32 seeded bytes of its signing key, and signing
+    with them gives the bytes of a key parsed afresh from that seed."""
     identity = crypto.make_identity(Random(seed), rsa_bits=TOY_BITS)
     seed_bytes = Random(seed).getrandbits(256).to_bytes(32, "big")
+    assert identity.sig_sk == seed_bytes
     fresh = Ed25519PrivateKey.from_private_bytes(seed_bytes)
     for payload in (b"", b"payload", bytes(range(256))):
         assert crypto.sign(payload, identity.sig_sk) == fresh.sign(payload)
@@ -186,6 +187,9 @@ def test_a_timeout_on_a_workers_pipe_stops_the_batch(two_shares, method):
     good = [signed_item(i % 4, bytes([i])) for i in range(10)]
     assert crypto.verify_batch(good) == [True] * 10
     conn = crypto._workers[0].conn
+    # A worker whose answer is still to come is sent nothing, so the next
+    # batch would never reach the patched method: wait for the answer.
+    assert not crypto._workers[0].unread or conn.poll(10)
 
     def timeout(*args):
         raise TimeoutError("alarm")
@@ -195,6 +199,51 @@ def test_a_timeout_on_a_workers_pipe_stops_the_batch(two_shares, method):
         crypto.verify_batch(good)
     assert crypto._workers == []
     assert crypto.verify_batch(good) == [True] * 10
+
+
+# =============================================================================
+# Batch signing
+# =============================================================================
+
+BATCH_SEEDS = [bytes([i]) * 32 for i in range(4)]      # the seeds of BATCH_KEYS
+
+
+def signed_by(key: int, payload: bytes) -> bytes:
+    return BATCH_KEYS[key].sign(payload)
+
+
+@settings(max_examples=60, deadline=None)
+@given(draws=st.lists(st.tuples(st.integers(0, 3), st.binary(max_size=40)), max_size=150))
+def test_sign_batch_equals_sign_in_order(two_shares, draws):
+    items = [(payload, BATCH_SEEDS[key]) for key, payload in draws]
+    assert crypto.sign_batch(items) == [crypto.sign(*item) for item in items]
+    assert crypto.sign_batch(items) == [signed_by(key, payload) for key, payload in draws]
+
+
+def test_sign_batch_on_one_cpu_starts_no_worker(monkeypatch):
+    crypto._stop_workers()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    try:
+        items = [(bytes([i]), BATCH_SEEDS[i % 4]) for i in range(9)]
+        assert crypto.sign_batch(items) == [signed_by(i % 4, bytes([i])) for i in range(9)]
+        assert crypto._workers == []
+    finally:
+        crypto._stop_workers()
+
+
+def test_a_dead_workers_share_of_a_sign_batch_is_signed_by_the_caller(two_shares):
+    items = [(bytes([i]), BATCH_SEEDS[i % 4]) for i in range(10)]
+    expected = [signed_by(i % 4, bytes([i])) for i in range(10)]
+    assert crypto.sign_batch(items) == expected
+    worker = crypto._workers[0]
+    assert not worker.unread or worker.conn.poll(10)
+    os.kill(worker.process.pid, signal.SIGSTOP)     # sent its share, it signs none of it
+    batch = crypto._start(crypto._TASKS["sign"], items)
+    assert batch.sent == [False, True]
+    kill_first_worker()
+    assert batch.finish() == expected
+    assert crypto._workers[0] is not worker and crypto._workers[0].process.is_alive()
+    assert crypto.sign_batch(items) == expected
 
 
 # =============================================================================

@@ -221,6 +221,39 @@ def test_append_bad_tx_signature_in_either_share(identities, two_shares, bad):
         chain.tip.header.timestamp_ms + 900))
 
 
+def sealed(chain, txs, miner):
+    return ledger.make_block(chain, txs, dict(chain.tip.account_states), miner,
+                             chain.tip.header.timestamp_ms + 900)
+
+
+@pytest.mark.parametrize("fails, error", [("root", BadRoot), ("seal", BadTrustField)])
+def test_a_failed_root_or_seal_check_abandons_the_signature_batch(
+        identities, two_shares, fails, error):
+    """The workers check their share of the signatures while the caller
+    checks roots and seal. A block that fails there and holds a bad
+    signature raises the root or seal error, and the pool is kept: the
+    batch is abandoned, and the next batch answers correctly."""
+    chain = fresh_chain(identities)
+    txs = [ledger.make_signed_tx(TxKind.REWARD, bytes([i]), identities[i % 3])
+           for i in range(10)]
+    forged = txs[:9] + [replace(txs[9], signature=txs[0].signature)]
+    if fails == "root":     # the header commits to the honest transactions
+        bad = replace(sealed(chain, txs, identities[0]), transactions=tuple(forged))
+    else:
+        bad = sealed(chain, forged, identities[0])
+        bad = replace(bad, header=replace(bad.header, miner_trust=9999))
+    crypto.start_pool()
+    workers = list(crypto._workers)
+    with pytest.raises(error):
+        chain.verify_block(bad)
+    assert crypto._workers == workers and all(w.back[0] == 0 for w in workers)
+    items = [(tx.payload, tx.signature, identities[i % 3].sig_pk)
+             for i, tx in enumerate(forged)]
+    assert crypto.verify_batch(items) == [True] * 9 + [False]
+    chain.append_block(sealed(chain, txs, identities[0]))
+    assert crypto._workers == workers
+
+
 def test_links_survive_many_appends(identities):
     chain = fresh_chain(identities)
     rng = Random(3)

@@ -222,6 +222,27 @@ def test_worlds_in_one_process_share_the_verify_workers():
     assert len(pids) == len(os.sched_getaffinity(0)) - 1
 
 
+def test_a_chain_signed_on_two_cpus_is_the_chain_signed_on_one(two_shares, monkeypatch):
+    """Ed25519 signatures are deterministic, so a World whose rounds sign
+    and check on two CPUs exports the chain text of one that does it all in
+    the caller."""
+    sim = replace(load_config(CONFIG_DIR / "smoke.cfg").sim, rounds=15)
+    crypto._stop_workers()
+    texts = []
+    try:
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                raising=False)
+            world = World(sim)
+            world.run()
+            assert len(crypto._workers) == len(cpus) - 1
+            texts.append(ledger.export_chain(world.chain))
+            crypto._stop_workers()
+    finally:
+        crypto._stop_workers()
+    assert texts[0] == texts[1]
+
+
 def test_world_deterministic():
     cfg = small_cfg()
     a, b = World(cfg), World(cfg)
