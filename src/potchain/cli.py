@@ -22,8 +22,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from . import consensus, crypto, simnet
-from .config import ConfigInvalid, RunConfig, load_config
+from . import consensus, pool, simnet
+from .config import AC4_POINTS, ConfigInvalid, RunConfig, load_config
 
 
 def _write(path: Path, lines: list[str]) -> None:
@@ -43,6 +43,9 @@ class Summary:
         self.lines.append(f"{key}: {'PASS' if ok else 'FAIL'} ({detail})")
         if not ok:
             self.failed = True
+
+    def skip(self, key: str, reason: str) -> None:
+        self.lines.append(f"{key}: SKIP ({reason})")
 
 
 # =============================================================================
@@ -79,8 +82,9 @@ def _run_sensing(cfg: RunConfig, out: Path, summary: Summary) -> None:
     for (scheme, n1), (pd, pf) in sorted(table.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         summary.info(f"n1={n1} {scheme}: pd={pd:.4f} pf={pf:.4f}")
     tv = simnet.SelectionScheme.TRUST_VALUE.value
-    for n1 in (3, 5, 7):
+    for n1 in AC4_POINTS:
         if n1 not in cfg.n1_sweep:
+            summary.skip(f"AC4-dominance-n{n1}", f"n1={n1} not in the sweep")
             continue
         dominant = all(table[(tv, n1)][0] >= table[(other.value, n1)][0]
                        for other in schemes if other.value != tv)
@@ -89,6 +93,8 @@ def _run_sensing(cfg: RunConfig, out: Path, summary: Summary) -> None:
     if 5 in cfg.n1_sweep:
         pd5 = table[(tv, 5)][0]
         summary.check("AC4-pd-at-5", pd5 >= 0.98, f"pd={pd5:.4f} >= 0.98")
+    else:
+        summary.skip("AC4-pd-at-5", "n1=5 not in the sweep")
     population = sum(g.count for g in cfg.sim.population)
     full = [n1 for n1 in cfg.n1_sweep if n1 >= population]
     if full:
@@ -97,6 +103,9 @@ def _run_sensing(cfg: RunConfig, out: Path, summary: Summary) -> None:
         spread = max(pds) - min(pds)
         summary.check("AC4-convergence", spread <= 0.03,
                       f"pd spread {spread:.4f} at n1={n1}, limit 0.03")
+    else:
+        summary.skip("AC4-convergence",
+                     f"no n1 in the sweep seats the whole population of {population}")
 
 
 def _run_onoff(cfg: RunConfig, out: Path, summary: Summary) -> None:
@@ -106,10 +115,12 @@ def _run_onoff(cfg: RunConfig, out: Path, summary: Summary) -> None:
     summary.info("experiment: onoff")
     for kind in sorted(steady):
         summary.info(f"steady-state mean tv {kind}: {steady[kind]:.4f}")
-    have = all(k in steady for k in ("Rnode", "OOnode", "Lnode"))
-    ordered = have and steady["Rnode"] > steady["OOnode"] > steady["Lnode"]
+    missing = [k for k in ("Rnode", "OOnode", "Lnode") if k not in steady]
+    ordered = not missing and steady["Rnode"] > steady["OOnode"] > steady["Lnode"]
     summary.check("AC6-ordering", ordered,
-                  "steady tv Rnode > OOnode > Lnode" if ordered else "ordering broken")
+                  "steady tv Rnode > OOnode > Lnode" if ordered
+                  else f"no {', '.join(missing)} in the population" if missing
+                  else "ordering broken")
     oo_peak = stats["peak"].get("OOnode")
     if oo_peak is not None:
         summary.info(f"OOnode peak mean tv: {oo_peak:.4f} "
@@ -161,6 +172,7 @@ def cmd_run(args) -> int:
     summary.info(f"config: {args.config}")
     summary.info(f"seed: {cfg.sim.seed}")
     try:
+        out.mkdir(parents=True, exist_ok=True)      # fail before the experiment, not after
         if cfg.experiment == "mining-cost":
             _run_mining(cfg, out, summary)
         elif cfg.experiment == "sensing":
@@ -169,10 +181,10 @@ def cmd_run(args) -> int:
             _run_onoff(cfg, out, summary)
         else:
             _run_demo(cfg, out, summary)
+        _write(out / "summary.txt", summary.lines)
     except OSError as exc:
         print(f"io error - {exc}", file=sys.stderr)
         return 1
-    _write(out / "summary.txt", summary.lines)
     for line in summary.lines:
         print(line)
     return 2 if summary.failed else 0
@@ -201,7 +213,7 @@ def cmd_calibrate(args) -> int:
     runs_lines = ["leading_zero_bits,run_index,trials,wall_ms"]
     summary_lines = ["z,mean_wall_ms,mean_trials"]
     means = []
-    crypto.start_pool()         # so that no timed search pays for the fork
+    pool.start()                # so that no timed search pays for the fork
     for z in range(1, args.max_z + 1):
         trials_sum = 0
         wall_sum = 0.0

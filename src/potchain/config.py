@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .consensus import DifficultyParams
+from .ledger import U16
 from .simnet import (
     DEMO_BIDS,
     DEMO_TRUSTS,
@@ -32,6 +33,7 @@ from .simnet import (
 from .trust import TrustParams, check_onoff_resistance
 
 EXPERIMENTS = ("mining-cost", "sensing", "onoff", "demo-round")
+AC4_POINTS = (3, 5, 7)      # the n1 whose pd AC4 compares across schemes
 
 KIND_BY_NAME = {
     "rnode": NodeKind.RNODE,
@@ -75,8 +77,16 @@ class RunConfig:
             raise ConfigInvalid(
                 "run.rounds", f"a mining-cost run averages the rounds after its "
                 f"{self.sim.warmup} warm-up rounds, so it needs more than {self.sim.warmup}")
-        if self.experiment == "sensing" and not self.n1_sweep:
-            raise ConfigInvalid("sensing-experiment.n1_sweep", "empty sweep")
+        if any(not 1 <= n1 < U16 for n1 in self.n1_sweep):
+            raise ConfigInvalid("sensing-experiment.n1_sweep", "an n1 outside [1, 2^16)")
+        if self.rounds_per_point < 1:
+            raise ConfigInvalid("sensing-experiment.rounds_per_point", "must be >= 1")
+        population = sum(group.count for group in self.sim.population)
+        if self.experiment == "sensing" and not (set(AC4_POINTS) & set(self.n1_sweep)
+                                                 or max(self.n1_sweep, default=0) >= population):
+            raise ConfigInvalid(
+                "sensing-experiment.n1_sweep", f"holds no n1 in {AC4_POINTS} and none that "
+                f"seats all {population} nodes, so every AC4 check would be skipped")
         if self.pu_force not in ("none", "idle"):
             raise ConfigInvalid("demo.pu_force", "must be 'none' or 'idle'")
         if self.experiment == "demo-round":

@@ -11,7 +11,7 @@ Implements:
    the reveal-side binding check.
 5. The trial loop of the proof-of-trust nonce search.
 6. Batches of signatures, signature checks, ring closings, ring checks and
-   nonce scans worked on every CPU by a pool of forked workers.
+   nonce scans, worked on every CPU by the worker pool (`potchain.pool`).
 
 Ring signature byte conventions (reproducible across implementations):
 - common domain: integers in [0, 2^b), b even, b >= max modulus bits + 64
@@ -26,20 +26,17 @@ Ring signature byte conventions (reproducible across implementations):
 from __future__ import annotations
 
 import hashlib
-import mmap
-import os
-import signal
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from random import Random
-from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
+
+from . import pool
 
 DIGEST_BYTES = 32
 FEISTEL_ROUNDS = 16
@@ -418,269 +415,31 @@ def scan_nonces(preimage: bytes, bound: bytes, start: int, count: int) -> int | 
 # Batches on every CPU
 # =============================================================================
 
-# The worker pool serves Ed25519 signatures and checks, ring closings, ring
-# checks and nonce scans. The items of a batch are independent, so a batch is
-# cut into one contiguous share per CPU: the caller works the first and one
-# forked worker per extra CPU works each of the others. A worker gets its
-# share over a pipe written by the caller itself; a pool's feeder thread
-# would wait for the GIL, which OpenSSL's verify holds, until the caller's
-# own share is done. A batch is started (`_start` sends the shares) and then
-# finished (`Batch.finish` works the caller's share, claims and reads the
-# answers), and the caller may do other work in between. The caller and a
-# worker claim the worker's items from opposite ends, as in the Cilk-5 work
-# deque (Frigo, Leiserson and Randall, PLDI 1998): the worker from the
-# front, the caller from the back once its own share is done. The caller
-# writes its back to a page shared across the fork and the worker stops
-# there, so at worst both work the item where they meet. No lock is taken
-# that a dying or stopped worker could leave held. The caller never waits on
-# a worker, which a vCPU the host does not run would hold up: until the
-# answer comes, it goes on taking items from the back, the worker's too.
-# Workers are forked, not spawned: a spawned worker re-imports the caller's
-# __main__, which fails in a script that builds a World without a main
-# guard. potchain starts no threads, so the fork is safe.
-
-def _serve(conn, parent_end, back) -> None:
-    """Worker loop: for each (function name, share, stop) received on
-    `conn`, answer with the results of the share's items in order, up to
-    the caller's claims (index `back[0]` on) or the first r with stop(r)."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)    # the caller handles Ctrl-C
-    parent_end.close()
-    for worker in _workers:                         # a sibling's pipe, inherited
-        worker.conn.close()
-    while True:
-        try:
-            name, share, stop = conn.recv()
-            task, results = _TASKS[name], []
-            for i, item in enumerate(share):
-                if i >= back[0]:
-                    break
-                results.append(task(*item))
-                if stop is not None and stop(results[-1]):
-                    break
-            conn.send(results)
-        except Exception:
-            # The caller closed the pipe, or sent a share the task raises
-            # on; in the second case the caller reruns the share and raises.
-            return
-
-
-# What a pipe raises when the worker at its other end has died. Any other
-# error, such as a TimeoutError from an alarm, stops the batch.
-_DEAD = (EOFError, BrokenPipeError, ConnectionResetError)
-
-
-class _Worker:
-    """A forked daemon process that works the shares sent to it."""
-
-    def __init__(self):
-        import multiprocessing          # paid for only by a process that runs a batch
-        context = multiprocessing.get_context("fork")
-        # the first item of the share sent that the caller has claimed
-        self.back = memoryview(mmap.mmap(-1, 8)).cast("q")
-        self.conn, child_end = context.Pipe()
-        self.process = context.Process(target=_serve, args=(child_end, self.conn, self.back),
-                                       daemon=True)
-        self.process.start()
-        child_end.close()
-        self.unread = 0         # 1 from a send until its answer is read, never more
-
-    def send(self, task: str, share: list, stop) -> bool:
-        """Send a share, unless the answer to the last one is still to come
-        (one that has come is read and dropped): whether it was sent. Raises
-        one of _DEAD if the worker has died."""
-        if self.unread and self.conn.poll():
-            self.conn.recv()            # an answer nobody waited for
-            self.unread = 0
-        if self.unread:
-            return False
-        self.back[0] = len(share)
-        self.conn.send((task, share, stop))
-        self.unread = 1
-        return True
-
-    def answered(self) -> bool:
-        """Whether `results` can return without waiting: the answer has come,
-        or the worker has died."""
-        try:
-            return self.conn.poll()
-        except _DEAD:
-            return True
-
-    def results(self) -> list | None:
-        """The answer to the share sent, or None if the worker has died."""
-        try:
-            answer = self.conn.recv()
-        except _DEAD:
-            return None
-        self.unread = 0
-        return answer
-
-    def stop(self) -> None:
-        self.conn.close()
-        self.process.terminate()
-        self.process.join()
-
-
-_workers: list[_Worker] = []    # this process's workers, one per CPU after the first
-_workers_pid = 0                # the process they belong to
-
-# What a worker runs, by name: the functions as defined here, so a wrapper
-# later set on a module attribute never runs in a worker.
-_TASKS = {task.__name__: task for task in (sign, verify, ring_sign, ring_verify, scan_nonces)}
-
-
-def _pool() -> list[_Worker]:
-    """This process's workers, started by the first batch or `start_pool`;
-    none on one CPU."""
-    global _workers_pid
-    if _workers_pid != os.getpid():
-        _workers.clear()        # a forked child does not own its parent's workers
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        for _ in range(cpus - 1):
-            _workers.append(_Worker())
-        _workers_pid = os.getpid()
-    return _workers
-
-
-def start_pool() -> None:
-    """Start this process's workers now, so that no timed batch pays for
-    the fork."""
-    _pool()
-
-
-def _stop_workers() -> None:
-    """Stop this process's workers; the next batch starts new ones."""
-    global _workers_pid
-    if _workers_pid == os.getpid():
-        for worker in _workers:
-            worker.stop()
-    _workers.clear()
-    _workers_pid = 0
-
-
-def _send(workers: list[_Worker], i: int, task: str, share: list, stop) -> bool:
-    """Send worker i a share as in `_Worker.send`; a dead worker is replaced
-    and the share sent to its replacement."""
-    try:
-        return workers[i].send(task, share, stop)
-    except _DEAD:
-        workers[i].stop()
-        workers[i] = _Worker()
-        return workers[i].send(task, share, stop)
-
-
-def _collect(workers: list[_Worker], i: int, fn, share: list):
-    """`fn(*item) for item in share`, in order, for the share sent to worker
-    i: until the answer comes, the caller claims items from the back. An
-    answer that comes after it took every item stays unread until the next
-    send. A dead worker is replaced, and the caller works the items it held."""
-    worker, back, tail = workers[i], len(share), []
-    while back and not worker.answered():
-        back -= 1
-        worker.back[0] = back
-        tail.append(fn(*share[back]))
-    if back:
-        answer = worker.results()
-        if answer is None:              # never trust items nobody worked
-            worker.stop()
-            workers[i] = _Worker()
-            answer = []
-        yield from answer[:back]
-        # items it gave no result for: all if it died, else only past a hit
-        yield from (fn(*item) for item in share[len(answer):back])
-    yield from reversed(tail)
-
-
-class Batch(NamedTuple):
-    """A batch started on the workers by `_start`: each worker is working
-    the share it was sent while the caller goes on. `finish` gives the
-    batch's results; `abandon` gives up on them. No other batch may start
-    in between."""
-    fn: object
-    shares: list
-    sent: list          # whether each share was sent; the caller's never is
-    stop: object
-
-    def finish(self) -> list:
-        """The results of `_map`: the caller runs `fn` in order on the first
-        share and on each share that was not sent, and claims the others'
-        items as in `_collect`. Any exception stops every worker and
-        propagates."""
-        fn, stop, workers, results = self.fn, self.stop, _workers, []
-        try:
-            for result in chain.from_iterable(
-                    _collect(workers, i - 1, fn, share) if self.sent[i]
-                    else (fn(*item) for item in share)
-                    for i, share in enumerate(self.shares)):
-                results.append(result)
-                if stop is not None and stop(result):
-                    break
-        except BaseException:
-            _stop_workers()
-            raise
-        self.abandon()
-        return results
-
-    @staticmethod
-    def abandon() -> None:
-        """Claim every item left, so a worker still on a share stops after
-        its current item; its answer is dropped at its next send."""
-        for worker in _workers:
-            worker.back[0] = 0
-
-
-def _start(fn, items: list, stop=None) -> Batch:
-    """Cut `items` into one contiguous share per CPU this process may run on
-    and send each worker its share: the first half of `_map`.
-
-    A worker runs the task named like `fn`, and `stop`, which must pickle.
-    A worker still busy with an earlier batch is sent nothing. Any exception
-    stops every worker and propagates.
-    """
-    workers = _pool()
-    size = max(1, -(-len(items) // (len(workers) + 1)))
-    shares = [items[i:i + size] for i in range(0, len(items), size)]
-    try:
-        sent = [False] + [_send(workers, i, fn.__name__, share, stop)
-                          for i, share in enumerate(shares[1:])]
-    except BaseException:
-        _stop_workers()                 # a pipe may be left in the middle of a message
-        raise
-    return Batch(fn, shares, sent, stop)
-
-
-def _map(fn, items: list, stop=None) -> list:
-    """`[fn(*item) for item in items]`, worked on every CPU this process may
-    run on; with `stop`, only the results up to the first r with stop(r).
-    A worker still on a share when the batch ends stops after its item."""
-    return _start(fn, items, stop).finish()
-
-
-def start_verify_batch(items) -> Batch:
-    """`verify_batch(items)` started: the workers check their shares while
-    the caller does other work, and `finish()` gives the results. The check
-    is bound here, so a wrapper later set on `crypto.verify` sees neither
-    the caller's share nor a worker's."""
-    return _start(_TASKS["verify"], list(items))
+# The worker pool's tasks: the functions as defined here, so a wrapper later
+# set on a module attribute never runs in a worker.
+pool.TASKS.update((task.__name__, task)
+                  for task in (sign, verify, ring_sign, ring_verify, scan_nonces))
 
 
 def verify_batch(items) -> list[bool]:
     """`[verify(*item) for item in items]` for (payload, signature, public
-    key) triples, with the check bound as in `start_verify_batch`."""
-    return start_verify_batch(items).finish()
+    key) triples, checked on every CPU. The check is bound from the pool's
+    registry, so a wrapper later set on `crypto.verify` sees neither the
+    caller's share nor a worker's."""
+    return pool.map(pool.TASKS["verify"], list(items))
 
 
 def sign_batch(items) -> list[bytes]:
     """`[sign(*item) for item in items]` for (payload, seed) pairs, with the
-    signature bound as in `start_verify_batch`. Ed25519 signatures are
+    signature bound as in `verify_batch`. Ed25519 signatures are
     deterministic, so a worker's are the caller's byte for byte."""
-    return _map(_TASKS["sign"], list(items))
+    return pool.map(pool.TASKS["sign"], list(items))
 
 
 def ring_verify_batch(pairs) -> list[bool]:
     """`[ring_verify(packet, sig) for packet, sig in pairs]`, with the check
-    bound as in `start_verify_batch`."""
-    return _map(_TASKS["ring_verify"], list(pairs))
+    bound as in `verify_batch`."""
+    return pool.map(pool.TASKS["ring_verify"], list(pairs))
 
 
 class _Replay:
@@ -709,7 +468,7 @@ def ring_sign_batch(jobs, rng: Random) -> list[RingSignature]:
              for packet, signer_index, signer_sk, ring in jobs]
     # ring_sign is looked up at the call, not bound: a wrapper set on
     # `crypto.ring_sign` times the caller's share of the signatures
-    return _map(ring_sign, calls)
+    return pool.map(ring_sign, calls)
 
 
 # A trial takes about 0.4 us, and a round trip to a worker 35-50 us when it
@@ -722,27 +481,27 @@ def ring_sign_batch(jobs, rng: Random) -> list[RingSignature]:
 # about 0.05 ms of scanning.
 SCAN_HEAD = 256             # nonces the caller scans alone, at least
 SCAN_CHUNK = 2048           # nonces per CPU per round
-SCAN_PIECE = 128            # nonces per item of a round's `_map`
+SCAN_PIECE = 128            # nonces per item of a round's `pool.map`
 
 
 def scan_nonces_batch(preimage: bytes, bound: bytes, start: int, count: int) -> int | None:
     """`scan_nonces(preimage, bound, start, count)`, worked on every CPU.
 
     The caller scans the head alone. The rest goes out in rounds of up to
-    SCAN_CHUNK nonces per CPU, each round one `_map` of the scan over
+    SCAN_CHUNK nonces per CPU, each round one `pool.map` of the scan over
     SCAN_PIECE-nonce pieces that stops at the first piece with a hit, so
     the index is the sequential scan's.
     """
-    scan = _TASKS["scan_nonces"]
+    scan = pool.TASKS["scan_nonces"]
     expected = (1 << 256) // max(1, int.from_bytes(bound, "big"))     # 2^z at z bits
     head = max(SCAN_HEAD, 4 * expected) if expected <= 4 * SCAN_HEAD else 0
     if count <= max(head, SCAN_HEAD):
         return scan(preimage, bound, start, count)
     hit, done = scan(preimage, bound, start, head), head
     while hit is None and done < count:
-        end = min(count, done + (len(_pool()) + 1) * SCAN_CHUNK)
-        found = _map(scan, [(preimage, bound, start + lo, min(SCAN_PIECE, end - lo))
-                            for lo in range(done, end, SCAN_PIECE)], stop=bool)
+        end = min(count, done + (len(pool.start()) + 1) * SCAN_CHUNK)
+        found = pool.map(scan, [(preimage, bound, start + lo, min(SCAN_PIECE, end - lo))
+                                for lo in range(done, end, SCAN_PIECE)], stop=bool)
         if found[-1] is not None:
             hit = done + (len(found) - 1) * SCAN_PIECE + found[-1]
         done = end

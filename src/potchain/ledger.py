@@ -316,25 +316,17 @@ class Chain:
             raise BadParent("prev_hash does not point at the tip")
         if header.timestamp_ms <= parent.header.timestamp_ms:
             raise BadTimestamp("timestamp not after parent")
-        # Every account signature is checked as one batch on all CPUs, the
-        # workers' shares while the caller checks the roots and the seal.
-        batch, signed = [], True
+        check_roots(block)
+        self.check_seal(header)
+        batch = []      # every account signature, checked as one batch on all CPUs
         for tx in block.transactions:
             if tx.signer == RING_SIGNER:
                 continue  # ring-signed uploads are checked at contract admission
             signer = block.account_states.get(tx.signer) or parent.account_states.get(tx.signer)
             if signer is None:
-                signed = False
-                break
+                raise BadSignature("transaction signature invalid")
             batch.append((tx.payload, tx.signature, signer.sig_pk))
-        checks = crypto.start_verify_batch(batch if signed else [])
-        try:
-            check_roots(block)
-            self.check_seal(header)
-        except BaseException:
-            checks.abandon()
-            raise
-        if not (all(checks.finish()) and signed):
+        if not all(crypto.verify_batch(batch)):
             raise BadSignature("transaction signature invalid")
 
     def append_block(self, block: Block) -> None:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from potchain import cli, consensus, crypto
+from potchain import cli, consensus, crypto, pool
 from potchain.config import ConfigInvalid, RunConfig, load_config
 from potchain.consensus import DifficultyParams
 from potchain.simnet import SimConfig
@@ -161,6 +161,11 @@ REJECTED = [
     ("simulation", {"reward_mining": "50"}, "simulation.reward_mining"),
     ("simulation", {"bid_min": "50"}, "simulation.bid_min"),
     ("simulation", {"bid_max": "300"}, "simulation.bid_max"),
+    # a sweep point or length the sensing run would refuse mid-run
+    ("sensing-experiment", {"n1_sweep": "0, 5"}, "sensing-experiment.n1_sweep"),
+    ("sensing-experiment", {"n1_sweep": "70000"}, "sensing-experiment.n1_sweep"),
+    ("sensing-experiment", {"rounds_per_point": "-20"}, "sensing-experiment.rounds_per_point"),
+    ("sensing-experiment", {"rounds_per_point": "0"}, "sensing-experiment.rounds_per_point"),
 ]
 
 
@@ -178,6 +183,8 @@ def case_ids(cases):
 def write_cfg_with(tmp_path, section, options):
     parser = configparser.ConfigParser()
     parser.read_string(MINIMAL.format(experiment="mining-cost", rho="1.0", eta="1.0"))
+    if not parser.has_section(section):
+        parser.add_section(section)
     for option, value in options.items():
         parser.set(section, option, value)
     path = tmp_path / "test.cfg"
@@ -242,6 +249,53 @@ def test_a_single_type_population_skips_the_ac3_checks(tmp_path, capsys):
     assert "AC3-" not in out
 
 
+def sensing_cfg(tmp_path, n1_sweep: str, rounds_per_point: str = "500"):
+    parser = configparser.ConfigParser()
+    parser.read(CONFIG_DIR / "sensing_schemes.cfg")
+    parser.set("sensing-experiment", "n1_sweep", n1_sweep)
+    parser.set("sensing-experiment", "rounds_per_point", rounds_per_point)
+    path = tmp_path / "sweep.cfg"
+    with path.open("w") as fh:
+        parser.write(fh)
+    return path
+
+
+@pytest.mark.parametrize("n1_sweep", ["10", "4, 19"])
+def test_a_sweep_that_skips_every_ac4_check_is_refused(tmp_path, capsys, n1_sweep):
+    """None of n1 = 3, 5, 7 and no n1 that seats all 20 nodes: the run
+    would check nothing, so it is refused rather than exiting 0."""
+    path = sensing_cfg(tmp_path, n1_sweep)
+    with pytest.raises(ConfigInvalid) as err:
+        load_config(path)
+    assert err.value.field_name == "sensing-experiment.n1_sweep"
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("config invalid - sensing-experiment.n1_sweep: ")
+    assert not (tmp_path / "o").exists()
+    for kept in ("20", "10, 7"):
+        assert load_config(sensing_cfg(tmp_path, kept)).n1_sweep
+
+
+def test_a_sweep_names_each_ac4_check_it_skips(tmp_path, capsys):
+    path = sensing_cfg(tmp_path, "3", rounds_per_point="2")
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) in (0, 2)
+    lines = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+    assert capsys.readouterr().out.splitlines() == lines
+    assert [line.split(":")[0] for line in lines if line.startswith("AC4")] == [
+        "AC4-dominance-n3", "AC4-dominance-n5", "AC4-dominance-n7", "AC4-pd-at-5",
+        "AC4-convergence"]
+    assert "AC4-dominance-n5: SKIP (n1=5 not in the sweep)" in lines
+    assert "AC4-dominance-n7: SKIP (n1=7 not in the sweep)" in lines
+    assert "AC4-pd-at-5: SKIP (n1=5 not in the sweep)" in lines
+    assert "AC4-convergence: SKIP (no n1 in the sweep seats the whole population of 20)" in lines
+    assert not any(line.startswith("AC4-dominance-n3: SKIP") for line in lines)
+
+
+def test_an_onoff_run_names_the_node_type_it_lacks(tmp_path, capsys):
+    path = write_cfg(tmp_path, experiment="onoff")
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "AC6-ordering: FAIL (no OOnode in the population)" in capsys.readouterr().out
+
+
 # =============================================================================
 # CLI commands
 # =============================================================================
@@ -278,6 +332,18 @@ def test_run_demo_rejects_a_population_it_does_not_script(tmp_path, capsys, edit
     assert cli.main(["run", str(path), "--out", str(tmp_path / "demo")]) == 1
     assert capsys.readouterr().err.startswith("config invalid - population: ")
     assert not (tmp_path / "demo").exists()
+
+
+@pytest.mark.parametrize("config", ["demo_round.cfg", "smoke.cfg"])
+def test_run_out_naming_a_file_is_an_io_error(tmp_path, capsys, config):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory\n")
+    assert cli.main(["run", str(CONFIG_DIR / config), "--out", str(blocker)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("io error - ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert blocker.read_text() == "a file, not a directory\n"
 
 
 def test_module_run_gives_no_runpy_warning():
@@ -364,11 +430,11 @@ def test_calibrate_mean_trials_tracks_expectation(tmp_path, capsys):
 
 def test_calibrate_starts_the_pool_before_its_first_timed_search(two_shares, tmp_path,
                                                                 capsys, monkeypatch):
-    crypto._stop_workers()
+    pool.stop()
     pools, search = [], consensus.mine
 
     def mine(*args, **kwargs):
-        pools.append((crypto._workers_pid, len(crypto._workers)))
+        pools.append((pool._workers_pid, len(pool._workers)))
         return search(*args, **kwargs)
 
     monkeypatch.setattr(consensus, "mine", mine)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import mine_reference
-from potchain import consensus, crypto
+from potchain import consensus, crypto, pool
 from potchain.consensus import DifficultyParams
 from potchain.crypto import sha256
 from potchain.ledger import BlockHeader
@@ -200,11 +200,11 @@ def test_pooled_mine_finds_hits_in_the_workers_chunk(two_shares):
 
 
 def test_search_ending_inside_the_head_starts_no_worker(two_shares):
-    crypto._stop_workers()
+    pool.stop()
     assert consensus.mine(b"x", 1) == mine_reference(b"x", 1)
     with pytest.raises(consensus.Exhausted):
         consensus.mine(b"y", 64, max_trials=HEAD)
-    assert crypto._workers == []
+    assert pool._workers == []
 
 
 def test_a_worker_killed_between_searches_is_replaced(two_shares):
@@ -215,19 +215,19 @@ def test_a_worker_killed_between_searches_is_replaced(two_shares):
                         and HEAD + crypto.SCAN_CHUNK < r.trials <= HEAD + ROUND]
     assert in_workers_chunk
     assert _search(consensus.mine, b"k", 64, 0, HEAD + ROUND) == consensus.Exhausted
-    worker = crypto._workers[0]
+    worker = pool._workers[0]
     os.kill(worker.process.pid, signal.SIGKILL)
     worker.process.join(timeout=10)
     assert not worker.process.is_alive()
     for p in in_workers_chunk[:1] + list(reference):
         assert _search(consensus.mine, p, 12, 0, HEAD + 3 * ROUND) == reference[p]
-    replacement = crypto._workers[0]
+    replacement = pool._workers[0]
     assert replacement.process.is_alive() and replacement.process.pid != worker.process.pid
 
 
 def test_a_stalled_worker_is_covered_and_its_late_answers_dropped(two_shares):
     assert _search(consensus.mine, b"s", 64, 0, HEAD + ROUND) == consensus.Exhausted
-    worker = crypto._workers[0]
+    worker = pool._workers[0]
     preimages = [bytes([i]) for i in range(8)]
     os.kill(worker.process.pid, signal.SIGSTOP)     # a vCPU the host does not run
     try:
@@ -237,7 +237,7 @@ def test_a_stalled_worker_is_covered_and_its_late_answers_dropped(two_shares):
                     == _search(mine_reference, p, 12, 0, HEAD + 2 * ROUND))
     finally:
         os.kill(worker.process.pid, signal.SIGCONT)
-    assert crypto._workers[0] is worker and worker.unread > 0
+    assert pool._workers[0] is worker and worker.unread > 0
     # every batch after it reads its own answers, not the stale scan answers
     sk = crypto.make_signing_key(Random(1))
     items = [(p, crypto.sign(p, sk), crypto.signing_pubkey(sk)) for p in preimages]
@@ -268,7 +268,7 @@ def test_many_short_searches_leave_at_most_one_unread_answer(two_shares):
     assert results == [_search(mine_reference, i.to_bytes(2, "big"), 8, 0, HEAD + 3 * ROUND)
                        for i in range(3000)]
     assert sum(r != consensus.Exhausted and r.trials > HEAD for r in results) > 500
-    assert all(worker.unread <= 1 for worker in crypto._workers)
+    assert all(worker.unread <= 1 for worker in pool._workers)
 
 
 def test_target_bound_agrees_with_leading_zero_count():

@@ -1,5 +1,6 @@
 """Crypto primitives: account signatures, ring signatures, commitments."""
 
+import functools
 import hashlib
 import os
 import signal
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import feistel_inverse_reference, feistel_reference
-from potchain import crypto
+from potchain import crypto, pool
 
 TOY_BITS = 64
 
@@ -114,19 +115,19 @@ def test_verify_batch_equals_verify_in_order(two_shares, draws, seed):
 
 
 def test_verify_batch_on_one_cpu_starts_no_worker(monkeypatch):
-    crypto._stop_workers()
+    pool.stop()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     try:
         items = [signed_item(i % 4, bytes([i])) for i in range(9)]
         items[8] = corrupt(items[8], "payload", Random(0))
         assert crypto.verify_batch(items) == [True] * 8 + [False]
-        assert crypto._workers == []
+        assert pool._workers == []
     finally:
-        crypto._stop_workers()
+        pool.stop()
 
 
 def kill_first_worker():
-    worker = crypto._workers[0]
+    worker = pool._workers[0]
     os.kill(worker.process.pid, signal.SIGKILL)
     worker.process.join(timeout=10)
     assert not worker.process.is_alive()
@@ -140,7 +141,7 @@ def test_a_killed_worker_is_replaced_and_its_share_still_checked(two_shares, toy
     # the worker's share, the second half, holds only bad signatures
     bad = good[:5] + [corrupt(item, "signature", Random(i)) for i, item in enumerate(good[5:])]
     assert crypto.verify_batch(bad) == [True] * 5 + [False] * 5
-    replacement = crypto._workers[0]
+    replacement = pool._workers[0]
     assert replacement.process.is_alive() and replacement.process.pid != worker.process.pid
     assert crypto.verify_batch(bad) == [True] * 5 + [False] * 5
 
@@ -155,13 +156,13 @@ def test_a_killed_worker_is_replaced_and_its_share_still_checked(two_shares, toy
     sequential = Random(3)
     assert (crypto.ring_sign_batch(jobs, Random(3))
             == [crypto.ring_sign(*job, sequential) for job in jobs])
-    assert crypto._workers[0].process.is_alive()
+    assert pool._workers[0].process.is_alive()
 
 
 def test_a_stalled_workers_share_is_checked_by_the_caller(two_shares, toy_ring):
     good = [signed_item(i % 4, bytes([i])) for i in range(10)]
     assert crypto.verify_batch(good) == [True] * 10
-    worker = crypto._workers[0]
+    worker = pool._workers[0]
     os.kill(worker.process.pid, signal.SIGSTOP)     # a vCPU the host does not run
     try:
         # the worker's share, the second half, holds a bad signature
@@ -173,7 +174,7 @@ def test_a_stalled_workers_share_is_checked_by_the_caller(two_shares, toy_ring):
         sequential = Random(3)
         assert (crypto.ring_sign_batch(jobs, Random(3))
                 == [crypto.ring_sign(*job, sequential) for job in jobs])
-        assert crypto._workers[0] is worker and worker.unread == 1
+        assert pool._workers[0] is worker and worker.unread == 1
     finally:
         os.kill(worker.process.pid, signal.SIGCONT)
     assert crypto.verify_batch(bad) == [True] * 7 + [False, True, True]
@@ -186,10 +187,10 @@ def test_a_timeout_on_a_workers_pipe_stops_the_batch(two_shares, method):
     TimeoutError, as an alarm handler raises, stops the batch and the pool."""
     good = [signed_item(i % 4, bytes([i])) for i in range(10)]
     assert crypto.verify_batch(good) == [True] * 10
-    conn = crypto._workers[0].conn
+    conn = pool._workers[0].conn
     # A worker whose answer is still to come is sent nothing, so the next
     # batch would never reach the patched method: wait for the answer.
-    assert not crypto._workers[0].unread or conn.poll(10)
+    assert not pool._workers[0].unread or conn.poll(10)
 
     def timeout(*args):
         raise TimeoutError("alarm")
@@ -197,7 +198,7 @@ def test_a_timeout_on_a_workers_pipe_stops_the_batch(two_shares, method):
     setattr(conn, method, timeout)
     with pytest.raises(TimeoutError):
         crypto.verify_batch(good)
-    assert crypto._workers == []
+    assert pool._workers == []
     assert crypto.verify_batch(good) == [True] * 10
 
 
@@ -221,29 +222,93 @@ def test_sign_batch_equals_sign_in_order(two_shares, draws):
 
 
 def test_sign_batch_on_one_cpu_starts_no_worker(monkeypatch):
-    crypto._stop_workers()
+    pool.stop()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     try:
         items = [(bytes([i]), BATCH_SEEDS[i % 4]) for i in range(9)]
         assert crypto.sign_batch(items) == [signed_by(i % 4, bytes([i])) for i in range(9)]
-        assert crypto._workers == []
+        assert pool._workers == []
     finally:
-        crypto._stop_workers()
+        pool.stop()
 
 
 def test_a_dead_workers_share_of_a_sign_batch_is_signed_by_the_caller(two_shares):
-    items = [(bytes([i]), BATCH_SEEDS[i % 4]) for i in range(10)]
-    expected = [signed_by(i % 4, bytes([i])) for i in range(10)]
-    assert crypto.sign_batch(items) == expected
-    worker = crypto._workers[0]
-    assert not worker.unread or worker.conn.poll(10)
-    os.kill(worker.process.pid, signal.SIGSTOP)     # sent its share, it signs none of it
-    batch = crypto._start(crypto._TASKS["sign"], items)
-    assert batch.sent == [False, True]
-    kill_first_worker()
-    assert batch.finish() == expected
-    assert crypto._workers[0] is not worker and crypto._workers[0].process.is_alive()
-    assert crypto.sign_batch(items) == expected
+    """The worker is sent its share and dies on its first item, before the
+    caller starts its own share; the caller signs the worker's share too,
+    and the next batch goes to a new worker."""
+    caller = os.getpid()
+
+    @functools.wraps(crypto.sign)       # a worker runs the task named "sign"
+    def sign(payload: bytes, seed: bytes) -> bytes:
+        if payload == b"die" and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if payload == b"wait":          # the caller's first item
+            doomed.process.join(timeout=10)
+        return crypto.sign(payload, seed)
+
+    payloads = [b"wait"] + [bytes([i]) for i in range(1, 5)] + [b"die"] + [
+        bytes([i]) for i in range(6, 10)]
+    items = [(payload, BATCH_SEEDS[i % 4]) for i, payload in enumerate(payloads)]
+    expected = [signed_by(i % 4, payload) for i, payload in enumerate(payloads)]
+    pool.stop()
+    original, pool.TASKS["sign"] = pool.TASKS["sign"], sign     # before the fork
+    try:
+        doomed = pool.start()[0]
+        assert crypto.sign_batch(items) == expected
+        assert not doomed.process.is_alive()
+        assert pool._workers[0] is not doomed and pool._workers[0].process.is_alive()
+        assert crypto.sign_batch(items[1:5] + items[6:]) == expected[1:5] + expected[6:]
+    finally:
+        pool.TASKS["sign"] = original
+        pool.stop()
+
+
+def counted(fn, log: Path):
+    """`fn`, named like it as a tracer's wrapper is, appending the pid of
+    each process that calls it to `log`."""
+    @functools.wraps(fn)
+    def wrapper(*args):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fn(*args)
+    return wrapper
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-shares", "one-cpu"])
+def test_a_wrapper_on_a_task_sees_only_what_its_entry_point_binds(
+        monkeypatch, tmp_path, toy_ring, cpus):
+    """`verify_batch`, `sign_batch` and `ring_verify_batch` bind their task
+    from the pool's registry, so a wrapper later set on `crypto.verify`,
+    `crypto.sign` or `crypto.ring_verify` runs neither in the caller nor in
+    a worker. `ring_sign_batch` looks `crypto.ring_sign` up at the call, so
+    a wrapper on it runs for every item the caller works: its own share at
+    least, and never in a worker."""
+    signed = [(bytes([i]), BATCH_SEEDS[i % 4]) for i in range(10)]
+    checked = [signed_item(i % 4, bytes([i])) for i in range(10)]
+    pairs = ring_pairs(toy_ring, Random(2))
+    jobs = ring_jobs(toy_ring, [(5, i, bytes([i]), i % 2) for i in range(6)])
+    expected = ([signed_by(i % 4, bytes([i])) for i in range(10)], [True] * 10,
+                [crypto.ring_verify(*pair) for pair in pairs])
+    sequential = Random(3)
+    ring_sigs = [crypto.ring_sign(*job, sequential) for job in jobs]
+    pool.stop()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    logs = {name: tmp_path / name for name in ("sign", "verify", "ring_verify", "ring_sign")}
+    for name, log in logs.items():
+        monkeypatch.setattr(crypto, name, counted(getattr(crypto, name), log))
+    try:
+        assert (crypto.sign_batch(signed), crypto.verify_batch(checked),
+                crypto.ring_verify_batch(pairs)) == expected
+        assert crypto.ring_sign_batch(jobs, Random(3)) == ring_sigs
+        assert len(pool._workers) == len(cpus) - 1
+    finally:
+        pool.stop()
+    assert not any(logs[name].exists() for name in ("sign", "verify", "ring_verify"))
+    callers = logs["ring_sign"].read_text().split()
+    assert set(callers) == {str(os.getpid())}
+    assert -(-len(jobs) // len(cpus)) <= len(callers) <= len(jobs)
+    if len(cpus) == 1:
+        assert len(callers) == len(jobs)
 
 
 # =============================================================================
@@ -473,7 +538,7 @@ def test_ring_verify_batch_equals_ring_verify_in_order(two_shares, toy_ring, spe
 
 
 def test_ring_batches_on_one_cpu_start_no_worker(monkeypatch, toy_ring):
-    crypto._stop_workers()
+    pool.stop()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     try:
         pairs = ring_pairs(toy_ring, Random(1))
@@ -482,9 +547,9 @@ def test_ring_batches_on_one_cpu_start_no_worker(monkeypatch, toy_ring):
         sequential = Random(4)
         assert (crypto.ring_sign_batch(jobs, Random(4))
                 == [crypto.ring_sign(*job, sequential) for job in jobs])
-        assert crypto._workers == []
+        assert pool._workers == []
     finally:
-        crypto._stop_workers()
+        pool.stop()
 
 
 @pytest.mark.parametrize("bad_job, error", [((0, 1), crypto.BadKey), ((3, 3), IndexError)])
@@ -532,11 +597,11 @@ def is_hit(result) -> bool:
 @pytest.fixture(scope="module")
 def claims(two_shares):
     """`logged` runs in the workers: it is registered before the pool restarts."""
-    crypto._stop_workers()
-    crypto._TASKS["logged"] = logged
+    pool.stop()
+    pool.TASKS["logged"] = logged
     yield
-    del crypto._TASKS["logged"]
-    crypto._stop_workers()
+    del pool.TASKS["logged"]
+    pool.stop()
 
 
 @settings(max_examples=80, deadline=None)
@@ -552,7 +617,7 @@ def test_map_is_the_sequential_prefix_up_to_the_first_hit(claims, size, hits, pa
     # both sides of it.
     items = [(os.devnull, i, i in hits, (pause, pause), 0) for i in range(size)]
     first = min((i for i in hits if i < size), default=size - 1)
-    assert crypto._map(logged, items, is_hit) == [(i, i in hits) for i in range(first + 1)]
+    assert pool.map(logged, items, is_hit) == [(i, i in hits) for i in range(first + 1)]
 
 
 def worked(log) -> list[tuple[int, int]]:
@@ -569,11 +634,11 @@ def test_a_healthy_batch_works_each_item_once_but_where_the_ends_meet(claims, tm
         log = tmp_path / f"batch{batch}"
         items = [(str(log), i, False, (0.0005, 0.0005) if i < 10 else (0.004, 0.001), 0)
                  for i in range(20)]
-        assert crypto._map(logged, items) == [(i, False) for i in range(20)]
-        assert crypto._workers[0].unread == 0
+        assert pool.map(logged, items) == [(i, False) for i in range(20)]
+        assert pool._workers[0].unread == 0
         counts = Counter(index for index, _ in worked(log))
         assert sorted(counts) == list(range(20))
-        assert sum(n - 1 for n in counts.values()) <= len(crypto._workers)
+        assert sum(n - 1 for n in counts.values()) <= len(pool._workers)
         by_caller = {index for index, pid in worked(log) if pid == CALLER}
         assert set(range(10)) <= by_caller
         assert by_caller & set(range(10, 20)) and set(range(10, 20)) - by_caller
@@ -583,7 +648,7 @@ def test_claims_hold_with_more_workers_than_cores(claims, monkeypatch):
     """Three workers and the caller share this host's cores, so a claim is
     often written while the worker that reads it is descheduled; every batch
     still gives the sequential prefix."""
-    crypto._stop_workers()
+    pool.stop()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     rng, deadline = Random(5), time.monotonic() + 60
     try:
@@ -592,12 +657,12 @@ def test_claims_hold_with_more_workers_than_cores(claims, monkeypatch):
             hits = {rng.randrange(150) for _ in range(rng.randrange(3))}
             items = [(os.devnull, i, i in hits, (0, 0), 0) for i in range(size)]
             first = min((i for i in hits if i < size), default=size - 1)
-            assert crypto._map(logged, items, is_hit) == [(i, i in hits)
+            assert pool.map(logged, items, is_hit) == [(i, i in hits)
                                                           for i in range(first + 1)]
             assert time.monotonic() < deadline
-        assert len(crypto._workers) == 3 and all(w.unread <= 1 for w in crypto._workers)
+        assert len(pool._workers) == 3 and all(w.unread <= 1 for w in pool._workers)
     finally:
-        crypto._stop_workers()
+        pool.stop()
 
 
 @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGSTOP])
@@ -605,26 +670,26 @@ def test_a_worker_killed_or_stopped_mid_batch(claims, tmp_path, signum):
     def batch(poison):
         items = [(os.devnull, i, i == 17, (0.001, 0.0005), signum if i == poison else 0)
                  for i in range(20)]
-        return crypto._map(logged, items)
+        return pool.map(logged, items)
 
     expected = [(i, i == 17) for i in range(20)]
     assert batch(None) == expected
-    worker = crypto._workers[0]
+    worker = pool._workers[0]
     try:
         # the worker signals itself on item 13, long before the caller claims it
         assert batch(13) == expected
         if signum == signal.SIGKILL:
             worker.process.join(timeout=10)
-            assert not worker.process.is_alive() and crypto._workers[0] is not worker
+            assert not worker.process.is_alive() and pool._workers[0] is not worker
         else:
-            assert crypto._workers[0] is worker and worker.unread == 1
+            assert pool._workers[0] is worker and worker.unread == 1
     finally:
         if worker.process.is_alive():
             os.kill(worker.process.pid, signal.SIGCONT)
     for _ in range(5):
         assert batch(None) == expected
-        assert all(w.unread <= 1 for w in crypto._workers)
-    assert crypto._workers[0].process.is_alive()
+        assert all(w.unread <= 1 for w in pool._workers)
+    assert pool._workers[0].process.is_alive()
 
 
 # =============================================================================

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import replace
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import mutate_export
-from potchain import consensus, crypto, ledger, simnet
+from potchain import consensus, crypto, ledger, pool, simnet
+from potchain.config import load_config
 from potchain.consensus import DifficultyParams
 from potchain.ledger import (
     AccountState,
@@ -33,6 +35,7 @@ from potchain.ledger import (
 from potchain.trust import TrustState
 
 CHAIN_PARAMS = simnet.CHAIN_DIFFICULTY
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def H(data: bytes) -> bytes:
@@ -229,10 +232,10 @@ def sealed(chain, txs, miner):
 @pytest.mark.parametrize("fails, error", [("root", BadRoot), ("seal", BadTrustField)])
 def test_a_failed_root_or_seal_check_abandons_the_signature_batch(
         identities, two_shares, fails, error):
-    """The workers check their share of the signatures while the caller
-    checks roots and seal. A block that fails there and holds a bad
-    signature raises the root or seal error, and the pool is kept: the
-    batch is abandoned, and the next batch answers correctly."""
+    """Roots and seal are checked before any signature. A block that fails
+    there and holds a bad signature raises the root or seal error, and the
+    pool is kept: every back index is 0, and the next batch answers
+    correctly."""
     chain = fresh_chain(identities)
     txs = [ledger.make_signed_tx(TxKind.REWARD, bytes([i]), identities[i % 3])
            for i in range(10)]
@@ -242,16 +245,36 @@ def test_a_failed_root_or_seal_check_abandons_the_signature_batch(
     else:
         bad = sealed(chain, forged, identities[0])
         bad = replace(bad, header=replace(bad.header, miner_trust=9999))
-    crypto.start_pool()
-    workers = list(crypto._workers)
+    pool.start()
+    workers = list(pool._workers)
     with pytest.raises(error):
         chain.verify_block(bad)
-    assert crypto._workers == workers and all(w.back[0] == 0 for w in workers)
+    assert pool._workers == workers and all(w.back[0] == 0 for w in workers)
     items = [(tx.payload, tx.signature, identities[i % 3].sig_pk)
              for i, tx in enumerate(forged)]
     assert crypto.verify_batch(items) == [True] * 9 + [False]
     chain.append_block(sealed(chain, txs, identities[0]))
-    assert crypto._workers == workers
+    assert pool._workers == workers
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="a block's account states are asserted, not replayed from "
+                   "its transactions (ROADMAP item 2)")
+def test_a_block_asserting_state_no_transaction_made_is_refused():
+    """Three rounds of smoke.cfg, then a block with no transactions whose
+    account states give the next miner 10^9 wei more and trust 1.0."""
+    world = simnet.World(replace(load_config(CONFIG_DIR / "smoke.cfg").sim, rounds=3))
+    world.run()
+    chain = world.chain
+    miner = world._pick_miner(chain.tip.account_states)
+    account = chain.tip.account_states[miner.account_id]
+    forged = {**chain.tip.account_states,
+              miner.account_id: replace(account, balance=account.balance + 10 ** 9,
+                                        trust=replace(account.trust, tv=1.0))}
+    block = ledger.make_block(chain, [], forged, miner.identity,
+                              chain.tip.header.timestamp_ms + 1000)
+    with pytest.raises(ledger.LedgerError):
+        chain.append_block(block)
 
 
 def test_links_survive_many_appends(identities):

@@ -10,7 +10,7 @@ from random import Random
 
 import pytest
 
-from potchain import contracts, crypto, ledger, simnet
+from potchain import contracts, crypto, ledger, pool, simnet
 from potchain.config import load_config
 from potchain.consensus import DifficultyParams
 from potchain.simnet import (
@@ -187,12 +187,12 @@ def test_world_runs_and_chain_verifies():
 WORKER_EXIT_SCRIPT = """
 import sys
 from dataclasses import replace
-from potchain import crypto
+from potchain import pool
 from potchain.config import load_config
 from potchain.simnet import World
 world = World(replace(load_config(sys.argv[1]).sim, rounds=3))
 world.run()
-print(*(worker.process.pid for worker in crypto._workers))
+print(*(worker.process.pid for worker in pool._workers))
 """
 
 
@@ -218,7 +218,7 @@ def test_worlds_in_one_process_share_the_verify_workers():
     pids = set()
     for seed in range(4):
         World(small_cfg(seed=seed, rounds=2)).run()
-        pids |= {worker.process.pid for worker in crypto._workers}
+        pids |= {worker.process.pid for worker in pool._workers}
     assert len(pids) == len(os.sched_getaffinity(0)) - 1
 
 
@@ -227,7 +227,7 @@ def test_a_chain_signed_on_two_cpus_is_the_chain_signed_on_one(two_shares, monke
     and check on two CPUs exports the chain text of one that does it all in
     the caller."""
     sim = replace(load_config(CONFIG_DIR / "smoke.cfg").sim, rounds=15)
-    crypto._stop_workers()
+    pool.stop()
     texts = []
     try:
         for cpus in ({0, 1}, {0}):
@@ -235,11 +235,11 @@ def test_a_chain_signed_on_two_cpus_is_the_chain_signed_on_one(two_shares, monke
                                 raising=False)
             world = World(sim)
             world.run()
-            assert len(crypto._workers) == len(cpus) - 1
+            assert len(pool._workers) == len(cpus) - 1
             texts.append(ledger.export_chain(world.chain))
-            crypto._stop_workers()
+            pool.stop()
     finally:
-        crypto._stop_workers()
+        pool.stop()
     assert texts[0] == texts[1]
 
 
