@@ -421,25 +421,31 @@ pool.TASKS.update((task.__name__, task)
                   for task in (sign, verify, ring_sign, ring_verify, scan_nonces))
 
 
+def submit_verify_batch(items) -> pool.Batch:
+    """`verify_batch(items)` sent to the workers: the batch's `results()`
+    gives its results. The check is bound from the pool's registry, so a
+    wrapper later set on `crypto.verify` sees neither the caller's claims
+    nor a worker's items."""
+    return pool.submit(pool.TASKS["verify"], items)
+
+
 def verify_batch(items) -> list[bool]:
     """`[verify(*item) for item in items]` for (payload, signature, public
-    key) triples, checked on every CPU. The check is bound from the pool's
-    registry, so a wrapper later set on `crypto.verify` sees neither the
-    caller's share nor a worker's."""
-    return pool.map(pool.TASKS["verify"], list(items))
+    key) triples, checked on every CPU as `submit_verify_batch` binds it."""
+    return submit_verify_batch(items).results()
 
 
 def sign_batch(items) -> list[bytes]:
     """`[sign(*item) for item in items]` for (payload, seed) pairs, with the
     signature bound as in `verify_batch`. Ed25519 signatures are
     deterministic, so a worker's are the caller's byte for byte."""
-    return pool.map(pool.TASKS["sign"], list(items))
+    return pool.map(pool.TASKS["sign"], items)
 
 
 def ring_verify_batch(pairs) -> list[bool]:
     """`[ring_verify(packet, sig) for packet, sig in pairs]`, with the check
     bound as in `verify_batch`."""
-    return pool.map(pool.TASKS["ring_verify"], list(pairs))
+    return pool.map(pool.TASKS["ring_verify"], pairs)
 
 
 class _Replay:
@@ -467,7 +473,7 @@ def ring_sign_batch(jobs, rng: Random) -> list[RingSignature]:
     calls = [(packet, signer_index, signer_sk, ring, _Replay(_ring_draws(ring, rng)))
              for packet, signer_index, signer_sk, ring in jobs]
     # ring_sign is looked up at the call, not bound: a wrapper set on
-    # `crypto.ring_sign` times the caller's share of the signatures
+    # `crypto.ring_sign` times the signatures the caller claims
     return pool.map(ring_sign, calls)
 
 

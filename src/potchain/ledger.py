@@ -14,7 +14,7 @@ Serialized trust values are fixed-point with 4 decimal digits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import consensus, crypto
@@ -260,6 +260,9 @@ class Chain:
     params: DifficultyParams
     blocks: list[Block]
     beta: int
+    # the signature check `start_check` started, until `verify_block` collects it
+    _ahead: _SignatureCheck | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     @classmethod
     def genesis(cls, accounts: dict[bytes, AccountState],
@@ -309,30 +312,72 @@ class Chain:
         if not crypto.verify(digest, header.miner_sig, miner.sig_pk):
             raise BadSignature("miner signature invalid")
 
+    def start_check(self, block: Block) -> None:
+        """Start checking the account signatures of `block`, a child of the
+        tip, on the workers; `verify_block(block)` collects the check while
+        the tip is still its parent. A check started before and not
+        collected is abandoned."""
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None:
+            ahead.abandon()
+        self._ahead = _SignatureCheck(block, self.tip)
+
     def verify_block(self, block: Block) -> None:
+        """Check the parent link, the timestamp, the roots, the seal and the
+        account signatures, in that order. The signatures are those of the
+        check `start_check` started for this block on this tip, or else of
+        one started once the seal has passed."""
         header = block.header
         parent = self.tip
-        if header.prev_hash != parent.header.header_hash():
-            raise BadParent("prev_hash does not point at the tip")
-        if header.timestamp_ms <= parent.header.timestamp_ms:
-            raise BadTimestamp("timestamp not after parent")
-        check_roots(block)
-        self.check_seal(header)
-        batch = []      # every account signature, checked as one batch on all CPUs
-        for tx in block.transactions:
-            if tx.signer == RING_SIGNER:
-                continue  # ring-signed uploads are checked at contract admission
-            signer = block.account_states.get(tx.signer) or parent.account_states.get(tx.signer)
-            if signer is None:
-                raise BadSignature("transaction signature invalid")
-            batch.append((tx.payload, tx.signature, signer.sig_pk))
-        if not all(crypto.verify_batch(batch)):
-            raise BadSignature("transaction signature invalid")
+        check, self._ahead = self._ahead, None
+        if check is not None and (check.block is not block or check.parent is not parent):
+            check.abandon()
+            check = None
+        try:
+            if header.prev_hash != parent.header.header_hash():
+                raise BadParent("prev_hash does not point at the tip")
+            if header.timestamp_ms <= parent.header.timestamp_ms:
+                raise BadTimestamp("timestamp not after parent")
+            check_roots(block)
+            self.check_seal(header)
+        except BaseException:
+            if check is not None:
+                check.abandon()
+            raise
+        (check or _SignatureCheck(block, parent)).collect()
 
     def append_block(self, block: Block) -> None:
         self.verify_block(block)
         self.beta = self.beta_for_next()
         self.blocks.append(block)
+
+
+class _SignatureCheck:
+    """Every account signature in `block`, by the key its signer's account
+    holds in the block or else in `parent`, checked as one batch on all CPUs.
+    A signer with no account sends no batch and fails the check."""
+
+    def __init__(self, block: Block, parent: Block):
+        self.block, self.parent = block, parent
+        items = []
+        for tx in block.transactions:
+            if tx.signer == RING_SIGNER:
+                continue  # ring-signed uploads are checked at contract admission
+            signer = block.account_states.get(tx.signer) or parent.account_states.get(tx.signer)
+            if signer is None:
+                self.batch = None
+                return
+            items.append((tx.payload, tx.signature, signer.sig_pk))
+        self.batch = crypto.submit_verify_batch(items)
+
+    def collect(self) -> None:
+        """Raise BadSignature unless every signature checks."""
+        if self.batch is None or not all(self.batch.results()):
+            raise BadSignature("transaction signature invalid")
+
+    def abandon(self) -> None:
+        if self.batch is not None:
+            self.batch.abandon()
 
 
 # =============================================================================
@@ -546,6 +591,21 @@ def import_chain(text: str, params: DifficultyParams) -> Chain:
     check_roots(genesis)
     _check_genesis_signature(genesis)
     chain = Chain(params=params, blocks=[genesis], beta=params.beta0)
+    # Block k's signatures are checked on the workers from when its parent
+    # is the tip, while the caller decodes record k + 1; a record that does
+    # not decode is raised once block k is appended, as one at a time would.
+    block = None
     for line in lines[1:]:
-        chain.append_block(block_from_record(line))
+        try:
+            decoded, error = block_from_record(line), None
+        except MalformedRecord as exc:
+            decoded, error = None, exc
+        if block is not None:
+            chain.append_block(block)
+        if error is not None:
+            raise error
+        chain.start_check(decoded)
+        block = decoded
+    if block is not None:
+        chain.append_block(block)
     return chain

@@ -1,23 +1,39 @@
-"""A pool of forked workers: `map` works a batch of independent items on
-every CPU this process may run on, cut into one contiguous share per CPU.
-The caller works the first and one forked worker per extra CPU works each
-of the others, running the task `TASKS` holds under the same name; the
-module that defines the tasks fills the registry at import.
+"""A pool of forked workers: `submit` sends a batch of independent items to
+one forked worker per extra CPU this process may run on, cut into one
+contiguous share per worker, and returns a handle whose `results()` gives
+the items' results in order; `map` is `submit(...).results()`. A worker
+runs the task `TASKS` holds under the task's name; the module that defines
+the tasks fills the registry at import, and `submit` refuses a name it
+does not hold.
 
-A worker gets its share over a pipe written by the caller itself; a pool's
-feeder thread would wait for the GIL, which OpenSSL's verify holds, until
-the caller's own share is done. The caller and a worker claim the worker's
-items from opposite ends, as in the Cilk-5 work deque (Frigo, Leiserson and
-Randall, PLDI 1998): the worker from the front, the caller from the back
-once its own share is done. The caller writes its back to a page shared
-across the fork and the worker stops there, so at worst both work the item
-where they meet. No lock is taken that a dying or stopped worker could
-leave held. The caller never waits on a worker, which a vCPU the host does
-not run would hold up: until the answer comes, it goes on taking items from
-the back, the worker's too. Workers are forked, not spawned: a spawned
-worker re-imports the caller's __main__, which fails in a script that
-builds a World without a main guard. potchain starts no threads, so the
-fork is safe.
+The caller owns no share. Between `submit` and `results()` it is free to
+do other work (`ledger.import_chain` decodes the next record there); in
+`results()` it claims each share's items from the back while the worker
+works them from the front, as in the Cilk-5 work deque (Frigo, Leiserson
+and Randall, PLDI 1998). The caller writes its back, and the worker the
+item it is on (or, once it has stopped, the share's length), to a page
+shared across the fork, and the worker stops at the back, so at worst both
+work the item where they meet. No lock is taken that a dying or stopped
+worker could leave held.
+
+Between items the caller reads the worker's front, not its pipe. When it
+reaches a worker that is on the last unclaimed item, or has stopped, it
+polls for that worker's answer for at most as long as its own last item of
+the task took, then takes the item itself; it never waits on that worker
+again in the batch, but goes on taking items from the back, ones the
+worker has worked included, until the answer comes. So a worker that is
+stopped, has died or sits on a vCPU the host does not run holds a batch up
+for one item at most.
+
+A worker whose answer to an earlier batch is still to come is sent nothing,
+and the caller works its share; an answer that has come is dropped, and a
+batch whose answer was dropped before it read it works those items itself.
+`abandon()` claims every item of a batch, so a worker still on it stops
+after its current item.
+
+Workers are forked, not spawned: a spawned worker re-imports the caller's
+__main__, which fails in a script that builds a World without a main
+guard. potchain starts no threads, so the fork is safe.
 """
 
 from __future__ import annotations
@@ -26,16 +42,23 @@ import mmap
 import os
 import signal
 from itertools import chain
+from time import perf_counter
 
 # What a worker runs, by name: the functions as registered, so a wrapper
 # later set on a module attribute never runs in a worker.
 TASKS: dict = {}
 
+# How long the caller's last item of each task took, by task name: the
+# longest it waits for a worker on the last unclaimed item of a share.
+_item_seconds: dict[str, float] = {}
 
-def _serve(conn, parent_end, back) -> None:
+
+def _serve(conn, parent_end, back, front) -> None:
     """Worker loop: for each (task name, share, stop) received on `conn`,
     answer with the results of the share's items in order, up to the
-    caller's claims (index `back[0]` on) or the first r with stop(r)."""
+    caller's claims (index `back[0]` on) or the first r with stop(r),
+    keeping the index of the item it is on in `front[0]`, and the share's
+    length there once it has stopped."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # the caller handles Ctrl-C
     parent_end.close()
     for worker in _workers:                         # a sibling's pipe, inherited
@@ -45,11 +68,13 @@ def _serve(conn, parent_end, back) -> None:
             name, share, stop = conn.recv()
             task, results = TASKS[name], []
             for i, item in enumerate(share):
+                front[0] = i
                 if i >= back[0]:
                     break
                 results.append(task(*item))
                 if stop is not None and stop(results[-1]):
                     break
+            front[0] = len(share)       # done: the answer is on its way
             conn.send(results)
         except Exception:
             # The caller closed the pipe, or sent a share the task raises
@@ -68,36 +93,52 @@ class _Worker:
     def __init__(self):
         import multiprocessing          # paid for only by a process that runs a batch
         context = multiprocessing.get_context("fork")
-        # the first item of the share sent that the caller has claimed
-        self.back = memoryview(mmap.mmap(-1, 8)).cast("q")
+        page = memoryview(mmap.mmap(-1, 16)).cast("q")
+        # the first item of the share sent that the caller has claimed, and
+        # the item the worker is on (-1 until it starts the share, the
+        # share's length once it has stopped)
+        self.back, self.front = page[:1], page[1:]
         self.conn, child_end = context.Pipe()
-        self.process = context.Process(target=_serve, args=(child_end, self.conn, self.back),
+        self.process = context.Process(target=_serve,
+                                       args=(child_end, self.conn, self.back, self.front),
                                        daemon=True)
         self.process.start()
         child_end.close()
-        self.unread = 0         # 1 from a send until its answer is read, never more
+        self.batch: Batch | None = None     # the batch whose answer is still to be read
 
-    def send(self, task: str, share: list, stop) -> bool:
-        """Send a share, unless the answer to the last one is still to come
-        (one that has come is read and dropped): whether it was sent. Raises
-        one of _DEAD if the worker has died."""
-        if self.unread and self.conn.poll():
+    @property
+    def unread(self) -> int:
+        """Answers sent and not yet read: 1 or 0, never more."""
+        return int(self.batch is not None)
+
+    def send(self, batch: Batch, task: str, share: list, stop) -> bool:
+        """Send a share of `batch`, unless the answer to an earlier one is
+        still to come (one that has come is read and dropped): whether it
+        was sent. Raises one of _DEAD if the worker has died."""
+        if self.batch is not None and self.conn.poll():
             self.conn.recv()            # an answer nobody waited for
-            self.unread = 0
-        if self.unread:
+            self.batch = None
+        if self.batch is not None:
             return False
-        self.back[0] = len(share)
+        self.back[0], self.front[0] = len(share), -1
         self.conn.send((task, share, stop))
-        self.unread = 1
+        self.batch = batch
         return True
 
-    def answered(self) -> bool:
-        """Whether `results` can return without waiting: the answer has come,
-        or the worker has died."""
-        try:
-            return self.conn.poll()
-        except _DEAD:
-            return True
+    def answered(self, timeout: float = 0.0) -> bool:
+        """Whether `results` can return without waiting: the answer has
+        come, or the worker has died. Polls for up to `timeout` s without
+        sleeping: a caller that sleeps in the poll wakes well after the
+        answer comes, and it waits here for one item at most."""
+        deadline = perf_counter() + timeout
+        while True:
+            try:
+                if self.conn.poll():
+                    return True
+            except _DEAD:
+                return True
+            if perf_counter() >= deadline:
+                return False
 
     def results(self) -> list | None:
         """The answer to the share sent, or None if the worker has died."""
@@ -105,10 +146,11 @@ class _Worker:
             answer = self.conn.recv()
         except _DEAD:
             return None
-        self.unread = 0
+        self.batch = None
         return answer
 
     def stop(self) -> None:
+        self.batch = None
         self.conn.close()
         self.process.terminate()
         self.process.join()
@@ -142,70 +184,121 @@ def stop() -> None:
     _workers_pid = 0
 
 
-_stop_pool = stop       # `map` takes a `stop` argument of its own
+_stop_pool = stop       # a batch has a `stop` of its own
 
 
-def _send(workers: list[_Worker], i: int, task: str, share: list, stop) -> bool:
-    """Send worker i a share as in `_Worker.send`; a dead worker is replaced
-    and the share sent to its replacement."""
-    try:
-        return workers[i].send(task, share, stop)
-    except _DEAD:
-        workers[i].stop()
-        workers[i] = _Worker()
-        return workers[i].send(task, share, stop)
+def _replace(worker: _Worker) -> _Worker:
+    """Stop a worker that has died, and start its replacement in the pool."""
+    worker.stop()
+    replacement = _Worker()
+    for i, other in enumerate(_workers):
+        if other is worker:
+            _workers[i] = replacement
+    return replacement
 
 
-def _collect(workers: list[_Worker], i: int, fn, share: list):
-    """`fn(*item) for item in share`, in order, for the share sent to worker
-    i: until the answer comes, the caller claims items from the back. An
-    answer that comes after it took every item stays unread until the next
-    send. A dead worker is replaced, and the caller works the items it held."""
-    worker, back, tail = workers[i], len(share), []
-    while back and not worker.answered():
-        back -= 1
-        worker.back[0] = back
-        tail.append(fn(*share[back]))
-    if back:
+class Batch:
+    """A batch that `submit` has sent to the workers."""
+
+    def __init__(self, fn, items: list, stop):
+        self.fn, self.stop = fn, stop
+        workers = start()
+        size = max(1, -(-len(items) // max(1, len(workers))))
+        # [the worker sent the share, or None if the caller works it; the share]
+        self.shares = [[None, items[lo:lo + size]] for lo in range(0, len(items), size)]
+        for worker, share in zip(workers, self.shares):
+            try:
+                sent = worker.send(self, fn.__name__, share[1], stop)
+            except _DEAD:
+                worker = _replace(worker)
+                sent = worker.send(self, fn.__name__, share[1], stop)
+            share[0] = worker if sent else None
+
+    def results(self) -> list:
+        """`[fn(*item) for item in items]`; with `stop`, only the results up
+        to the first r with stop(r). At the end every item left is claimed,
+        so a worker still on a share stops after its current item. Any
+        exception stops every worker and propagates."""
+        results = []
+        try:
+            for result in chain.from_iterable(self._collect(worker, share)
+                                              for worker, share in self.shares):
+                results.append(result)
+                if self.stop is not None and self.stop(result):
+                    break
+        except BaseException:
+            _stop_pool()                # a pipe may be left in the middle of a message
+            raise
+        self.abandon()
+        return results
+
+    def abandon(self) -> None:
+        """Claim every item left, so a worker still on a share of this batch
+        stops after its current item; its answer is read at its next send."""
+        for worker, _ in self.shares:
+            if worker is not None and worker.batch is self:
+                worker.back[0] = 0
+
+    def _answer(self, worker: _Worker) -> list:
+        """The worker's answer to its share; [] if none will be read: it
+        died, and is replaced, the pool was stopped, or a later batch's send
+        dropped it."""
+        if worker.batch is not self:
+            return []
         answer = worker.results()
         if answer is None:              # never trust items nobody worked
-            worker.stop()
-            workers[i] = _Worker()
-            answer = []
+            _replace(worker)
+            return []
+        return answer
+
+    def _collect(self, worker: _Worker | None, share: list):
+        """`fn(*item) for item in share`, in order. For a share sent to a
+        worker, the caller claims items from the back until the answer
+        comes. Between items it reads the worker's front, and looks for the
+        answer only once the worker is on the last unclaimed item or has
+        stopped; there it waits the first time as long as its last item
+        took. An answer that comes after it took every item stays unread
+        until the next send."""
+        fn, name = self.fn, self.fn.__name__
+        if worker is None:
+            yield from (fn(*item) for item in share)
+            return
+        back, tail, waited = len(share), [], False
+        while back and worker.batch is self:
+            if worker.front[0] >= back - 1:
+                if worker.answered(0.0 if waited else _item_seconds.get(name, 0.0)):
+                    break
+                waited = True
+            back -= 1
+            worker.back[0] = back
+            started = perf_counter()
+            tail.append(fn(*share[back]))
+            _item_seconds[name] = perf_counter() - started
+        answer = self._answer(worker) if back else []
         yield from answer[:back]
         # items it gave no result for: all if it died, else only past a hit
         yield from (fn(*item) for item in share[len(answer):back])
-    yield from reversed(tail)
+        yield from reversed(tail)
 
 
-def map(fn, items: list, stop=None) -> list:
-    """`[fn(*item) for item in items]`, worked on every CPU this process may
-    run on; with `stop`, only the results up to the first r with stop(r).
-
-    The caller runs `fn` on its own share, on each share a worker still
-    busy with an earlier batch was not sent, and on the items it claims. A
-    worker runs the task registered under `fn.__name__`, and `stop`, which
-    must pickle. At the end every item left is claimed, so a worker still on
-    a share stops after its current item and its answer is dropped at its
-    next send. Any exception stops every worker and propagates.
-    """
-    workers = start()
-    size = max(1, -(-len(items) // (len(workers) + 1)))
-    shares = [items[i:i + size] for i in range(0, len(items), size)]
-    results = []
+def submit(fn, items, stop=None) -> Batch:
+    """Send `[fn(*item) for item in items]` to the workers, one contiguous
+    share each, and return the batch; its `results()` gives the results, with
+    `stop` only those up to the first r with stop(r). A worker runs the task
+    registered under `fn.__name__`, and `stop`, which must pickle; the
+    caller runs `fn` on the items it claims and on each share a worker still
+    busy with an earlier batch was not sent. A name `TASKS` does not hold
+    raises ValueError before anything is sent."""
+    if fn.__name__ not in TASKS:
+        raise ValueError(f"no pool task is registered as {fn.__name__!r}")
     try:
-        sent = [False] + [_send(workers, i, fn.__name__, share, stop)
-                          for i, share in enumerate(shares[1:])]
-        for result in chain.from_iterable(
-                _collect(workers, i - 1, fn, share) if sent[i]
-                else (fn(*item) for item in share)
-                for i, share in enumerate(shares)):
-            results.append(result)
-            if stop is not None and stop(result):
-                break
+        return Batch(fn, list(items), stop)
     except BaseException:
         _stop_pool()                    # a pipe may be left in the middle of a message
         raise
-    for worker in workers:
-        worker.back[0] = 0
-    return results
+
+
+def map(fn, items, stop=None) -> list:
+    """`[fn(*item) for item in items]`, worked on every CPU this process may
+    run on; with `stop`, only the results up to the first r with stop(r)."""
+    return submit(fn, items, stop).results()

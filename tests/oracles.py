@@ -1,10 +1,12 @@
-"""Brute-force reference implementations the contract and crypto tests
-compare against, and the export mutator the ledger tests feed to import."""
+"""Brute-force reference implementations the contract, crypto and ledger
+tests compare against, and the export mutator the ledger tests feed to
+import."""
 
 import hashlib
 import json
 from random import Random
 
+from potchain import ledger
 from potchain.consensus import Exhausted, MineResult, meets_target
 from potchain.contracts import NoBidders
 
@@ -118,3 +120,22 @@ def mutate_export(text: str, rng: Random) -> str:
         container[last] = rng.choice(_FIELD_VALUES)
     lines[row] = json.dumps(record, separators=(",", ":"))
     return "\n".join(lines)
+
+
+def import_reference(text: str, params) -> ledger.Chain:
+    """Reference import: each record decoded and appended, so every check of
+    its block run, before the next record is read."""
+    if not text:
+        raise ledger.LedgerError("empty chain export")
+    lines = text.split("\n")
+    if lines.pop() or not all(lines):
+        raise ledger.MalformedRecord("export is not one record per newline-ended line")
+    genesis = ledger.block_from_record(lines[0])
+    if not genesis.is_genesis():
+        raise ledger.LedgerError("first record is not a genesis block")
+    ledger.check_roots(genesis)
+    ledger._check_genesis_signature(genesis)
+    chain = ledger.Chain(params=params, blocks=[genesis], beta=params.beta0)
+    for line in lines[1:]:
+        chain.append_block(ledger.block_from_record(line))
+    return chain

@@ -428,7 +428,7 @@ def test_calibrate_mean_trials_tracks_expectation(tmp_path, capsys):
             assert abs(float(mean_trials) - 2 ** z) / 2 ** z < 0.5
 
 
-def test_calibrate_starts_the_pool_before_its_first_timed_search(two_shares, tmp_path,
+def test_calibrate_starts_the_pool_before_its_first_timed_search(one_worker, tmp_path,
                                                                 capsys, monkeypatch):
     pool.stop()
     pools, search = [], consensus.mine

@@ -166,8 +166,8 @@ def test_scan_nonces_matches_reference_across_256_nonce_blocks(start, count):
 
 # Spans of the pooled search: a search of at most HEAD nonces runs in the
 # caller alone, and from z = 11 the rest goes out in rounds of one chunk per
-# CPU from the first nonce. Under `two_shares` a round is the caller's chunk
-# and one worker's, which the two claim from opposite ends.
+# CPU from the first nonce. Under `one_worker` a round of two chunks is one
+# share, which the worker scans from the front and the caller from the back.
 HEAD, ROUND = crypto.SCAN_HEAD, 2 * crypto.SCAN_CHUNK
 
 
@@ -180,17 +180,18 @@ HEAD, ROUND = crypto.SCAN_HEAD, 2 * crypto.SCAN_CHUNK
 @example(preimage=b"", z=8, nonce_start=0, max_trials=0)
 @example(preimage=b"", z=8, nonce_start=NONCE_WRAP - 1, max_trials=-1)
 @example(preimage=b"", z=14, nonce_start=0, max_trials=HEAD)
-def test_pooled_mine_matches_reference_property(two_shares, preimage, z, nonce_start,
+def test_pooled_mine_matches_reference_property(one_worker, preimage, z, nonce_start,
                                                 max_trials):
-    # z from 8 to 14 puts hits in the head, in the caller's chunk and in the
-    # worker's; starts within a few rounds of 2^64 put the wrap to nonce 0
-    # inside a chunk, the worker's included.
+    # z from 8 to 14 puts hits in the head and in both chunks of a round;
+    # starts within a few rounds of 2^64 put the wrap to nonce 0 inside a
+    # chunk, the second included.
     assert (_search(consensus.mine, preimage, z, nonce_start, max_trials)
             == _search(mine_reference, preimage, z, nonce_start, max_trials))
 
 
-def test_pooled_mine_finds_hits_in_the_workers_chunk(two_shares):
-    # The wrap to nonce 0 falls in the middle of the first round's worker chunk.
+def test_pooled_mine_finds_hits_in_the_workers_chunk(one_worker):
+    # The wrap to nonce 0 falls in the middle of the first round's second
+    # chunk, where the caller's claims start.
     start = NONCE_WRAP - HEAD - crypto.SCAN_CHUNK - crypto.SCAN_CHUNK // 2
     preimages = [bytes([i]) for i in range(32)]
     results = [_search(consensus.mine, p, 12, start, HEAD + ROUND) for p in preimages]
@@ -199,7 +200,7 @@ def test_pooled_mine_finds_hits_in_the_workers_chunk(two_shares):
     assert after_wrap and all(r.trials > HEAD + crypto.SCAN_CHUNK for r in after_wrap)
 
 
-def test_search_ending_inside_the_head_starts_no_worker(two_shares):
+def test_search_ending_inside_the_head_starts_no_worker(one_worker):
     pool.stop()
     assert consensus.mine(b"x", 1) == mine_reference(b"x", 1)
     with pytest.raises(consensus.Exhausted):
@@ -207,10 +208,11 @@ def test_search_ending_inside_the_head_starts_no_worker(two_shares):
     assert pool._workers == []
 
 
-def test_a_worker_killed_between_searches_is_replaced(two_shares):
+def test_a_worker_killed_between_searches_is_replaced(one_worker):
     reference = {p: _search(mine_reference, p, 12, 0, HEAD + 3 * ROUND)
                  for p in (bytes([i]) for i in range(16))}
-    # the first search after the kill has its hit in the dead worker's chunk
+    # the first search after the kill has its hit in the second chunk of a
+    # round sent to the dead worker
     in_workers_chunk = [p for p, r in reference.items() if r != consensus.Exhausted
                         and HEAD + crypto.SCAN_CHUNK < r.trials <= HEAD + ROUND]
     assert in_workers_chunk
@@ -225,13 +227,13 @@ def test_a_worker_killed_between_searches_is_replaced(two_shares):
     assert replacement.process.is_alive() and replacement.process.pid != worker.process.pid
 
 
-def test_a_stalled_worker_is_covered_and_its_late_answers_dropped(two_shares):
+def test_a_stalled_worker_is_covered_and_its_late_answers_dropped(one_worker):
     assert _search(consensus.mine, b"s", 64, 0, HEAD + ROUND) == consensus.Exhausted
     worker = pool._workers[0]
     preimages = [bytes([i]) for i in range(8)]
     os.kill(worker.process.pid, signal.SIGSTOP)     # a vCPU the host does not run
     try:
-        # the caller scans every worker chunk itself
+        # the caller scans every round itself
         for p in preimages:
             assert (_search(consensus.mine, p, 12, 0, HEAD + 2 * ROUND)
                     == _search(mine_reference, p, 12, 0, HEAD + 2 * ROUND))
@@ -247,10 +249,11 @@ def test_a_stalled_worker_is_covered_and_its_late_answers_dropped(two_shares):
                 == _search(mine_reference, p, 13, 0, HEAD + 2 * ROUND))
 
 
-def test_many_short_searches_leave_at_most_one_unread_answer(two_shares):
-    # At z = 8 a search that leaves the head mostly ends in the caller's
-    # chunk while the worker is still scanning its own; those answers must
-    # not pile up in the pipes, which would end in a deadlock.
+def test_many_short_searches_leave_at_most_one_unread_answer(one_worker):
+    # At z = 8 a search that leaves the head mostly ends early in its first
+    # round, and a worker's answer may come only after the caller has taken
+    # every item; those answers must not pile up in the pipes, which would
+    # end in a deadlock.
     class Hung(Exception):
         """Not an OSError, which the pool takes for a dead worker."""
 

@@ -271,10 +271,11 @@ def signed_uploads(csc, identities, msg_ids, rng):
     return [(job[0], sig) for job, sig in zip(jobs, sigs)]
 
 
-@pytest.mark.parametrize("bad", [0, 3], ids=["caller-share", "worker-share"])
-def test_upload_batch_bad_signature_in_either_share(identities, two_shares, bad):
-    """Four uploads are checked in two shares of two; the one bad ring
-    signature, first or last, refuses the whole batch."""
+@pytest.mark.parametrize("bad", [3, 0], ids=["caller-share", "worker-share"])
+def test_upload_batch_bad_signature_in_either_share(identities, one_worker, bad):
+    """Four uploads go to one worker as a single share, which it checks from
+    the front while the caller claims them from the back; the one bad ring
+    signature, last or first, refuses the whole batch."""
     csc = registered_csc(identities)
     uploads = signed_uploads(csc, identities, [b"a", b"b", b"c", b"d"], Random(30))
     packet, sig = uploads[bad]
@@ -287,7 +288,7 @@ def test_upload_batch_bad_signature_in_either_share(identities, two_shares, bad)
     assert len(csc.packets) == 3
 
 
-def test_upload_batch_duplicate_tag_within_and_across_batches(identities, two_shares):
+def test_upload_batch_duplicate_tag_within_and_across_batches(identities, one_worker):
     csc = registered_csc(identities)
     uploads = signed_uploads(csc, identities, [b"a", b"b", b"c", b"a"], Random(31))
     with pytest.raises(DuplicateTag, match="upload 3"):

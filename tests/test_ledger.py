@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mutate_export
+from oracles import import_reference, mutate_export
 from potchain import consensus, crypto, ledger, pool, simnet
 from potchain.config import load_config
 from potchain.consensus import DifficultyParams
@@ -207,10 +207,11 @@ def test_append_bad_tx_signature(identities):
         chain.verify_block(block)
 
 
-@pytest.mark.parametrize("bad", [0, 9], ids=["caller-share", "worker-share"])
-def test_append_bad_tx_signature_in_either_share(identities, two_shares, bad):
-    """Ten signed transactions are verified in two shares of five; the one
-    bad signature, in either share, rejects the block."""
+@pytest.mark.parametrize("bad", [9, 0], ids=["caller-share", "worker-share"])
+def test_append_bad_tx_signature_in_either_share(identities, one_worker, bad):
+    """Ten signed transactions go to one worker as a single share, which it
+    checks from the front while the caller claims them from the back; the
+    one bad signature, at either end, rejects the block."""
     chain = fresh_chain(identities)
     txs = [ledger.make_signed_tx(TxKind.REWARD, bytes([i]), identities[i % 3])
            for i in range(10)]
@@ -231,11 +232,12 @@ def sealed(chain, txs, miner):
 
 @pytest.mark.parametrize("fails, error", [("root", BadRoot), ("seal", BadTrustField)])
 def test_a_failed_root_or_seal_check_abandons_the_signature_batch(
-        identities, two_shares, fails, error):
-    """Roots and seal are checked before any signature. A block that fails
-    there and holds a bad signature raises the root or seal error, and the
-    pool is kept: every back index is 0, and the next batch answers
-    correctly."""
+        identities, one_worker, fails, error):
+    """Roots and seal are checked before any signature. A block whose
+    signature check was started ahead, as import starts it, and that fails
+    there and holds a bad signature raises the root or seal error; the
+    check is abandoned, every item claimed (every back index is 0), and the
+    pool is kept: the next batch answers correctly."""
     chain = fresh_chain(identities)
     txs = [ledger.make_signed_tx(TxKind.REWARD, bytes([i]), identities[i % 3])
            for i in range(10)]
@@ -247,6 +249,7 @@ def test_a_failed_root_or_seal_check_abandons_the_signature_batch(
         bad = replace(bad, header=replace(bad.header, miner_trust=9999))
     pool.start()
     workers = list(pool._workers)
+    chain.start_check(bad)
     with pytest.raises(error):
         chain.verify_block(bad)
     assert pool._workers == workers and all(w.back[0] == 0 for w in workers)
@@ -572,17 +575,78 @@ def seven_block_export(identities):
     return ledger.export_chain(build_long_chain(identities, 7))
 
 
+def import_as_the_reference(text):
+    """The chain `import_chain` rebuilds from `text`, or the LedgerError it
+    raises, after checking that the one-record-at-a-time reference import
+    raises the same class and message, or rebuilds the same headers."""
+    try:
+        expected = import_reference(text, CHAIN_PARAMS)
+    except ledger.LedgerError as exc:
+        with pytest.raises(ledger.LedgerError) as raised:
+            ledger.import_chain(text, CHAIN_PARAMS)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return raised.value
+    chain = ledger.import_chain(text, CHAIN_PARAMS)
+    assert header_hashes(chain) == header_hashes(expected)
+    return chain
+
+
 @settings(max_examples=300, deadline=None)
 @given(rng=st.randoms(use_true_random=False))
 def test_import_of_a_mutated_export_raises_or_is_exact(seven_block_export, rng):
     """Any single-character or single-field mutation of an export either
-    raises a LedgerError or imports a chain that exports the same text."""
+    raises the reference import's LedgerError or imports a chain that
+    exports the same text."""
     text = mutate_export(seven_block_export, rng)
-    try:
-        chain = ledger.import_chain(text, CHAIN_PARAMS)
-    except ledger.LedgerError:
-        return
-    assert ledger.export_chain(chain) == text
+    imported = import_as_the_reference(text)
+    if isinstance(imported, Chain):
+        assert ledger.export_chain(imported) == text
+
+
+def signed_chain(identities, length):
+    """A chain of `length` blocks, each after the genesis holding ten signed
+    transactions."""
+    chain = fresh_chain(identities)
+    for k in range(1, length):
+        chain.append_block(sealed(chain, signed_txs(identities, k), identities[0]))
+    return chain
+
+
+def signed_txs(identities, k):
+    return [ledger.make_signed_tx(TxKind.REWARD, bytes([k, i]), identities[i % 3])
+            for i in range(10)]
+
+
+def test_a_bad_signature_is_raised_before_the_next_malformed_record(identities, one_worker):
+    """Block 3's signature check is started ahead while record 4 is read;
+    record 4 does not decode, and block 3 holds a forged signature under a
+    valid seal: the import raises BadSignature, as the reference does."""
+    chain = signed_chain(identities, 3)
+    txs = signed_txs(identities, 3)
+    txs[4] = replace(txs[4], signature=txs[5].signature)
+    forged = sealed(chain, txs, identities[0])
+    text = ledger.export_chain(chain) + ledger.block_to_record(forged) + "\n{}\n"
+    assert type(import_as_the_reference(text)) is BadSignature
+
+
+def test_a_bad_root_abandons_the_check_started_ahead(identities, one_worker):
+    """A payload changed in block 2 fails its transaction root, and with it
+    its signature: the import raises BadRoot, as the reference does, and the
+    pool is kept: the next batch gives the sequential results on the same
+    workers."""
+    def mutate(obj):
+        obj["transactions"][3]["payload"] = "00"
+
+    chain = signed_chain(identities, 5)
+    text = _mutated_export(chain, 2, mutate)
+    pool.start()
+    workers = list(pool._workers)
+    assert type(import_as_the_reference(text)) is BadRoot
+    txs = signed_txs(identities, 2)
+    items = [(tx.payload, tx.signature, identities[i % 3].sig_pk) for i, tx in enumerate(txs)]
+    items[3] = (b"\x00", *items[3][1:])
+    assert crypto.verify_batch(items) == [crypto.verify(*item) for item in items]
+    assert pool._workers == workers and all(w.process.is_alive() for w in workers)
 
 
 def test_quantize_tv():

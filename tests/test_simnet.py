@@ -222,7 +222,7 @@ def test_worlds_in_one_process_share_the_verify_workers():
     assert len(pids) == len(os.sched_getaffinity(0)) - 1
 
 
-def test_a_chain_signed_on_two_cpus_is_the_chain_signed_on_one(two_shares, monkeypatch):
+def test_a_chain_signed_on_two_cpus_is_the_chain_signed_on_one(one_worker, monkeypatch):
     """Ed25519 signatures are deterministic, so a World whose rounds sign
     and check on two CPUs exports the chain text of one that does it all in
     the caller."""
