@@ -62,9 +62,6 @@ def _run_mining(cfg: RunConfig, out: Path, summary: Summary) -> None:
     for kind in sorted(means):
         summary.info(f"mean expected cost {kind}: {means[kind]:.1f}")
     ratio = stats["ratio"]
-    if ratio is None:
-        summary.info("AC3 checks skipped: population has a single node type")
-        return
     summary.check("AC3-ordering", stats["ordering_ok"],
                   "Rnode mean below every other type"
                   if stats["ordering_ok"] else "Rnode not cheapest")

@@ -73,6 +73,10 @@ class RunConfig:
                 "trust.rho",
                 f"on-off resistance requires rho > eta/(1-exp(-eta)) - eta; "
                 f"rho={trust.rho} fails the bound for eta={trust.eta}")
+        kinds = {group.profile.kind for group in self.sim.population}
+        if self.experiment == "mining-cost" and (NodeKind.RNODE not in kinds or len(kinds) < 2):
+            raise ConfigInvalid("population", "a mining-cost run compares the Rnodes' "
+                                "cost with the other kinds', so it needs both")
         if self.experiment == "mining-cost" and self.sim.rounds <= self.sim.warmup:
             raise ConfigInvalid(
                 "run.rounds", f"a mining-cost run averages the rounds after its "
@@ -90,9 +94,10 @@ class RunConfig:
         if self.pu_force not in ("none", "idle"):
             raise ConfigInvalid("demo.pu_force", "must be 'none' or 'idle'")
         if self.experiment == "demo-round":
-            participation = [group.profile.participation for group in self.sim.population
-                             for _ in range(group.count)]
-            if participation != [1.0] * len(DEMO_TRUSTS) + [0.0] * len(DEMO_BIDS):
+            scripted = [1.0] * len(DEMO_TRUSTS) + [0.0] * len(DEMO_BIDS)
+            if population != len(scripted) or scripted != [
+                    group.profile.participation for group in self.sim.population
+                    for _ in range(group.count)]:
                 raise ConfigInvalid(
                     "population", f"demo-round scripts {len(DEMO_TRUSTS)} sensors "
                     f"(participation 1) then {len(DEMO_BIDS)} bidders (participation 0)")
@@ -181,7 +186,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigInvalid("config", f"file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)     # a value is its text, % and all
     try:
         parser.read(path)
     except configparser.Error as exc:

@@ -300,23 +300,19 @@ class Chain:
         return consensus.mining_target(tv, self.beta_for_next()).leading_zero_bits
 
     def check_seal(self, header: BlockHeader) -> None:
-        """Check the trust field, the proof of work and the miner signature
-        of a header sealed on the tip."""
+        """Check the trust field and the proof of work of a header sealed on
+        the tip; its signature is checked with the block's others."""
         if header.miner_trust != self.committed_trust(header.miner_id):
             raise BadTrustField("header trust disagrees with the tip state")
         z = self.target_for(header.miner_id)
-        digest = header.header_hash()
-        if not consensus.meets_target(digest, z):
+        if not consensus.meets_target(header.header_hash(), z):
             raise BadPoW(f"header hash misses {z} leading zero bits")
-        miner = self.tip.account_states[header.miner_id]
-        if not crypto.verify(digest, header.miner_sig, miner.sig_pk):
-            raise BadSignature("miner signature invalid")
 
     def start_check(self, block: Block) -> None:
-        """Start checking the account signatures of `block`, a child of the
-        tip, on the workers; `verify_block(block)` collects the check while
-        the tip is still its parent. A check started before and not
-        collected is abandoned."""
+        """Start checking the signatures of `block`, a child of the tip, on
+        the workers; `verify_block(block)` collects the check while the tip
+        is still its parent. A check started before and not collected is
+        abandoned."""
         ahead, self._ahead = self._ahead, None
         if ahead is not None:
             ahead.abandon()
@@ -324,9 +320,9 @@ class Chain:
 
     def verify_block(self, block: Block) -> None:
         """Check the parent link, the timestamp, the roots, the seal and the
-        account signatures, in that order. The signatures are those of the
-        check `start_check` started for this block on this tip, or else of
-        one started once the seal has passed."""
+        signatures, in that order. The signatures are those of the check
+        `start_check` started for this block on this tip, or else of one
+        started once the seal has passed."""
         header = block.header
         parent = self.tip
         check, self._ahead = self._ahead, None
@@ -353,31 +349,40 @@ class Chain:
 
 
 class _SignatureCheck:
-    """Every account signature in `block`, by the key its signer's account
-    holds in the block or else in `parent`, checked as one batch on all CPUs.
-    A signer with no account sends no batch and fails the check."""
+    """Every signature `block` carries, checked as one batch on all CPUs:
+    first the seal, by the miner's key in `parent`, or in the block itself
+    for a genesis (`parent` None), where a plain one (miner ZERO32) must
+    carry none; then each account signature, by its signer's key in the
+    block or else in `parent`. An absent account gives the empty key, under
+    which no signature checks."""
 
-    def __init__(self, block: Block, parent: Block):
+    def __init__(self, block: Block, parent: Block | None):
         self.block, self.parent = block, parent
-        items = []
+        header, keys = block.header, (parent or block).account_states
+        self.sealed = parent is not None or header.miner_id != ZERO32
+        signed = []     # (message, signature, signer's account or None)
+        if self.sealed:
+            signed.append((header.header_hash(), header.miner_sig, keys.get(header.miner_id)))
         for tx in block.transactions:
-            if tx.signer == RING_SIGNER:
-                continue  # ring-signed uploads are checked at contract admission
-            signer = block.account_states.get(tx.signer) or parent.account_states.get(tx.signer)
-            if signer is None:
-                self.batch = None
-                return
-            items.append((tx.payload, tx.signature, signer.sig_pk))
-        self.batch = crypto.submit_verify_batch(items)
+            if tx.signer != RING_SIGNER:    # ring-signed uploads: checked at contract admission
+                account = block.account_states.get(tx.signer) or keys.get(tx.signer)
+                signed.append((tx.payload, tx.signature, account))
+        self.batch = crypto.submit_verify_batch(
+            [(message, signature, account.sig_pk if account else b"")
+             for message, signature, account in signed])
 
     def collect(self) -> None:
-        """Raise BadSignature unless every signature checks."""
-        if self.batch is None or not all(self.batch.results()):
+        """Raise BadSignature naming the seal or the transactions unless
+        every signature checks."""
+        results = self.batch.results()
+        if not (results.pop(0) if self.sealed else self.block.header.miner_sig == b""):
+            raise BadSignature("miner signature invalid" if self.parent is not None
+                               else "genesis signature invalid")
+        if not all(results):
             raise BadSignature("transaction signature invalid")
 
     def abandon(self) -> None:
-        if self.batch is not None:
-            self.batch.abandon()
+        self.batch.abandon()
 
 
 # =============================================================================
@@ -417,6 +422,7 @@ def apply_compression(chain: Chain, new_genesis: Block) -> Chain:
         raise StateMismatch("compressed state differs from the old tip")
     check_roots(new_genesis)
     chain.check_seal(new_genesis.header)
+    _SignatureCheck(new_genesis, tip).collect()
     return Chain(params=chain.params, blocks=[new_genesis], beta=chain.beta_for_next())
 
 
@@ -558,21 +564,6 @@ def block_from_record(line: str) -> Block:
     return Block(header=header, transactions=txs, account_states=accounts)
 
 
-def _check_genesis_signature(genesis: Block) -> None:
-    """A plain genesis (miner ZERO32) carries no signature; a compressed one
-    carries its compressor's, over its header hash, by the key the
-    compressor's account holds in that genesis."""
-    header = genesis.header
-    if header.miner_id == ZERO32:
-        ok = header.miner_sig == b""
-    else:
-        compressor = genesis.account_states.get(header.miner_id)
-        ok = compressor is not None and crypto.verify(
-            header.header_hash(), header.miner_sig, compressor.sig_pk)
-    if not ok:
-        raise BadSignature("genesis signature invalid")
-
-
 def export_chain(chain: Chain) -> str:
     return "\n".join(block_to_record(b) for b in chain.blocks) + "\n"
 
@@ -589,7 +580,7 @@ def import_chain(text: str, params: DifficultyParams) -> Chain:
     if not genesis.is_genesis():
         raise LedgerError("first record is not a genesis block")
     check_roots(genesis)
-    _check_genesis_signature(genesis)
+    _SignatureCheck(genesis, None).collect()
     chain = Chain(params=params, blocks=[genesis], beta=params.beta0)
     # Block k's signatures are checked on the workers from when its parent
     # is the tip, while the caller decodes record k + 1; a record that does

@@ -139,6 +139,7 @@ class SimConfig:
             ("n2", 1 <= self.n2 < ledger.U16, "outside [1, 2^16)"),
             ("d_a", 0 < self.d_a < ledger.U64, "outside [1, 2^64)"),
             ("p_active", 0.0 <= self.p_active <= 1.0, "outside [0, 1]"),
+            ("bid_probability", 0.0 <= self.bid_probability <= 1.0, "outside [0, 1]"),
             ("beta0", self.difficulty.beta0 >= 2, "must be >= 2"),
             # room for all a run can credit one account: each round's rewards
             ("initial_balance", 0 <= self.initial_balance
@@ -514,7 +515,7 @@ class World:
 
         # Mining, then expected-cost accounting over the parent-state trust.
         parent_state = self.chain.tip.account_states
-        miner = self._append_block(ledger.sign_txs(txs), self._pick_miner(parent_state),
+        miner = self._append_block(txs, self._pick_miner(parent_state),
                                    (round_idx + 1) * ROUND_MS)
         self.audit()
 
@@ -542,23 +543,24 @@ class World:
             parent_state[n.account_id].trust.tv, beta), n.account_id))
 
     def _append_block(self, txs, miner: Node, timestamp_ms: int) -> Node:
-        """Seal one block per candidate, each paying its own miner the reward;
-        append the fork-choice winner, credit it and return it. With
-        inject_forks the smallest other account seals a rival block."""
+        """Seal one block per candidate, each paying its own miner the reward
+        last, signed in one batch with `txs`; append the fork-choice winner,
+        credit it and return it. With inject_forks the smallest other account
+        seals a rival block."""
         candidates = [miner]
         if self.cfg.inject_forks and len(self.nodes) > 1:
             candidates.append(next(n for n in sorted(self.nodes, key=lambda n: n.account_id)
                                    if n.account_id != miner.account_id))
+        signed = ledger.sign_txs(txs + [
+            (TxKind.REWARD, contracts.encode_reward(node.account_id, REWARD_MINING),
+             node.identity) for node in candidates])
         accounts = self._account_snapshot()
         blocks = []
-        for node in candidates:
+        for node, reward_tx in zip(candidates, signed[len(txs):]):
             account = accounts[node.account_id]
             paid = {**accounts,
                     node.account_id: replace(account, balance=account.balance + REWARD_MINING)}
-            reward_tx = ledger.make_signed_tx(
-                TxKind.REWARD, contracts.encode_reward(node.account_id, REWARD_MINING),
-                node.identity)
-            blocks.append(ledger.make_block(self.chain, txs + [reward_tx], paid,
+            blocks.append(ledger.make_block(self.chain, signed[:len(txs)] + [reward_tx], paid,
                                             node.identity, timestamp_ms))
         chosen = consensus.resolve_fork([block.header for block in blocks])
         block = next(block for block in blocks if block.header is chosen)

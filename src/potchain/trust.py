@@ -46,8 +46,9 @@ class TrustParams:
     r2: float = 0.5
 
     def validate(self) -> None:
-        if self.rho <= 0 or self.eta <= 0:
-            raise ValueError("rho and eta must be positive")
+        for name in ("rho", "eta"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.window < 1:
             raise ValueError("window must be a positive integer")
         if not 0 < self.k1 < self.k2:
@@ -154,7 +155,7 @@ def update_trust(state: TrustState, outcome: Outcome, n: int,
 # =============================================================================
 
 def onoff_threshold(eta: float) -> float:
-    return eta / (1.0 - math.exp(-eta)) - eta
+    return eta / -math.expm1(-eta) - eta     # expm1: no division by zero at the tiniest eta
 
 
 def check_onoff_resistance(rho: float, eta: float) -> bool:

@@ -134,7 +134,7 @@ def import_reference(text: str, params) -> ledger.Chain:
     if not genesis.is_genesis():
         raise ledger.LedgerError("first record is not a genesis block")
     ledger.check_roots(genesis)
-    ledger._check_genesis_signature(genesis)
+    ledger._SignatureCheck(genesis, None).collect()
     chain = ledger.Chain(params=params, blocks=[genesis], beta=params.beta0)
     for line in lines[1:]:
         chain.append_block(ledger.block_from_record(line))

@@ -2,15 +2,19 @@
 
 import configparser
 import hashlib
+import io
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from potchain import cli, consensus, crypto, pool
-from potchain.config import ConfigInvalid, RunConfig, load_config
+from potchain.config import OPTIONS, ConfigInvalid, RunConfig, load_config
 from potchain.consensus import DifficultyParams
 from potchain.simnet import SimConfig
 from potchain.trust import TrustParams
@@ -124,7 +128,7 @@ def test_config_bad_population_line(tmp_path):
 def test_config_defaults_come_from_the_dataclasses(tmp_path):
     path = tmp_path / "bare.cfg"
     path.write_text("[run]\nexperiment = mining-cost\n"
-                    "[population]\nrnode = 2, 0.9, 0.1\n")
+                    "[population]\nrnode = 2, 0.9, 0.1\nlnode = 1, 0.5, 0.5\n")
     cfg = load_config(path)
     assert cfg.sim.trust == TrustParams()
     assert cfg.sim.difficulty == DifficultyParams()
@@ -166,6 +170,10 @@ REJECTED = [
     ("sensing-experiment", {"n1_sweep": "70000"}, "sensing-experiment.n1_sweep"),
     ("sensing-experiment", {"rounds_per_point": "-20"}, "sensing-experiment.rounds_per_point"),
     ("sensing-experiment", {"rounds_per_point": "0"}, "sensing-experiment.rounds_per_point"),
+    ("simulation", {"bid_probability": "7"}, "simulation.bid_probability"),
+    ("simulation", {"bid_probability": "nan"}, "simulation.bid_probability"),
+    # judged by the on-off bound, which reads 1 at the tiniest eta, not a division by zero
+    ("trust", {"eta": "1e-17"}, "trust.rho"),
 ]
 
 
@@ -207,6 +215,103 @@ def test_config_rejects_bad_setting(tmp_path, capsys, section, options, field_na
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("option", ["rho", "eta"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_demo_round_refuses_a_non_finite_trust_coefficient(tmp_path, capsys, option, value):
+    """A demo round skips the on-off bound, the only check a NaN rho used
+    to fail; the trust section refuses it, naming the coefficient."""
+    parser = configparser.ConfigParser()
+    parser.read(CONFIG_DIR / "demo_round.cfg")
+    parser.set("trust", option, value)
+    path = tmp_path / "demo.cfg"
+    with path.open("w") as fh:
+        parser.write(fh)
+    with pytest.raises(ConfigInvalid) as err:
+        load_config(path)
+    message = f"{option} must be positive and finite"
+    assert (err.value.field_name, err.value.message) == ("trust", message)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config invalid - trust: {message}\n"
+
+
+def test_a_percent_sign_in_a_value_is_plain_text(tmp_path, capsys, monkeypatch):
+    path = write_cfg(tmp_path)
+    path.write_text(path.read_text().replace("output_dir = out", "output_dir = out/100%"))
+    assert load_config(path).output_dir == "out/100%"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("POTCHAIN_OUT", raising=False)
+    assert cli.main(["run", str(path)]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "out" / "100%" / "summary.txt").exists()
+
+
+# Text an edit may set any option or population field to: values that
+# straddle the bounds (NaN, infinities, negatives, zero, the tiniest
+# positive, the edges of [0, 1], 2^64 and past), wrong case, blanks, and
+# text with a percent sign.
+EDGES = ("", "nan", "NaN", "inf", "-inf", "-1", "-0.0", "0", "5e-324", "1e-17", "0.5",
+         "1", "1.5", "7", "3", "20", str(1 << 64), "1e400", "out/100%", "%(seed)s", "True",
+         "OFF", "idle", "Idle", "Trust-Value", "random", "MINING-COST", "demo-round",
+         "3, 5", "4, 19")
+PRESETS = tuple((CONFIG_DIR / name).read_text() for name in (
+    "mining_cost.cfg", "sensing_schemes.cfg", "trust_curves.cfg", "demo_round.cfg", "smoke.cfg"))
+KINDS = ("rnode", "Rnode", "OONODE", "lnode", "uanode", "xnode")
+
+
+@st.composite
+def edited_presets(draw):
+    """The text of a bundled preset with one to three edits, each setting or
+    deleting one option, or setting a population line, or one field of one."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(draw(st.sampled_from(PRESETS)))
+    slots = [(section, option) for section, options in OPTIONS.items() for option in options]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            section, option = draw(st.sampled_from(slots))
+            if not parser.has_section(section):
+                parser.add_section(section)
+        else:
+            section, option = "population", draw(st.sampled_from(KINDS)).lower()
+        value = draw(st.sampled_from((None,) + EDGES))
+        if section == "population" and value is not None and parser.has_option(section, option):
+            parts = parser.get(section, option).split(",")
+            i = draw(st.integers(0, len(parts)))      # len(parts): a field past the last
+            value = ",".join(parts[:i] + [value] + parts[i + 1:])
+        if value is None:
+            parser.remove_option(section, option)
+        else:
+            parser.set(section, option, value)
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=edited_presets())
+def test_loading_an_edited_preset_gives_a_config_or_names_the_field(tmp_path, text):
+    """`load_config` of any edited preset returns a RunConfig whose floats
+    are finite and whose probabilities lie in [0, 1], or raises
+    ConfigInvalid naming a section or <section>.<option>; never another
+    exception."""
+    path = tmp_path / "edited.cfg"
+    path.write_text(text)
+    try:
+        cfg = load_config(path)
+    except ConfigInvalid as exc:
+        section, _, option = exc.field_name.partition(".")
+        assert section in (*OPTIONS, "population")
+        assert not option or section == "population" or option in OPTIONS[section]
+        return
+    sim, trust = cfg.sim, cfg.sim.trust
+    profiles = [group.profile for group in sim.population]
+    probabilities = [sim.tv_thr, sim.p_active, sim.bid_probability, trust.r1, trust.r2,
+                     *(p for profile in profiles
+                       for p in (profile.p_d, profile.p_f, profile.participation))]
+    assert all(0.0 <= p <= 1.0 for p in probabilities)
+    assert all(math.isfinite(x) for x in (trust.rho, trust.eta, *probabilities))
+
+
 @pytest.mark.parametrize("z", [1, 9, 28])
 def test_config_accepts_every_beta0_calibrate_recommends(tmp_path, z):
     """`potchain calibrate` recommends beta0 = 2^z for z in [1, 28]; 512 is
@@ -240,13 +345,21 @@ def test_a_mining_run_with_no_round_after_warmup_is_refused(tmp_path, capsys, ro
     assert load_config(path).sim.rounds == 13
 
 
-def test_a_single_type_population_skips_the_ac3_checks(tmp_path, capsys):
+@pytest.mark.parametrize("dropped", ["lnode = 2, 0.5, 0.5\n", "rnode = 3, 0.9, 0.15\n"],
+                         ids=["rnode-only", "no-rnode"])
+def test_a_mining_population_without_rnodes_and_another_kind_is_refused(
+        tmp_path, capsys, dropped):
+    """AC3 compares the Rnodes' mean cost with the other kinds': a
+    population without both would check nothing, so it is refused rather
+    than exiting 0."""
     path = write_cfg(tmp_path)
-    path.write_text(path.read_text().replace("lnode = 2, 0.5, 0.5\n", ""))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
-    out = capsys.readouterr().out
-    assert "AC3 checks skipped: population has a single node type" in out
-    assert "AC3-" not in out
+    path.write_text(path.read_text().replace(dropped, ""))
+    with pytest.raises(ConfigInvalid) as err:
+        load_config(path)
+    assert err.value.field_name == "population"
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("config invalid - population: ")
+    assert not (tmp_path / "o").exists()
 
 
 def sensing_cfg(tmp_path, n1_sweep: str, rounds_per_point: str = "500"):

@@ -260,6 +260,52 @@ def test_a_failed_root_or_seal_check_abandons_the_signature_batch(
     assert pool._workers == workers
 
 
+def flipped_seal(block):
+    """`block` with one bit of its seal signature flipped: the header hash,
+    and so the proof of work, are unchanged."""
+    sig = bytearray(block.header.miner_sig)
+    sig[-1] ^= 1
+    return replace(block, header=replace(block.header, miner_sig=bytes(sig)))
+
+
+@pytest.mark.parametrize("tx_fault", [None, "forged", "no-account"])
+def test_the_seal_signature_is_checked_first_and_only_in_the_batch(
+        identities, monkeypatch, tx_fault):
+    """The seal's signature is the first item of the block's one signature
+    batch: a bad one raises before a forged transaction signature or a
+    signer with no account, which raise as transaction signatures under a
+    good seal. The ledger verifies nothing outside the pool's batch."""
+    monkeypatch.setattr(crypto, "verify", None)
+    chain = fresh_chain(identities)
+    txs = [ledger.make_signed_tx(TxKind.REWARD, bytes([i]), identities[i % 3])
+           for i in range(4)]
+    if tx_fault == "forged":
+        txs[2] = replace(txs[2], signature=txs[1].signature)
+    elif tx_fault == "no-account":
+        txs[2] = replace(txs[2], signer=crypto.sha256(b"nobody"))
+    block = sealed(chain, txs, identities[0])
+    with pytest.raises(BadSignature, match="^miner signature invalid$"):
+        chain.verify_block(flipped_seal(block))
+    if tx_fault is None:
+        chain.append_block(block)
+        assert header_hashes(reimport(chain)) == header_hashes(chain)
+    else:
+        with pytest.raises(BadSignature, match="^transaction signature invalid$"):
+            chain.verify_block(block)
+
+
+def test_a_miner_absent_from_the_parent_fails_the_trust_field_not_the_check(identities):
+    """Starting the signature check of a block whose miner the parent state
+    does not hold raises nothing; the seal's trust field fails first."""
+    chain = fresh_chain(identities[:2], trusts=(0.5, 0.5))
+    block = sealed(chain, [], identities[0])
+    stranger = replace(block, header=replace(block.header, miner_id=identities[2].account_id))
+    chain.start_check(stranger)
+    with pytest.raises(BadTrustField, match="miner absent from the tip state"):
+        chain.verify_block(stranger)
+    chain.append_block(block)
+
+
 @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
                    reason="a block's account states are asserted, not replayed from "
                    "its transactions (ROADMAP item 2)")
@@ -360,6 +406,14 @@ def test_compress_rejects_a_genesis_before_the_tip(identities):
                             identities[0], 1)
     with pytest.raises(BadTimestamp):
         ledger.apply_compression(chain, proposal)
+
+
+def test_compress_rejects_a_bad_signature(identities):
+    chain = build_long_chain(identities, COMPRESS_MIN_LEN)
+    genesis = ledger.build_compressed_genesis(chain, identities[0])
+    with pytest.raises(BadSignature, match="^miner signature invalid$"):
+        ledger.apply_compression(chain, flipped_seal(genesis))
+    assert ledger.apply_compression(chain, genesis).tip is genesis
 
 
 def test_compress_requires_min_length(identities):
@@ -551,7 +605,7 @@ def test_import_refuses_a_signed_plain_genesis(identities):
     which the import would otherwise keep and re-export."""
     text = _mutated_export(build_long_chain(identities, 3), 0,
                            lambda obj: obj.__setitem__("miner_sig", "ab" * 64))
-    with pytest.raises(BadSignature):
+    with pytest.raises(BadSignature, match="^genesis signature invalid$"):
         ledger.import_chain(text, CHAIN_PARAMS)
 
 
@@ -566,7 +620,7 @@ def test_import_checks_the_compressed_genesis_signature(identities):
         sig[-1] ^= 1
         obj["miner_sig"] = sig.hex()
 
-    with pytest.raises(BadSignature):
+    with pytest.raises(BadSignature, match="^genesis signature invalid$"):
         ledger.import_chain(_mutated_export(compressed, 0, flip), CHAIN_PARAMS)
 
 

@@ -437,3 +437,22 @@ def test_demo_round_rejects_only_a_sensor_that_cannot_pay():
     result = simnet.demo_round(demo_cfg(initial_balance=10_000), "idle")
     assert result["rejected"] == []
     assert result["selected_trusts"] == [0.92, 0.93, 0.94]
+
+
+def test_a_round_signs_its_transactions_and_rewards_in_one_batch(monkeypatch):
+    """A smoke.cfg round seals a rival block: both candidates' REWARD join
+    the round's one signing batch, each the last transaction of its block,
+    and only the two seals, which cover the mined nonces, are signed apart."""
+    world = World(replace(load_config(CONFIG_DIR / "smoke.cfg").sim, rounds=1))
+    calls = []
+    for name in ("sign", "sign_batch"):
+        def counted(*args, _fn=getattr(crypto, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(crypto, name, counted)
+    monkeypatch.setattr(ledger, "make_signed_tx", None)
+    world.run_round(0)
+    assert calls == ["sign_batch", "sign", "sign"]
+    reward = world.chain.tip.transactions[-1]
+    assert reward.kind is ledger.TxKind.REWARD
+    assert reward.signer == world.chain.tip.header.miner_id
