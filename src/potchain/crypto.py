@@ -477,14 +477,14 @@ def ring_sign_batch(jobs, rng: Random) -> list[RingSignature]:
     return pool.map(ring_sign, calls)
 
 
-# A trial takes about 0.4 us, and a round trip to a worker 35-50 us when it
-# was busy a moment ago and up to about 170 us when it has slept for a few
-# ms (2-vCPU Xeon VM, Python 3.11). A search expecting at most 4 * SCAN_HEAD
-# trials (2^z at z <= 10 leading zero bits) scans a head of four times that,
-# at least SCAN_HEAD, in the caller alone: 98% end there and wake no worker.
-# A longer search starts on every CPU at its first nonce. A chunk makes the
-# round trip a few percent of a round; a piece, the unit of a claim, is
-# about 0.05 ms of scanning.
+# A trial takes about 0.4 us, and a round trip to a worker 35-50 us while it
+# polls for its next share (for `pool.SPIN_SECONDS` after its last) and up
+# to about 170 us once it sleeps (2-vCPU Xeon VM, Python 3.11). A search
+# expecting at most 4 * SCAN_HEAD trials (2^z at z <= 10 leading zero bits)
+# scans a head of four times that, at least SCAN_HEAD, in the caller alone:
+# 98% end there and wake no worker. A longer search starts on every CPU at
+# its first nonce. A chunk makes the round trip a few percent of a round; a
+# piece, the unit of a claim, is about 0.05 ms of scanning.
 SCAN_HEAD = 256             # nonces the caller scans alone, at least
 SCAN_CHUNK = 2048           # nonces per CPU per round
 SCAN_PIECE = 128            # nonces per item of a round's `pool.map`

@@ -31,6 +31,20 @@ batch whose answer was dropped before it read it works those items itself.
 `abandon()` claims every item of a batch, so a worker still on it stops
 after its current item.
 
+A worker waits for its next share as the caller waits for an answer: it
+polls its pipe without sleeping for at most `SPIN_SECONDS`, and only then
+blocks in `recv`. A round sends four batches (ring sign, ring verify,
+Ed25519 sign and verify), and a worker woken from `recv` starts a share
+0.1-0.2 ms later than one that polls: the time the host takes to wake an
+idle vCPU. On a 2-vCPU host the idle gaps a worker saw between shares were
+p50 1.9 ms and p90 4.3 ms in `sensing-n5`, 2.8 and 4.6 ms in `mining-n20`,
+2.5 and 4.0 ms in `chain-replay` and 1.6 and 1.8 ms in `pow-search`, and
+5 ms covers 94-100% of them. So an idle worker uses at most 5 ms of one
+CPU after each share, then sleeps. The spin is bounded, as in Karlin, Li,
+Manasse and Owicki (SOSP 1991), but sized from those gaps rather than from
+the cost of a wake-up: a worker has a CPU to itself that the process would
+otherwise leave idle.
+
 Workers are forked, not spawned: a spawned worker re-imports the caller's
 __main__, which fails in a script that builds a World without a main
 guard. potchain starts no threads, so the fork is safe.
@@ -48,9 +62,24 @@ from time import perf_counter
 # later set on a module attribute never runs in a worker.
 TASKS: dict = {}
 
+# How long an idle worker polls its pipe before it blocks in `recv`: longer
+# than nine in ten of the gaps between a round's batches (see above).
+SPIN_SECONDS = 0.005
+
 # How long the caller's last item of each task took, by task name: the
 # longest it waits for a worker on the last unclaimed item of a share.
 _item_seconds: dict[str, float] = {}
+
+
+def _poll(conn, timeout: float) -> bool:
+    """Whether `conn` has something to read, or its other end has closed,
+    within `timeout` s. Polls without sleeping: a process that sleeps in
+    the poll wakes well after the message comes."""
+    deadline = perf_counter() + timeout
+    while not conn.poll():
+        if perf_counter() >= deadline:
+            return False
+    return True
 
 
 def _serve(conn, parent_end, back, front) -> None:
@@ -58,13 +87,15 @@ def _serve(conn, parent_end, back, front) -> None:
     answer with the results of the share's items in order, up to the
     caller's claims (index `back[0]` on) or the first r with stop(r),
     keeping the index of the item it is on in `front[0]`, and the share's
-    length there once it has stopped."""
+    length there once it has stopped. Waits for a share polling for up to
+    `SPIN_SECONDS`, then blocking."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # the caller handles Ctrl-C
     parent_end.close()
     for worker in _workers:                         # a sibling's pipe, inherited
         worker.conn.close()
     while True:
         try:
+            _poll(conn, SPIN_SECONDS)
             name, share, stop = conn.recv()
             task, results = TASKS[name], []
             for i, item in enumerate(share):
@@ -127,18 +158,12 @@ class _Worker:
 
     def answered(self, timeout: float = 0.0) -> bool:
         """Whether `results` can return without waiting: the answer has
-        come, or the worker has died. Polls for up to `timeout` s without
-        sleeping: a caller that sleeps in the poll wakes well after the
-        answer comes, and it waits here for one item at most."""
-        deadline = perf_counter() + timeout
-        while True:
-            try:
-                if self.conn.poll():
-                    return True
-            except _DEAD:
-                return True
-            if perf_counter() >= deadline:
-                return False
+        come, or the worker has died. Polls for up to `timeout` s, which
+        is one item's time at most."""
+        try:
+            return _poll(self.conn, timeout)
+        except _DEAD:
+            return True
 
     def results(self) -> list | None:
         """The answer to the share sent, or None if the worker has died."""

@@ -128,6 +128,9 @@ class SimConfig:
                 raise SettingInvalid("population", str(exc)) from exc
             if group.count < 1:
                 raise SettingInvalid("population", "count must be >= 1")
+        # warm-up seats every node in one ring, whose size is a 2-byte field
+        if sum(group.count for group in self.population) >= ledger.U16:
+            raise SettingInvalid("population", "more than 2^16 - 1 nodes in all")
         ranges = (
             ("rounds", self.rounds >= 0, "must be >= 0"),
             ("warmup_rounds",

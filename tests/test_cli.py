@@ -362,6 +362,27 @@ def test_a_mining_population_without_rnodes_and_another_kind_is_refused(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("rnodes, loads", [(2 ** 64, False), (2 ** 16 - 8, False),
+                                           (2 ** 16 - 9, True)],
+                         ids=["2^64+8", "2^16", "2^16-1"])
+def test_a_population_too_large_for_the_ring_size_field_is_refused(tmp_path, rnodes, loads):
+    """Warm-up seats every node in one ring, whose size a ring signature
+    writes in 2 bytes: with the preset's 8 other nodes, a population of
+    2^16 or more is refused at load, and one node fewer loads."""
+    parser = configparser.ConfigParser()
+    parser.read(CONFIG_DIR / "mining_cost.cfg")
+    parser.set("population", "rnode", f"{rnodes}, 0.90, 0.15")
+    path = tmp_path / "large.cfg"
+    with path.open("w") as fh:
+        parser.write(fh)
+    if loads:
+        assert sum(group.count for group in load_config(path).sim.population) == 2 ** 16 - 1
+        return
+    with pytest.raises(ConfigInvalid) as err:
+        load_config(path)
+    assert err.value.field_name == "population"
+
+
 def sensing_cfg(tmp_path, n1_sweep: str, rounds_per_point: str = "500"):
     parser = configparser.ConfigParser()
     parser.read(CONFIG_DIR / "sensing_schemes.cfg")

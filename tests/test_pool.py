@@ -1,6 +1,7 @@
 """The worker pool: a batch's results are the sequential ones, whoever works
 each item, and a worker that dies, stops or lags cannot hold a batch up."""
 
+import multiprocessing
 import os
 import signal
 import time
@@ -176,6 +177,53 @@ def test_a_stopped_worker_holds_a_batch_up_for_one_item_at_most(claims, tmp_path
     by_caller = {index for index, pid in worked(log) if pid == CALLER}
     assert by_caller == set(range(size))
     assert pool.map(logged, items[:4]) == expected[:4]
+
+
+# =============================================================================
+# Waits: an idle worker polls its pipe for at most SPIN_SECONDS, then sleeps
+# =============================================================================
+
+def cpu_seconds_and_state(pid: int) -> tuple[float, str]:
+    """The process's user plus system CPU time in s, and its state letter,
+    from /proc/<pid>/stat."""
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK"), fields[0]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_an_idle_worker_polls_for_the_bound_then_sleeps(claims):
+    """Over an idle window 40 times the bound, the worker uses at most the
+    bound of CPU, plus two clock ticks for the rounding of /proc's counts,
+    and ends it asleep in `recv`; a worker that kept polling would use the
+    whole window."""
+    items = [(os.devnull, i, False, (0, 0), 0) for i in range(40)]
+    assert pool.map(logged, items) == [(i, False) for i in range(40)]
+    pid = pool._workers[0].process.pid
+    before, _ = cpu_seconds_and_state(pid)
+    time.sleep(40 * pool.SPIN_SECONDS)
+    after, state = cpu_seconds_and_state(pid)
+    assert after - before <= pool.SPIN_SECONDS + 2 / os.sysconf("SC_CLK_TCK")
+    assert state == "S"
+
+
+@pytest.mark.parametrize("how", ["pool-stopped", "pipe-closed"])
+def test_a_worker_stopped_or_cut_off_while_it_polls_leaves_no_process(claims, how):
+    """`pool.stop()` right after a batch, while the worker polls for the
+    next, leaves no process running; a worker whose pipe closes while it
+    polls returns from its loop, as it does from a blocked `recv`."""
+    items = [(os.devnull, i, False, (0, 0), 0) for i in range(40)]
+    expected = [(i, False) for i in range(40)]
+    assert pool.map(logged, items) == expected
+    worker = pool._workers[0]
+    if how == "pipe-closed":
+        worker.conn.close()
+        worker.process.join(timeout=10)
+        assert worker.process.exitcode == 0
+    pool.stop()
+    assert not worker.process.is_alive() and multiprocessing.active_children() == []
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker.process.pid, 0)
+    assert pool.map(logged, items) == expected
 
 
 def test_an_unregistered_task_is_refused_before_anything_is_sent(claims):
