@@ -38,7 +38,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 from . import pool
 
-DIGEST_BYTES = 32
 FEISTEL_ROUNDS = 16
 DEFAULT_RSA_BITS = 512
 MIN_RSA_BITS = 64         # shortest ring modulus a sensing contract seats
@@ -484,7 +483,9 @@ def ring_sign_batch(jobs, rng: Random) -> list[RingSignature]:
 # scans a head of four times that, at least SCAN_HEAD, in the caller alone:
 # 98% end there and wake no worker. A longer search starts on every CPU at
 # its first nonce. A chunk makes the round trip a few percent of a round; a
-# piece, the unit of a claim, is about 0.05 ms of scanning.
+# piece, the unit of a claim, is about 0.05 ms of scanning. Only `pow-search`
+# and `potchain calibrate` reach the rounds: every simulated block's search
+# ends in the head.
 SCAN_HEAD = 256             # nonces the caller scans alone, at least
 SCAN_CHUNK = 2048           # nonces per CPU per round
 SCAN_PIECE = 128            # nonces per item of a round's `pool.map`
@@ -496,7 +497,8 @@ def scan_nonces_batch(preimage: bytes, bound: bytes, start: int, count: int) -> 
     The caller scans the head alone. The rest goes out in rounds of up to
     SCAN_CHUNK nonces per CPU, each round one `pool.map` of the scan over
     SCAN_PIECE-nonce pieces that stops at the first piece with a hit, so
-    the index is the sequential scan's.
+    the index is the sequential scan's. Only a search that outlasts the
+    head, as in `pow-search` and `potchain calibrate`, reaches the pool.
     """
     scan = pool.TASKS["scan_nonces"]
     expected = (1 << 256) // max(1, int.from_bytes(bound, "big"))     # 2^z at z bits

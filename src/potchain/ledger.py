@@ -1,5 +1,5 @@
 """Block and chain structures: merkle commitments, append/verify, the
-trust-based chain compression, and line-delimited export/import.
+trust-based chain compression, and export/import.
 
 Merkle convention: leaves are hashed individually, odd layers duplicate
 the last node, parents are H(left || right). The final root of a tree
@@ -9,11 +9,13 @@ duplicated cannot share a root. A single leaf hashes to H(leaf); the
 empty list hashes to H("").
 
 Serialized trust values are fixed-point with 4 decimal digits.
+
+An export holds each block as the bytes its header hash and roots commit
+to: the layout that is hashed is the one exported (`block_to_record`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -23,7 +25,7 @@ from .trust import TrustState
 
 ZERO32 = bytes(32)
 TV_SCALE = 10_000
-U16, U32, U64 = 1 << 16, 1 << 32, 1 << 64     # limits of 2-, 4- and 8-byte fields
+U16, U64 = 1 << 16, 1 << 64     # limits of 2- and 8-byte fields
 
 
 class LedgerError(Exception):
@@ -67,7 +69,7 @@ class TooShort(LedgerError):
 
 
 class MalformedRecord(LedgerError):
-    """An export line that is not a well-formed block record."""
+    """An export that is not a sequence of well-formed block records."""
 
 
 def quantize_tv(tv: float) -> int:
@@ -431,172 +433,136 @@ def compress_chain(chain: Chain, compressor: crypto.NodeIdentity) -> Chain:
 
 
 # =============================================================================
-# Line-delimited export / import (regression fixtures)
+# Export / import: each block as the bytes its hash and roots commit to
 # =============================================================================
 
-def _account_to_obj(acct: AccountState) -> dict:
-    t = acct.trust
-    return {
-        "account_id": acct.account_id.hex(),
-        "sig_pk": acct.sig_pk.hex(),
-        "ring_n": str(acct.ring_n),
-        "ring_e": acct.ring_e,
-        "balance": acct.balance,
-        "tv": quantize_tv(t.tv),
-        "n_right": t.n_right,
-        "wrong_rounds": list(t.wrong_rounds),
-        "r_sleep": t.r_sleep,
-        "last_round": t.last_round,
-        "sensing_rounds": t.sensing_rounds,
-    }
+class _Reader:
+    """Bytes read front to back; MalformedRecord if they end early."""
+
+    def __init__(self, data: bytes):
+        self.data, self.at = data, 0
+
+    def take(self, size: int) -> bytes:
+        if self.at + size > len(self.data):
+            raise MalformedRecord("record ends early")
+        self.at += size
+        return self.data[self.at - size:self.at]
+
+    def uint(self, size: int) -> int:
+        return int.from_bytes(self.take(size), "big")
 
 
-def _int(obj: dict, key: str, lo: int, hi: int) -> int:
-    """obj[key] as an integer in its wire range lo..hi - 1."""
-    value = obj[key]
-    if type(value) is not int or not lo <= value < hi:
-        raise MalformedRecord(f"{key} {value!r} outside {lo}..{hi - 1}")
-    return value
-
-
-def _hex(obj: dict, key: str, size: int | None = None) -> bytes:
-    """obj[key] as bytes from lowercase hex without whitespace, `size` long
-    if given: the one text that exports back to the same bytes."""
-    text = obj[key]
-    value = bytes.fromhex(text)
-    if value.hex() != text or size is not None and len(value) != size:
-        raise MalformedRecord(f"{key} is not lowercase hex of the expected length")
-    return value
-
-
-_BLOCK_KEYS = frozenset(("prev_hash", "tx_root", "state_root", "miner_id", "miner_trust",
-                         "timestamp_ms", "nonce", "miner_sig", "transactions", "accounts"))
-_TX_KEYS = frozenset(("kind", "payload", "signer", "signature"))
-_ACCOUNT_KEYS = frozenset(("account_id", "sig_pk", "ring_n", "ring_e", "balance", "tv",
-                           "n_right", "wrong_rounds", "r_sleep", "last_round",
-                           "sensing_rounds"))
-
-
-def _record(obj, keys: frozenset) -> dict:
-    """obj, if it is a JSON object with exactly the keys the export writes."""
-    if type(obj) is not dict or obj.keys() != keys:
-        raise MalformedRecord(f"expected an object with the keys {', '.join(sorted(keys))}")
-    return obj
-
-
-def _tx_from_obj(obj: dict) -> Transaction:
-    _record(obj, _TX_KEYS)
-    signer = _hex(obj, "signer")
+def _tx_from(reader: _Reader) -> Transaction:
+    """The transaction `Transaction.canonical_bytes` wrote at the reader."""
+    try:
+        kind = TxKind(reader.uint(1))
+    except ValueError as exc:
+        raise MalformedRecord(str(exc)) from None
+    payload, signer = reader.take(reader.uint(4)), reader.take(reader.uint(2))
+    signature = reader.take(reader.uint(4))
     if len(signer) not in (len(RING_SIGNER), 32):
         raise MalformedRecord("signer is neither an account id nor RING_SIGNER")
-    return Transaction(kind=TxKind(_int(obj, "kind", 0, 256)), payload=_hex(obj, "payload"),
-                       signer=signer, signature=_hex(obj, "signature"))
+    return Transaction(kind=kind, payload=payload, signer=signer, signature=signature)
 
 
-def _account_from_obj(obj: dict) -> AccountState:
-    _record(obj, _ACCOUNT_KEYS)
-    ring_n = obj["ring_n"]
-    n = int(ring_n) if type(ring_n) is str and ring_n.isdigit() else 0
-    if str(n) != ring_n or not 0 < n.bit_length() <= crypto.MAX_RSA_BITS:
-        raise MalformedRecord(f"ring_n {ring_n!r} is not a positive decimal modulus")
-    wrong_rounds = obj["wrong_rounds"]
-    if (type(wrong_rounds) is not list or len(wrong_rounds) >= U16
-            or any(type(m) is not int or not 0 <= m < U32 for m in wrong_rounds)):
-        raise MalformedRecord("wrong_rounds is not a list of sensing rounds")
-    trust = TrustState(tv=_int(obj, "tv", 0, TV_SCALE + 1) / TV_SCALE,
-                       n_right=_int(obj, "n_right", 0, U32),
-                       wrong_rounds=tuple(wrong_rounds),
-                       r_sleep=_int(obj, "r_sleep", 0, U32),
-                       last_round=_int(obj, "last_round", -1, U32 - 1),
-                       sensing_rounds=_int(obj, "sensing_rounds", 0, U32))
-    return AccountState(account_id=_hex(obj, "account_id", 32),
-                        sig_pk=_hex(obj, "sig_pk", 32),
-                        ring_n=n, ring_e=_int(obj, "ring_e", 1, U64),
-                        balance=_int(obj, "balance", 0, U64), trust=trust)
+def _account_from(reader: _Reader) -> AccountState:
+    """The account `AccountState.canonical_bytes` wrote at the reader."""
+    account_id, sig_pk, ring_n = reader.take(32), reader.take(32), reader.take(reader.uint(1))
+    if not ring_n or not ring_n[0]:
+        raise MalformedRecord("ring_n is zero or wider than its value")
+    ring_e, balance, tv = reader.uint(8), reader.uint(8), reader.uint(2)
+    if not ring_e:
+        raise MalformedRecord("ring_e is zero")
+    if tv > TV_SCALE:
+        raise MalformedRecord(f"tv {tv} above {TV_SCALE}")
+    n_right, r_sleep, last_round, sensing_rounds = (reader.uint(4) for _ in range(4))
+    wrong_rounds = tuple(reader.uint(4) for _ in range(reader.uint(2)))
+    if list(wrong_rounds) != sorted(wrong_rounds):
+        raise MalformedRecord("wrong_rounds are not in ascending order")
+    trust = TrustState(tv=tv / TV_SCALE, n_right=n_right, wrong_rounds=wrong_rounds,
+                       r_sleep=r_sleep, last_round=last_round - 1,
+                       sensing_rounds=sensing_rounds)
+    return AccountState(account_id=account_id, sig_pk=sig_pk,
+                        ring_n=int.from_bytes(ring_n, "big"), ring_e=ring_e,
+                        balance=balance, trust=trust)
 
 
-def block_to_record(block: Block) -> str:
+def block_to_record(block: Block) -> bytes:
+    """The header preimage and the 8-byte nonce (what the header hash
+    covers), the miner signature behind a 4-byte length, then the 4-byte
+    transaction count and the tx_root leaves, and the 4-byte account count
+    and the state_root leaves, in account id order."""
     h = block.header
-    obj = {
-        "prev_hash": h.prev_hash.hex(),
-        "tx_root": h.tx_root.hex(),
-        "state_root": h.state_root.hex(),
-        "miner_id": h.miner_id.hex(),
-        "miner_trust": h.miner_trust,
-        "timestamp_ms": h.timestamp_ms,
-        "nonce": h.nonce,
-        "miner_sig": h.miner_sig.hex(),
-        "transactions": [
-            {"kind": tx.kind.value, "payload": tx.payload.hex(),
-             "signer": tx.signer.hex(), "signature": tx.signature.hex()}
-            for tx in block.transactions],
-        "accounts": [_account_to_obj(block.account_states[aid])
-                     for aid in sorted(block.account_states)],
-    }
-    return json.dumps(obj, separators=(",", ":"))
+    return b"".join((h.preimage(), h.nonce.to_bytes(8, "big"),
+                     len(h.miner_sig).to_bytes(4, "big"), h.miner_sig,
+                     len(block.transactions).to_bytes(4, "big"),
+                     *(tx.canonical_bytes() for tx in block.transactions),
+                     len(block.account_states).to_bytes(4, "big"),
+                     *state_leaves(block.account_states)))
 
 
-def block_from_record(line: str) -> Block:
-    """Decode one export line. Anything that is not a well-formed record,
-    or holds a field outside its wire range, raises MalformedRecord."""
-    try:
-        obj = _record(json.loads(line), _BLOCK_KEYS)
-        header = BlockHeader(
-            prev_hash=_hex(obj, "prev_hash", 32),
-            tx_root=_hex(obj, "tx_root", 32),
-            state_root=_hex(obj, "state_root", 32),
-            miner_id=_hex(obj, "miner_id", 32),
-            miner_trust=_int(obj, "miner_trust", 0, TV_SCALE + 1),
-            timestamp_ms=_int(obj, "timestamp_ms", 0, U64),
-            nonce=_int(obj, "nonce", 0, U64),
-            miner_sig=_hex(obj, "miner_sig"))
-        txs = tuple(_tx_from_obj(t) for t in obj["transactions"])
-        accounts, last_id = {}, b""
-        for a in obj["accounts"]:
-            account = _account_from_obj(a)
-            if account.account_id <= last_id:
-                raise MalformedRecord("accounts are not in ascending id order")
-            accounts[last_id := account.account_id] = account
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        # bad JSON or hex, an unknown TxKind, a missing key, a wrong type,
-        # JSON nested too deep to parse
-        raise MalformedRecord(f"{type(exc).__name__}: {exc}") from exc
+def block_from_record(record: bytes) -> Block:
+    """The block `block_to_record` wrote as `record`. A record that ends
+    early or has bytes left over, or that holds a value its field's width
+    does not rule out but no block can hold, raises MalformedRecord: so
+    `block_to_record` of any block it returns is `record`."""
+    reader = _Reader(record)
+    header = BlockHeader(prev_hash=reader.take(32), tx_root=reader.take(32),
+                         state_root=reader.take(32), miner_id=reader.take(32),
+                         miner_trust=reader.uint(2), timestamp_ms=reader.uint(8),
+                         nonce=reader.uint(8), miner_sig=reader.take(reader.uint(4)))
+    if header.miner_trust > TV_SCALE:
+        raise MalformedRecord(f"miner_trust {header.miner_trust} above {TV_SCALE}")
+    txs = tuple(_tx_from(reader) for _ in range(reader.uint(4)))
+    accounts, last_id = {}, b""
+    for _ in range(reader.uint(4)):
+        account = _account_from(reader)
+        if account.account_id <= last_id:
+            raise MalformedRecord("accounts are not in ascending id order")
+        accounts[last_id := account.account_id] = account
+    if reader.at != len(reader.data):
+        raise MalformedRecord("record has bytes past its last account")
     return Block(header=header, transactions=txs, account_states=accounts)
 
 
-def export_chain(chain: Chain) -> str:
-    return "\n".join(block_to_record(b) for b in chain.blocks) + "\n"
+def export_chain(chain: Chain) -> bytes:
+    """Each block's record behind its 4-byte length, genesis first."""
+    records = [block_to_record(block) for block in chain.blocks]
+    return b"".join(len(record).to_bytes(4, "big") + record for record in records)
 
 
-def import_chain(text: str, params: DifficultyParams) -> Chain:
-    """Rebuild a chain from its export, which holds one record per line,
-    each ended by a newline, as `export_chain` writes it."""
-    if not text:
-        raise LedgerError("empty chain export")
-    lines = text.split("\n")
-    if lines.pop() or not all(lines):
-        raise MalformedRecord("export is not one record per newline-ended line")
-    genesis = block_from_record(lines[0])
+def _records(data: bytes):
+    """The records of an export, each read once the one before is taken."""
+    reader = _Reader(data)
+    while reader.at < len(data):
+        yield reader.take(reader.uint(4))
+
+
+def import_chain(data: bytes, params: DifficultyParams) -> Chain:
+    """Rebuild a chain from its export, as `export_chain` writes it."""
+    if not data:
+        raise MalformedRecord("empty chain export")
+    blocks = map(block_from_record, _records(data))    # read and decoded on demand
+    genesis = next(blocks)
     if not genesis.is_genesis():
-        raise LedgerError("first record is not a genesis block")
+        raise BadParent("first record is not a genesis block")
     check_roots(genesis)
     _SignatureCheck(genesis, None).collect()
     chain = Chain(params=params, blocks=[genesis], beta=params.beta0)
     # Block k's signatures are checked on the workers from when its parent
-    # is the tip, while the caller decodes record k + 1; a record that does
-    # not decode is raised once block k is appended, as one at a time would.
+    # is the tip, while the caller reads record k + 1; a record that does
+    # not read is raised once block k is appended, as one at a time would.
     block = None
-    for line in lines[1:]:
+    while True:
         try:
-            decoded, error = block_from_record(line), None
+            decoded, error = next(blocks, None), None
         except MalformedRecord as exc:
             decoded, error = None, exc
         if block is not None:
             chain.append_block(block)
         if error is not None:
             raise error
+        if decoded is None:
+            return chain
         chain.start_check(decoded)
         block = decoded
-    if block is not None:
-        chain.append_block(block)
-    return chain

@@ -309,7 +309,9 @@ class Batch:
 def submit(fn, items, stop=None) -> Batch:
     """Send `[fn(*item) for item in items]` to the workers, one contiguous
     share each, and return the batch; its `results()` gives the results, with
-    `stop` only those up to the first r with stop(r). A worker runs the task
+    `stop` only those up to the first r with stop(r). Only the pooled rounds
+    of `crypto.scan_nonces_batch` pass a `stop`, so it serves only the
+    `pow-search` benchmark and `potchain calibrate`. A worker runs the task
     registered under `fn.__name__`, and `stop`, which must pickle; the
     caller runs `fn` on the items it claims and on each share a worker still
     busy with an earlier batch was not sent. A name `TASKS` does not hold

@@ -3,7 +3,6 @@ tests compare against, and the export mutator the ledger tests feed to
 import."""
 
 import hashlib
-import json
 from random import Random
 
 from potchain import ledger
@@ -67,75 +66,78 @@ def mine_reference(header_preimage: bytes, z: int, nonce_start: int = 0,
     raise Exhausted(f"no nonce within {max_trials} trials at z={z}")
 
 
-# Replacement values for a mutated export field: wrong types, values at and
-# past the wire ranges, and hex that is malformed or not lowercase.
-_FIELD_VALUES = (None, True, 0, 1, -1, 2 ** 16, 2 ** 32, 2 ** 64, 2 ** 70, 1.0, "", "0",
-                 "00", "zz", " 00", "AB", "ab" * 32, "ab" * 33, [], [0], [-1], {})
-# Replacement characters for a single-character mutation of an export.
-_CHARS = '0123456789abcdefABCDEF"{}[],:- .e\\\n\r\txé'
+def _length_fields(data: bytes) -> list[tuple[int, int]]:
+    """(offset, width) of every length and count in a chain export, found by
+    walking the layout `ledger.block_to_record` documents: each record's
+    4-byte length, then in the record the miner signature's length, the
+    transaction count and each transaction's payload, signer and signature
+    lengths, the account count and each account's modulus width and
+    wrong-round count."""
+    fields, at = [], 0
+
+    def field(width: int) -> int:
+        """The value of the `width`-byte field at `at`, noted and stepped past."""
+        nonlocal at
+        fields.append((at, width))
+        at += width
+        return int.from_bytes(data[at - width:at], "big")
+
+    while at < len(data):
+        size = field(4)
+        end = at + size
+        at += 32 * 4 + 2 + 8 + 8                # the header preimage and the nonce
+        size = field(4)                         # miner_sig
+        at += size
+        for _ in range(field(4)):
+            at += 1                             # kind
+            for width in (4, 2, 4):             # payload, signer, signature
+                size = field(width)
+                at += size
+        for _ in range(field(4)):
+            at += 32 + 32                       # account_id, sig_pk
+            size = field(1)                     # ring_n
+            at += size + 8 + 8 + 2 + 4 * 4      # ring_e, balance, tv, counters
+            count = field(2)                    # wrong_rounds
+            at += 4 * count
+        assert at == end, "the walk disagrees with the record's length"
+    return fields
 
 
-def _field_paths(value, path=()):
-    """Every path of keys and list indices into a decoded record."""
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return
-    for key, child in items:
-        yield path + (key,)
-        yield from _field_paths(child, path + (key,))
-
-
-def mutate_export(text: str, rng: Random) -> str:
-    """One random single-character or single-field mutation of a chain
-    export. A field mutation deletes one key or list item anywhere in one
-    record, or replaces its value: an int by a neighbour, a string by one
-    with a character swapped for a hex digit, or anything by a value of
-    `_FIELD_VALUES`, or it adds an unknown key to the object that holds the
-    field. The record is then re-encoded as the export writes it."""
-    if rng.random() < 0.5:
-        i = rng.randrange(len(text))
-        return text[:i] + rng.choice(_CHARS.replace(text[i], "")) + text[i + 1:]
-    lines = text.split("\n")
-    row = rng.randrange(len(lines) - 1)
-    record = json.loads(lines[row])
-    *parents, last = rng.choice(list(_field_paths(record)))
-    container = record
-    for key in parents:
-        container = container[key]
-    old = container[last]
-    choice = rng.randrange(5)
+def mutate_export(data: bytes, rng: Random) -> bytes:
+    """One random mutation of a chain export: one byte changed, inserted or
+    deleted, or one length or count of `_length_fields` moved by +-1 (modulo
+    its width)."""
+    choice = rng.randrange(4)
+    i = rng.randrange(len(data))
     if choice == 0:
-        del container[last]
-    elif choice == 4:   # an unknown key beside the field, or in the record
-        (container if type(container) is dict else record)["extra"] = rng.choice(_FIELD_VALUES)
-    elif choice == 1 and type(old) is int:
-        container[last] = old + rng.choice((-1, 1))
-    elif choice == 1 and type(old) is str and old:
-        j = rng.randrange(len(old))
-        container[last] = old[:j] + rng.choice(_CHARS[:22].replace(old[j], "")) + old[j + 1:]
-    else:
-        container[last] = rng.choice(_FIELD_VALUES)
-    lines[row] = json.dumps(record, separators=(",", ":"))
-    return "\n".join(lines)
+        return data[:i] + bytes([data[i] ^ rng.randrange(1, 256)]) + data[i + 1:]
+    if choice == 1:
+        return data[:i] + bytes([rng.randrange(256)]) + data[i:]
+    if choice == 2:
+        return data[:i] + data[i + 1:]
+    at, width = rng.choice(_length_fields(data))
+    value = (int.from_bytes(data[at:at + width], "big") + rng.choice((-1, 1))) % (1 << 8 * width)
+    return data[:at] + value.to_bytes(width, "big") + data[at + width:]
 
 
-def import_reference(text: str, params) -> ledger.Chain:
-    """Reference import: each record decoded and appended, so every check of
-    its block run, before the next record is read."""
-    if not text:
-        raise ledger.LedgerError("empty chain export")
-    lines = text.split("\n")
-    if lines.pop() or not all(lines):
-        raise ledger.MalformedRecord("export is not one record per newline-ended line")
-    genesis = ledger.block_from_record(lines[0])
-    if not genesis.is_genesis():
-        raise ledger.LedgerError("first record is not a genesis block")
-    ledger.check_roots(genesis)
-    ledger._SignatureCheck(genesis, None).collect()
-    chain = ledger.Chain(params=params, blocks=[genesis], beta=params.beta0)
-    for line in lines[1:]:
-        chain.append_block(ledger.block_from_record(line))
+def import_reference(data: bytes, params) -> ledger.Chain:
+    """Reference import: each record framed, decoded and appended, so every
+    check of its block run, before the next record's length is read."""
+    if not data:
+        raise ledger.MalformedRecord("empty chain export")
+    chain, at = None, 0
+    while at < len(data):
+        size = int.from_bytes(data[at:at + 4], "big")
+        if at + 4 + size > len(data):
+            raise ledger.MalformedRecord("record ends early")
+        block = ledger.block_from_record(data[at + 4:at + 4 + size])
+        at += 4 + size
+        if chain is not None:
+            chain.append_block(block)
+            continue
+        if not block.is_genesis():
+            raise ledger.BadParent("first record is not a genesis block")
+        ledger.check_roots(block)
+        ledger._SignatureCheck(block, None).collect()
+        chain = ledger.Chain(params=params, blocks=[block], beta=params.beta0)
     return chain

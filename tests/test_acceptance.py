@@ -76,6 +76,7 @@ def test_ac2_mine_trial_means():
 # AC3: expected mining cost ordering across behavior classes
 # =============================================================================
 
+@pytest.mark.slow
 def test_ac3_mining_cost_ordering(fig9):
     _lines, stats = fig9
     means = stats["means"]
@@ -89,6 +90,7 @@ def test_ac3_mining_cost_ordering(fig9):
 # AC4: cooperative sensing selection-scheme sweep
 # =============================================================================
 
+@pytest.mark.slow
 def test_ac4_sensing_schemes():
     cfg = load_config(CONFIG_DIR / "sensing_schemes.cfg")
     _lines, stats = simnet.experiment_sensing(
@@ -137,6 +139,7 @@ def test_ac5_theorem_grid():
 # AC6: trust-curve ordering and single-error recovery
 # =============================================================================
 
+@pytest.mark.slow
 def test_ac6_onoff_curves_and_recovery():
     cfg = load_config(CONFIG_DIR / "trust_curves.cfg")
     _lines, stats = simnet.experiment_onoff(cfg.sim)
@@ -270,6 +273,7 @@ def test_ac8_crypto_suite():
 # AC9: ledger integrity and conservation
 # =============================================================================
 
+@pytest.mark.slow
 def test_ac9_ledger_integrity(fig9):
     rng = Random(909)
     identities = [crypto.make_identity(rng, rsa_bits=64) for _ in range(3)]

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import os
 import signal
+import time
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -186,20 +187,33 @@ def test_a_timeout_on_a_workers_pipe_stops_the_batch(one_worker, method):
     TimeoutError, as an alarm handler raises, stops the batch and the pool."""
     good = [signed_item(i % 4, bytes([i])) for i in range(10)]
     assert crypto.verify_batch(good) == [True] * 10
-    conn = pool._workers[0].conn
+    worker = pool._workers[0]
+    conn = worker.conn
     # A worker whose answer is still to come is sent nothing, so the next
     # batch would never reach the patched method: wait for the answer.
-    assert not pool._workers[0].unread or conn.poll(10)
+    assert not worker.unread or conn.poll(10)
+    original, caller = pool.TASKS["verify"], os.getpid()
+
+    @functools.wraps(crypto.verify)     # the caller's claims run the task named "verify"
+    def verify(*item):
+        # A caller that claims every item before the worker starts never
+        # looks at its pipe: its first claim waits for the worker to start.
+        deadline = time.monotonic() + 10
+        while os.getpid() == caller and worker.front[0] < 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return original(*item)
 
     def timeout(*args):
         raise TimeoutError("alarm")
 
     setattr(conn, method, timeout)
+    pool.TASKS["verify"] = verify
     try:
         with pytest.raises(TimeoutError):
             crypto.verify_batch(good)
         assert pool._workers == []
     finally:
+        pool.TASKS["verify"] = original
         pool.stop()     # no later test may reach a patched pipe
     assert crypto.verify_batch(good) == [True] * 10
 

@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import json
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -449,14 +448,38 @@ def test_compress_keeps_adapted_beta(identities):
 # export / import
 # =============================================================================
 
+def records_of(chain) -> list[bytes]:
+    return [ledger.block_to_record(block) for block in chain.blocks]
+
+
+def framed(records) -> bytes:
+    """Records as an export holds them, each behind its 4-byte length."""
+    return b"".join(len(record).to_bytes(4, "big") + record for record in records)
+
+
+def test_a_record_is_the_bytes_the_header_and_roots_commit_to(identities):
+    block = build_long_chain(identities, 3).tip
+    header = block.header
+    txs = [tx.canonical_bytes() for tx in block.transactions]
+    leaves = ledger.state_leaves(block.account_states)
+    record = ledger.block_to_record(block)
+    assert record == b"".join([
+        header.preimage(), header.nonce.to_bytes(8, "big"),
+        len(header.miner_sig).to_bytes(4, "big"), header.miner_sig,
+        len(txs).to_bytes(4, "big"), *txs, len(leaves).to_bytes(4, "big"), *leaves])
+    assert H(record[:146]) == header.header_hash()
+    assert ledger.merkle_root(txs) == header.tx_root
+    assert ledger.merkle_root(leaves) == header.state_root
+
+
 def test_export_import_roundtrip(identities):
     chain = build_long_chain(identities, 5)
-    text = ledger.export_chain(chain)
-    assert text.count("\n") == 5
-    restored = ledger.import_chain(text, CHAIN_PARAMS)
+    data = ledger.export_chain(chain)
+    assert data == framed(records_of(chain))
+    restored = ledger.import_chain(data, CHAIN_PARAMS)
     assert [b.header.header_hash() for b in restored.blocks] == \
         [b.header.header_hash() for b in chain.blocks]
-    assert ledger.export_chain(restored) == text
+    assert ledger.export_chain(restored) == data
 
 
 @settings(max_examples=25, deadline=None)
@@ -471,9 +494,9 @@ def test_export_import_property(identities, trusts, appends):
         ts = chain.tip.header.timestamp_ms + gap_ms
         chain.append_block(next_block(chain, identities[who], note=bytes([i]),
                                       timestamp=ts))
-    text = ledger.export_chain(chain)
-    restored = ledger.import_chain(text, CHAIN_PARAMS)
-    assert ledger.export_chain(restored) == text
+    data = ledger.export_chain(chain)
+    restored = ledger.import_chain(data, CHAIN_PARAMS)
+    assert ledger.export_chain(restored) == data
     for ident in identities:
         assert restored.target_for(ident.account_id) == chain.target_for(ident.account_id)
 
@@ -501,112 +524,153 @@ def test_compressed_chain_appends_and_reimports_property(identities, trusts, app
                 == compressed.target_for(ident.account_id))
 
 
+def export_with(chain, index: int, record) -> bytes:
+    """The chain's export with record `index` replaced by record(block), for
+    the chain's block there."""
+    records = records_of(chain)
+    records[index] = record(chain.blocks[index])
+    return framed(records)
+
+
+def with_account(block, change):
+    """`block` with its second account, in id order, passed through change."""
+    aid = sorted(block.account_states)[1]
+    return replace(block, account_states={**block.account_states,
+                                          aid: change(block.account_states[aid])})
+
+
 def test_import_rejects_tampered_record(identities):
     chain = build_long_chain(identities, 4)
-    lines = ledger.export_chain(chain).splitlines()
-    lines[2] = lines[2].replace('"balance":1000', '"balance":999999')
+    tampered = with_account(chain.blocks[2], lambda a: replace(a, balance=999999))
     with pytest.raises(BadRoot):
-        ledger.import_chain("\n".join(lines) + "\n", CHAIN_PARAMS)
+        ledger.import_chain(export_with(chain, 2, lambda _: ledger.block_to_record(tampered)),
+                            CHAIN_PARAMS)
 
 
-def _mutated_export(chain, line: int, mutate) -> str:
-    """The chain's export with record `line` decoded, passed to mutate(obj)
-    and re-encoded."""
-    lines = ledger.export_chain(chain).splitlines()
-    obj = json.loads(lines[line])
-    mutate(obj)
-    lines[line] = json.dumps(obj, separators=(",", ":"))
-    return "\n".join(lines) + "\n"
+def _block_case(change):
+    """An export whose record 2 encodes change(block) for the block there."""
+    return lambda chain: export_with(chain, 2, lambda b: ledger.block_to_record(change(b)))
 
 
-def _mutated(mutate):
-    return lambda chain: _mutated_export(chain, 2, mutate)
+def _byte_case(patch):
+    """An export whose record 2 is patch(record, block) for the block there."""
+    return lambda chain: export_with(chain, 2, lambda b: patch(ledger.block_to_record(b), b))
 
 
-def _set(key, value):
-    return _mutated(lambda obj: obj.__setitem__(key, value))
+def _miner_trust_above_scale(record, block):
+    return record[:128] + (ledger.TV_SCALE + 1).to_bytes(2, "big") + record[130:]
 
 
-def _set_tx(key, value):
-    return _mutated(lambda obj: obj["transactions"][0].__setitem__(key, value))
+def _unknown_tx_kind(record, block):
+    leaf = block.transactions[0].canonical_bytes()
+    return record.replace(leaf, bytes([len(TxKind)]) + leaf[1:])
 
 
-@pytest.mark.parametrize("make_text", [
-    pytest.param(lambda chain: ledger.export_chain(chain)[:-40] + "\n", id="bad-json"),
-    pytest.param(lambda chain: "[" * 100_000 + "]" * 100_000 + "\n", id="deep-json"),
-    pytest.param(_mutated(lambda obj: obj.pop("nonce")), id="missing-key"),
-    pytest.param(_set("timestamp_ms", "2700"), id="wrong-type"),
-    pytest.param(_set("tx_root", "zz" * 32), id="bad-hex"),
-    pytest.param(_set_tx("kind", 99), id="unknown-tx-kind"),
-    pytest.param(_set_tx("payload", " 00"), id="spaced-hex"),
-    pytest.param(_set_tx("signer", "ab" * 33), id="signer-length"),
-    pytest.param(_mutated(lambda obj: obj["accounts"].reverse()), id="account-order"),
-    pytest.param(_set("extra", 1), id="unknown-block-key"),
-    pytest.param(_set_tx("extra", 1), id="unknown-tx-key"),
-    pytest.param(_mutated(lambda obj: obj["accounts"][0].__setitem__("extra", 1)),
-                 id="unknown-account-key"),
-    pytest.param(lambda chain: ledger.export_chain(chain)[:-1], id="no-final-newline"),
-    pytest.param(lambda chain: ledger.export_chain(chain)[:-1] + " ", id="trailing-space"),
-    pytest.param(lambda chain: ledger.export_chain(chain) + "\n", id="blank-line"),
-    pytest.param(lambda chain: ledger.export_chain(chain).replace("\n", "\r", 1),
-                 id="carriage-return"),
+def _signer_length(block):
+    tx = replace(block.transactions[0], signer=b"\xab" * 33)
+    return replace(block, transactions=(tx, *block.transactions[1:]))
+
+
+def _wide_modulus(record, block):
+    """The second account's modulus behind one leading zero byte."""
+    leaf = ledger.state_leaves(block.account_states)[1]
+    return record.replace(leaf, leaf[:64] + bytes([leaf[64] + 1, 0]) + leaf[65:])
+
+
+def _wrong_rounds_descending(record, block):
+    """The second account holding wrong rounds 9 then 5."""
+    block = with_account(block, lambda a: replace(a, trust=replace(a.trust, wrong_rounds=(5, 9))))
+    leaf = ledger.state_leaves(block.account_states)[1]
+    return ledger.block_to_record(block).replace(leaf, leaf[:-8] + leaf[-4:] + leaf[-8:-4])
+
+
+def _accounts_reversed(record, block):
+    leaves = ledger.state_leaves(block.account_states)
+    return record.replace(b"".join(leaves), b"".join(reversed(leaves)))
+
+
+def _account_repeated(record, block):
+    leaves = ledger.state_leaves(block.account_states)
+    return record.replace(b"".join(leaves), leaves[0] + leaves[0] + leaves[2])
+
+
+@pytest.mark.parametrize("make_data, message", [
+    pytest.param(_byte_case(_miner_trust_above_scale), "miner_trust 10001 above",
+                 id="miner-trust-above-scale"),
+    pytest.param(_byte_case(_unknown_tx_kind), "7 is not a valid TxKind",
+                 id="unknown-tx-kind"),
+    pytest.param(_block_case(_signer_length), "signer is neither", id="signer-length"),
+    pytest.param(_block_case(lambda b: with_account(b, lambda a: replace(a, ring_n=0))),
+                 "ring_n is zero", id="zero-modulus"),
+    pytest.param(_byte_case(_wide_modulus), "ring_n is zero or wider",
+                 id="wide-modulus"),
+    pytest.param(_block_case(lambda b: with_account(b, lambda a: replace(a, ring_e=0))),
+                 "ring_e is zero", id="zero-ring-e"),
+    pytest.param(_byte_case(_wrong_rounds_descending), "wrong_rounds are not in ascending",
+                 id="wrong-rounds-order"),
+    pytest.param(_byte_case(_accounts_reversed), "accounts are not in ascending",
+                 id="account-order"),
+    pytest.param(_byte_case(_account_repeated), "accounts are not in ascending",
+                 id="account-repeated"),
+    pytest.param(_byte_case(lambda record, block: record[:-1]), "record ends early",
+                 id="record-ends-early"),
+    pytest.param(_byte_case(lambda record, block: record + b"\0"), "record has bytes past",
+                 id="record-trailing-byte"),
+    pytest.param(lambda chain: ledger.export_chain(chain)[:-1], "record ends early",
+                 id="export-ends-early"),
+    pytest.param(lambda chain: ledger.export_chain(chain) + b" ", "record ends early",
+                 id="trailing-space"),
+    pytest.param(lambda chain: ledger.export_chain(chain) + bytes(4), "record ends early",
+                 id="empty-record"),
 ])
-def test_import_raises_malformed_record(identities, make_text):
+def test_import_raises_malformed_record(identities, make_data, message):
     chain = build_long_chain(identities, 3)
-    with pytest.raises(MalformedRecord):
-        ledger.import_chain(make_text(chain), CHAIN_PARAMS)
+    with pytest.raises(MalformedRecord, match=f"^{message}"):
+        ledger.import_chain(make_data(chain), CHAIN_PARAMS)
 
 
 @pytest.mark.parametrize("tv, committed", [
-    (-5, 0), (2 ** 70, ledger.TV_SCALE), (ledger.TV_SCALE + 1, ledger.TV_SCALE)])
+    (ledger.TV_SCALE + 1, ledger.TV_SCALE), (2 ** 16 - 1, ledger.TV_SCALE)])
 def test_import_refuses_out_of_range_tv(identities, tv, committed):
-    """These quantize to the committed 0 or TV_SCALE, so they pass the state
-    root; decoding must refuse them, or the chain holds tv = -0.0005."""
+    """A 2-byte trust field holds values above TV_SCALE; decoding must
+    refuse them, in a genesis as in a later block, or the chain holds a
+    trust above 1."""
     chain = build_long_chain(identities, 3, trusts=(1.0, 0.5, 0.0))
 
-    def mutate(obj):
-        next(a for a in obj["accounts"] if a["tv"] == committed)["tv"] = tv
+    def patch(block):
+        record = ledger.block_to_record(block)
+        leaf = next(acct.canonical_bytes() for acct in block.account_states.values()
+                    if ledger.quantize_tv(acct.trust.tv) == committed)
+        at = 64 + 1 + leaf[64] + 8 + 8         # past the ids, the ring key and the balance
+        return record.replace(leaf, leaf[:at] + tv.to_bytes(2, "big") + leaf[at + 2:])
 
-    for line in (0, 2):
-        with pytest.raises(MalformedRecord):
-            ledger.import_chain(_mutated_export(chain, line, mutate), CHAIN_PARAMS)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("n_right", -1), ("r_sleep", -1), ("sensing_rounds", -1), ("last_round", -2),
-    ("balance", -1), ("balance", 2 ** 64), ("wrong_rounds", [-1]), ("ring_n", "0"),
-])
-def test_import_refuses_account_field_outside_wire_range(identities, field, value):
-    chain = build_long_chain(identities, 3)
-    text = _mutated_export(chain, 2, lambda obj: obj["accounts"][1].__setitem__(field, value))
-    with pytest.raises(MalformedRecord):
-        ledger.import_chain(text, CHAIN_PARAMS)
+    for index in (0, 2):
+        with pytest.raises(MalformedRecord, match=f"^tv {tv} above"):
+            ledger.import_chain(export_with(chain, index, patch), CHAIN_PARAMS)
 
 
-@pytest.mark.parametrize("field", ["payload", "signature", "account_id"])
-def test_import_refuses_uppercase_hex(identities, field):
-    """Uppercase hex decodes to the same bytes, so it passes every root and
-    signature; decoding must refuse it, or the import re-exports other text."""
-    chain = fresh_chain(identities)
-    chain.append_block(next_block(chain, identities[0], note=b"\xab\xcd"))
+def test_an_empty_export_is_a_malformed_record():
+    with pytest.raises(MalformedRecord, match="^empty chain export$"):
+        ledger.import_chain(b"", CHAIN_PARAMS)
 
-    def mutate(obj):
-        owner = obj["accounts"][0] if field == "account_id" else obj["transactions"][0]
-        text = owner[field]
-        i = next(i for i, c in enumerate(text) if c in "abcdef")
-        owner[field] = text[:i] + text[i].upper() + text[i + 1:]
 
-    with pytest.raises(MalformedRecord):
-        ledger.import_chain(_mutated_export(chain, 1, mutate), CHAIN_PARAMS)
+def test_an_export_that_does_not_start_at_a_genesis_has_a_bad_parent(identities):
+    data = framed(records_of(build_long_chain(identities, 3))[1:])
+    with pytest.raises(BadParent, match="^first record is not a genesis block$"):
+        ledger.import_chain(data, CHAIN_PARAMS)
+
+
+def _with_miner_sig(block, signature: bytes):
+    return replace(block, header=replace(block.header, miner_sig=signature))
 
 
 def test_import_refuses_a_signed_plain_genesis(identities):
     """A plain genesis has no miner, so a signature on it can only be junk,
     which the import would otherwise keep and re-export."""
-    text = _mutated_export(build_long_chain(identities, 3), 0,
-                           lambda obj: obj.__setitem__("miner_sig", "ab" * 64))
+    data = export_with(build_long_chain(identities, 3), 0,
+                       lambda b: ledger.block_to_record(_with_miner_sig(b, b"\xab" * 64)))
     with pytest.raises(BadSignature, match="^genesis signature invalid$"):
-        ledger.import_chain(text, CHAIN_PARAMS)
+        ledger.import_chain(data, CHAIN_PARAMS)
 
 
 def test_import_checks_the_compressed_genesis_signature(identities):
@@ -615,13 +679,13 @@ def test_import_checks_the_compressed_genesis_signature(identities):
     compressed = ledger.compress_chain(
         chain, next(i for i in identities if i.account_id == authority))
 
-    def flip(obj):
-        sig = bytearray.fromhex(obj["miner_sig"])
-        sig[-1] ^= 1
-        obj["miner_sig"] = sig.hex()
+    def flip(block):
+        signature = block.header.miner_sig
+        return ledger.block_to_record(
+            _with_miner_sig(block, signature[:-1] + bytes([signature[-1] ^ 1])))
 
     with pytest.raises(BadSignature, match="^genesis signature invalid$"):
-        ledger.import_chain(_mutated_export(compressed, 0, flip), CHAIN_PARAMS)
+        ledger.import_chain(export_with(compressed, 0, flip), CHAIN_PARAMS)
 
 
 @pytest.fixture(scope="module")
@@ -629,18 +693,18 @@ def seven_block_export(identities):
     return ledger.export_chain(build_long_chain(identities, 7))
 
 
-def import_as_the_reference(text):
-    """The chain `import_chain` rebuilds from `text`, or the LedgerError it
+def import_as_the_reference(data):
+    """The chain `import_chain` rebuilds from `data`, or the LedgerError it
     raises, after checking that the one-record-at-a-time reference import
     raises the same class and message, or rebuilds the same headers."""
     try:
-        expected = import_reference(text, CHAIN_PARAMS)
+        expected = import_reference(data, CHAIN_PARAMS)
     except ledger.LedgerError as exc:
         with pytest.raises(ledger.LedgerError) as raised:
-            ledger.import_chain(text, CHAIN_PARAMS)
+            ledger.import_chain(data, CHAIN_PARAMS)
         assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
         return raised.value
-    chain = ledger.import_chain(text, CHAIN_PARAMS)
+    chain = ledger.import_chain(data, CHAIN_PARAMS)
     assert header_hashes(chain) == header_hashes(expected)
     return chain
 
@@ -648,13 +712,13 @@ def import_as_the_reference(text):
 @settings(max_examples=300, deadline=None)
 @given(rng=st.randoms(use_true_random=False))
 def test_import_of_a_mutated_export_raises_or_is_exact(seven_block_export, rng):
-    """Any single-character or single-field mutation of an export either
-    raises the reference import's LedgerError or imports a chain that
-    exports the same text."""
-    text = mutate_export(seven_block_export, rng)
-    imported = import_as_the_reference(text)
+    """Any one byte changed, inserted or deleted, or any one length moved by
+    one, either raises the reference import's LedgerError or imports a chain
+    that exports the same bytes."""
+    data = mutate_export(seven_block_export, rng)
+    imported = import_as_the_reference(data)
     if isinstance(imported, Chain):
-        assert ledger.export_chain(imported) == text
+        assert ledger.export_chain(imported) == data
 
 
 def signed_chain(identities, length):
@@ -679,8 +743,8 @@ def test_a_bad_signature_is_raised_before_the_next_malformed_record(identities, 
     txs = signed_txs(identities, 3)
     txs[4] = replace(txs[4], signature=txs[5].signature)
     forged = sealed(chain, txs, identities[0])
-    text = ledger.export_chain(chain) + ledger.block_to_record(forged) + "\n{}\n"
-    assert type(import_as_the_reference(text)) is BadSignature
+    data = framed(records_of(chain) + [ledger.block_to_record(forged), b"{}"])
+    assert type(import_as_the_reference(data)) is BadSignature
 
 
 def test_a_bad_root_abandons_the_check_started_ahead(identities, one_worker):
@@ -688,14 +752,16 @@ def test_a_bad_root_abandons_the_check_started_ahead(identities, one_worker):
     its signature: the import raises BadRoot, as the reference does, and the
     pool is kept: the next batch gives the sequential results on the same
     workers."""
-    def mutate(obj):
-        obj["transactions"][3]["payload"] = "00"
+    def change(block):
+        txs = list(block.transactions)
+        txs[3] = replace(txs[3], payload=b"\x00")
+        return ledger.block_to_record(replace(block, transactions=tuple(txs)))
 
     chain = signed_chain(identities, 5)
-    text = _mutated_export(chain, 2, mutate)
+    data = export_with(chain, 2, change)
     pool.start()
     workers = list(pool._workers)
-    assert type(import_as_the_reference(text)) is BadRoot
+    assert type(import_as_the_reference(data)) is BadRoot
     txs = signed_txs(identities, 2)
     items = [(tx.payload, tx.signature, identities[i % 3].sig_pk) for i, tx in enumerate(txs)]
     items[3] = (b"\x00", *items[3][1:])
