@@ -395,7 +395,8 @@ COMPRESS_MIN_LEN = 100      # blocks a chain needs before it may be compressed
 
 
 def compression_authority(tip: Block) -> bytes:
-    """Highest trust wins; ties go to the smallest account id."""
+    """Highest trust wins; ties go to the smallest account id. The same rule
+    names each simulated round's task issuer."""
     return min(tip.account_states,
                key=lambda aid: (-quantize_tv(tip.account_states[aid].trust.tv), aid))
 

@@ -175,8 +175,9 @@ def sense(profile: NodeProfile, pu_truth: int, rng: Random,
 
 
 def select_sensors(candidates: list, scheme: SelectionScheme, n1: int,
-                   rng: Random) -> list:
-    """Pick at most n1 sensors from candidates (given in arrival order)."""
+                   rng: Random, state: dict[bytes, AccountState]) -> list:
+    """Pick at most n1 sensors from candidates (given in arrival order);
+    trust-value selection ranks them by their trust in `state`."""
     if n1 < 1:
         raise ValueError("n1 must be >= 1")
     if len(candidates) <= n1:
@@ -185,7 +186,8 @@ def select_sensors(candidates: list, scheme: SelectionScheme, n1: int,
         return rng.sample(candidates, n1)
     if scheme is SelectionScheme.REGISTER_TIME:
         return list(candidates[:n1])
-    return sorted(candidates, key=lambda n: (-n.trust.tv, n.identity.account_id))[:n1]
+    return sorted(candidates, key=lambda n: (-state[n.identity.account_id].trust.tv,
+                                             n.identity.account_id))[:n1]
 
 
 @dataclass
@@ -193,7 +195,6 @@ class Node:
     index: int
     profile: NodeProfile
     identity: crypto.NodeIdentity
-    trust: TrustState = field(default_factory=TrustState)
 
     @property
     def account_id(self) -> bytes:
@@ -244,7 +245,9 @@ class ConservationViolation(Exception):
 # =============================================================================
 
 class World:
-    """Owns the nodes, the chain, and all randomness streams."""
+    """Owns the nodes, the chain, and all randomness streams. Balances and
+    trust live only in the chain state; the World keeps only the run totals
+    `minted`, `burned` and `escrowed`, which `audit` checks the tip against."""
 
     def __init__(self, cfg: SimConfig):
         cfg.validate()
@@ -260,13 +263,15 @@ class World:
                                        identity=identity))
         self.by_account = {n.account_id: n for n in self.nodes}
 
-        self.balances = {n.account_id: cfg.initial_balance for n in self.nodes}
-        self.initial_supply = sum(self.balances.values())
+        self.initial_supply = cfg.initial_balance * len(self.nodes)
         self.minted = 0
         self.burned = 0
         self.escrowed = 0
 
-        self.chain = Chain.genesis(self._account_snapshot(), CHAIN_DIFFICULTY)
+        self.chain = Chain.genesis({n.account_id: AccountState(
+            account_id=n.account_id, sig_pk=n.identity.sig_pk, ring_n=n.identity.ring_sk.n,
+            ring_e=n.identity.ring_sk.e, balance=cfg.initial_balance, trust=TrustState())
+            for n in self.nodes}, CHAIN_DIFFICULTY)
         self.reports: list[RoundReport] = []
         self.force_flip: set[tuple[int, int]] = set()    # (round, node index)
         # (round, node index) -> (real, decoy) bid, placed whatever bid_probability says
@@ -284,50 +289,38 @@ class World:
         return self.stream(f"node:{node.index}")
 
     # ---- token accounting ---------------------------------------------------
-    def apply_moves(self, machine) -> None:
+    def apply_moves(self, machine, balances: dict[bytes, int]) -> None:
         moves: list[TokenMove] = machine.pending_moves
         machine.pending_moves = []
         for move in moves:
             if move.kind == "escrow":
-                if self.balances[move.pk] < move.amount:
+                if balances[move.pk] < move.amount:
                     raise ConservationViolation("escrow exceeds balance")
-                self.balances[move.pk] -= move.amount
+                balances[move.pk] -= move.amount
                 self.escrowed += move.amount
             elif move.kind == "refund":
                 self.escrowed -= move.amount
-                self.balances[move.pk] += move.amount
+                balances[move.pk] += move.amount
             elif move.kind == "burn":
                 self.escrowed -= move.amount
                 self.burned += move.amount
             elif move.kind == "reward":
                 self.minted += move.amount
-                self.balances[move.pk] += move.amount
+                balances[move.pk] += move.amount
             else:
                 raise ValueError(f"unknown move {move.kind}")
 
     def audit(self) -> None:
-        total = sum(self.balances.values()) + self.escrowed
+        """Each round's contracts close within it, so nothing is left in escrow,
+        and the tip's balances are the initial supply + minted - burned."""
+        if self.escrowed != 0:
+            raise ConservationViolation(f"{self.escrowed} wei left in escrow")
+        total = sum(account.balance for account in self.chain.tip.account_states.values())
         expected = self.initial_supply + self.minted - self.burned
         if total != expected:
             raise ConservationViolation(
                 f"supply {total} != initial {self.initial_supply} "
                 f"+ minted {self.minted} - burned {self.burned}")
-        if self.escrowed < 0:
-            raise ConservationViolation("negative escrow")
-
-    # ---- helpers ------------------------------------------------------------
-    def _account_snapshot(self) -> dict[bytes, AccountState]:
-        return {
-            n.account_id: AccountState(
-                account_id=n.account_id, sig_pk=n.identity.sig_pk,
-                ring_n=n.identity.ring_sk.n, ring_e=n.identity.ring_sk.e,
-                balance=self.balances[n.account_id], trust=n.trust)
-            for n in self.nodes
-        }
-
-    def task_issuer(self) -> Node:
-        return min(self.nodes, key=lambda n: (-ledger.quantize_tv(n.trust.tv),
-                                              n.account_id))
 
     # ---- the round loop -----------------------------------------------------
     def run_round(self, round_idx: int) -> RoundReport:
@@ -344,7 +337,10 @@ class World:
 
         pu_truth = 1 if self.stream("channel").random() < cfg.p_active else 0
 
-        issuer = self.task_issuer()
+        # Trust and balances come from the tip; token moves go to a round copy.
+        parent = self.chain.tip.account_states
+        balances = {aid: account.balance for aid, account in parent.items()}
+        issuer = self.by_account[ledger.compression_authority(self.chain.tip)]
         csc_id = crypto.sha256(round_idx.to_bytes(8, "big") + b"csc")[:16]
         sac_id = crypto.sha256(round_idx.to_bytes(8, "big") + b"sac")[:16]
         # Warm-up rounds lift the sensor cap so every applicant takes part
@@ -371,8 +367,9 @@ class World:
         for node in arrival:
             if self.node_rng(node).random() >= node.profile.participation:
                 continue
-            deposit = contracts.min_deposit(node.trust.tv, cfg.tv_thr, cfg.d_s)
-            if deposit is not None and deposit <= self.balances[node.account_id]:
+            deposit = contracts.min_deposit(parent[node.account_id].trust.tv,
+                                            cfg.tv_thr, cfg.d_s)
+            if deposit is not None and deposit <= balances[node.account_id]:
                 candidates.append(node)
                 deposits[node.account_id] = deposit
             else:
@@ -380,19 +377,18 @@ class World:
 
         # Phase 3: selection (warm-up rounds select everyone who applied).
         selected = candidates if warmup else select_sensors(
-            candidates, cfg.selection, cfg.n1, self.stream("select"))
+            candidates, cfg.selection, cfg.n1, self.stream("select"), parent)
         admitted: list[Node] = []
         for node in selected:
             deposit = deposits[node.account_id]
-            if csc.register(node.account_id, node.identity.ring_pk, deposit,
-                            node.trust.tv):
+            tv = parent[node.account_id].trust.tv
+            if csc.register(node.account_id, node.identity.ring_pk, deposit, tv):
                 admitted.append(node)
                 txs.append((
                     TxKind.DEPOSIT,
-                    contracts.encode_csc_deposit(node.account_id, node.trust.tv,
-                                                 csc_id, deposit),
+                    contracts.encode_csc_deposit(node.account_id, tv, csc_id, deposit),
                     node.identity))
-        self.apply_moves(csc)
+        self.apply_moves(csc, balances)
 
         # Bidders register before the sensing outcome is known.
         bid_rng = self.stream("bids")
@@ -405,7 +401,7 @@ class World:
                 bid = (bid_rng.randint(BID_MIN, BID_MAX),
                        bid_rng.randint(BID_MIN, BID_MAX))
             valuation, decoy = bid
-            if (self.balances[node.account_id] < cfg.d_a + valuation + decoy
+            if (balances[node.account_id] < cfg.d_a + valuation + decoy
                     or not sac.register(node.account_id, cfg.d_a)):
                 continue
             rnd_real = bid_rng.getrandbits(256).to_bytes(32, "big")
@@ -414,10 +410,10 @@ class World:
             txs.append((
                 TxKind.DEPOSIT,
                 contracts.encode_sac_deposit(
-                    node.account_id, node.trust.tv, sac_id, cfg.d_a,
+                    node.account_id, parent[node.account_id].trust.tv, sac_id, cfg.d_a,
                     contracts.bid_commitment_digest(valuation, True, rnd_real)),
                 node.identity))
-        self.apply_moves(sac)
+        self.apply_moves(sac, balances)
         sac.begin_committing()
         for pk, (valuation, decoy, rnd_real, rnd_decoy) in bidder_plan.items():
             node = self.by_account[pk]
@@ -429,7 +425,7 @@ class World:
                     TxKind.BID_COMMIT,
                     contracts.encode_bid_commit(sac_id, digest, amount),
                     node.identity))
-        self.apply_moves(sac)
+        self.apply_moves(sac, balances)
 
         # Phase 4: ring-signed uploads plus commitments, then fusion.
         csc.begin_sensing()
@@ -440,7 +436,7 @@ class World:
         now_upload = base_ms + 200
         for node in ring_members:
             sr = sense(node.profile, pu_truth, self.node_rng(node),
-                       node.trust.sensing_rounds)
+                       parent[node.account_id].trust.sensing_rounds)
             if (round_idx, node.index) in self.force_flip:
                 sr = 1 - sr
             msg_id = msgid_rng.getrandbits(128).to_bytes(16, "big")
@@ -474,7 +470,7 @@ class World:
             fusion = csc.fuse()
         except contracts.NoPackets:
             fusion = None
-        self.apply_moves(csc)
+        self.apply_moves(csc, balances)
 
         # Phase 5: the sealed auction runs only on an idle verdict.
         winner = None
@@ -494,7 +490,7 @@ class World:
             except contracts.NoBidders:
                 winner = None
         sac.destroy(t_self_d)
-        self.apply_moves(sac)
+        self.apply_moves(sac, balances)
 
         # Phase 6: reveals, settlement, trust updates.
         outcomes: dict[bytes, Outcome] = {}
@@ -505,35 +501,36 @@ class World:
                     contracts.encode_sensing_reveal(csc_id, sr, rnd, msg_id),
                     self.by_account[pk].identity))
             settlement = csc.settle(reveals)
-            self.apply_moves(csc)
+            self.apply_moves(csc, balances)
             txs.append((
                 TxKind.SETTLEMENT,
                 contracts.encode_settlement(csc_id, fusion, settlement),
                 issuer.identity))
             outcomes = dict(csc.trust_events())
 
-        for node in self.nodes:
-            outcome = outcomes.get(node.account_id, Outcome.INACTIVE)
-            node.trust = update_trust(node.trust, outcome, round_idx, cfg.trust)
+        accounts = {aid: replace(account, balance=balances[aid], trust=update_trust(
+                        account.trust, outcomes.get(aid, Outcome.INACTIVE), round_idx,
+                        cfg.trust))
+                    for aid, account in parent.items()}
 
         # Mining, then expected-cost accounting over the parent-state trust.
-        parent_state = self.chain.tip.account_states
-        miner = self._append_block(txs, self._pick_miner(parent_state),
+        miner = self._append_block(txs, accounts, self._pick_miner(parent),
                                    (round_idx + 1) * ROUND_MS)
         self.audit()
 
+        tip = self.chain.tip.account_states
         rows = []
         for node in self.nodes:
             outcome = outcomes.get(node.account_id, Outcome.INACTIVE)
-            tv_mining = parent_state[node.account_id].trust.tv
+            tv_mining = parent[node.account_id].trust.tv
             rows.append(RoundRow(
                 node=node.label, kind=node.profile.kind.value,
                 uploaded=node.account_id in csc.commitments,
-                outcome=outcome.value, tv_after=node.trust.tv,
+                outcome=outcome.value, tv_after=tip[node.account_id].trust.tv,
                 tv_mining=tv_mining,
                 z_bits=consensus.mining_target(
                     tv_mining, cfg.difficulty.beta0).leading_zero_bits,
-                tokens=self.balances[node.account_id]))
+                tokens=tip[node.account_id].balance))
         report = RoundReport(round=round_idx, pu_truth=pu_truth,
                              fusion_result=fusion, miner=miner.label, rows=rows,
                              warmup=warmup)
@@ -545,11 +542,11 @@ class World:
         return min(self.nodes, key=lambda n: (consensus.difficulty(
             parent_state[n.account_id].trust.tv, beta), n.account_id))
 
-    def _append_block(self, txs, miner: Node, timestamp_ms: int) -> Node:
-        """Seal one block per candidate, each paying its own miner the reward
-        last, signed in one batch with `txs`; append the fork-choice winner,
-        credit it and return it. With inject_forks the smallest other account
-        seals a rival block."""
+    def _append_block(self, txs, accounts, miner: Node, timestamp_ms: int) -> Node:
+        """Seal one block per candidate over `accounts`, each paying its own
+        miner the reward last, signed in one batch with `txs`; append the
+        fork-choice winner, count its reward as minted and return it. With
+        inject_forks the smallest other account seals a rival block."""
         candidates = [miner]
         if self.cfg.inject_forks and len(self.nodes) > 1:
             candidates.append(next(n for n in sorted(self.nodes, key=lambda n: n.account_id)
@@ -557,7 +554,6 @@ class World:
         signed = ledger.sign_txs(txs + [
             (TxKind.REWARD, contracts.encode_reward(node.account_id, REWARD_MINING),
              node.identity) for node in candidates])
-        accounts = self._account_snapshot()
         blocks = []
         for node, reward_tx in zip(candidates, signed[len(txs):]):
             account = accounts[node.account_id]
@@ -569,7 +565,6 @@ class World:
         block = next(block for block in blocks if block.header is chosen)
         winner = self.by_account[block.header.miner_id]
         self.minted += REWARD_MINING
-        self.balances[winner.account_id] += REWARD_MINING
         self.chain.append_block(block)
         return winner
 
@@ -711,8 +706,10 @@ def demo_round(cfg: SimConfig, pu_force: str) -> dict:
     """
     world = World(replace(cfg, p_active=0.0 if pu_force == "idle" else 1.0))
     sensors, bidders = world.nodes[:len(DEMO_TRUSTS)], world.nodes[len(DEMO_TRUSTS):]
-    for node, tv in zip(sensors, DEMO_TRUSTS):
-        node.trust = TrustState(tv=tv)
+    genesis = world.chain.tip.account_states
+    world.chain = Chain.genesis({**genesis, **{
+        node.account_id: replace(genesis[node.account_id], trust=TrustState(tv=tv))
+        for node, tv in zip(sensors, DEMO_TRUSTS)}}, CHAIN_DIFFICULTY)
     world.force_bids = {(0, node.index): bid for node, bid in zip(bidders, DEMO_BIDS)}
     if pu_force == "none":
         world.force_flip = {(0, DEMO_DISSENTER)}

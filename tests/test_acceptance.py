@@ -342,7 +342,8 @@ def test_ac9_ledger_integrity(fig9):
     # conservation: audited every round during the fig9 run; re-assert the
     # closing identity here
     world.audit()
-    total = sum(world.balances.values()) + world.escrowed
+    total = (sum(a.balance for a in world.chain.tip.account_states.values())
+             + world.escrowed)
     conservation_ok = (total == world.initial_supply + world.minted - world.burned
                        and world.minted > 0 and world.burned > 0)
 

@@ -12,6 +12,7 @@ import pytest
 from potchain import consensus, contracts, crypto, ledger, simnet
 from potchain.config import load_config
 from potchain.ledger import TxKind
+from potchain.trust import TrustState
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ROUNDS = 40     # smoke.cfg seals a rival block every round (inject_forks)
@@ -67,20 +68,28 @@ def test_whitewashing_a_fresh_identity_ranks_and_mines_as_tv_zero(forked_world):
     cfg = world.cfg
     fresh = simnet.Node(index=len(world.nodes), profile=world.nodes[0].profile,
                         identity=crypto.make_identity(Random(5), rsa_bits=cfg.rsa_bits))
-    trusted = [node for node in world.nodes if node.trust.tv > 0]
-    assert fresh.trust.tv == 0.0 and trusted
+    state = {**world.chain.tip.account_states, fresh.account_id: ledger.AccountState(
+        account_id=fresh.account_id, sig_pk=fresh.identity.sig_pk,
+        ring_n=fresh.identity.ring_sk.n, ring_e=fresh.identity.ring_sk.e,
+        balance=cfg.initial_balance, trust=TrustState())}
+
+    def tv(node):
+        return state[node.account_id].trust.tv
+
+    trusted = [node for node in world.nodes if tv(node) > 0]
+    assert tv(fresh) == 0.0 and trusted
     seated = simnet.select_sensors(world.nodes + [fresh], simnet.SelectionScheme.TRUST_VALUE,
-                                   len(trusted), Random(0))
+                                   len(trusted), Random(0), state)
     assert sorted(n.index for n in seated) == sorted(n.index for n in trusted)
 
     def z(node):
-        return consensus.mining_target(node.trust.tv, cfg.difficulty.beta0).leading_zero_bits
+        return consensus.mining_target(tv(node), cfg.difficulty.beta0).leading_zero_bits
 
     assert cfg.difficulty.beta0 == 1 << 18 and z(fresh) == 18
     assert all(z(node) <= 18 for node in world.nodes)
 
     def deposit(node):
-        needed = contracts.min_deposit(node.trust.tv, cfg.tv_thr, cfg.d_s)
+        needed = contracts.min_deposit(tv(node), cfg.tv_thr, cfg.d_s)
         return float("inf") if needed is None else needed
 
     assert all(deposit(fresh) >= deposit(node) for node in world.nodes)

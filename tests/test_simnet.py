@@ -9,6 +9,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potchain import contracts, crypto, ledger, pool, simnet
 from potchain.config import load_config
@@ -92,7 +94,7 @@ def test_world_runs_at_the_largest_initial_balance():
     top = (1 << 64) - 1 - rounds * (simnet.REWARD_MINING + 150)
     world = World(small_cfg(initial_balance=top, rounds=rounds, reward_sensing=150))
     assert len(world.run()) == rounds
-    assert max(world.balances.values()) <= (1 << 64) - 1
+    assert max(a.balance for a in world.chain.tip.account_states.values()) <= (1 << 64) - 1
     with pytest.raises(simnet.SettingInvalid):
         World(small_cfg(initial_balance=top + 1, rounds=rounds, reward_sensing=150))
 
@@ -135,38 +137,48 @@ class FakeNode:
         self.identity = type("I", (), {"account_id": ident})()
 
 
+def trust_state(nodes):
+    """The state map selection ranks by: each fake node stands in for its
+    own account state, whose trust it carries."""
+    return {n.identity.account_id: n for n in nodes}
+
+
 def test_trust_value_selection_table():
     trusts = [0.91, 0.92, 0.87, 0.93, 0.94]
     nodes = [FakeNode(tv, bytes([i])) for i, tv in enumerate(trusts)]
-    chosen = select_sensors(nodes, SelectionScheme.TRUST_VALUE, 3, Random(0))
+    chosen = select_sensors(nodes, SelectionScheme.TRUST_VALUE, 3, Random(0),
+                            trust_state(nodes))
     assert sorted(n.trust.tv for n in chosen) == [0.92, 0.93, 0.94]
 
 
 def test_trust_tie_breaks_to_smaller_id():
     nodes = [FakeNode(0.9, b"\x02"), FakeNode(0.9, b"\x01"), FakeNode(0.5, b"\x03")]
-    chosen = select_sensors(nodes, SelectionScheme.TRUST_VALUE, 2, Random(0))
+    chosen = select_sensors(nodes, SelectionScheme.TRUST_VALUE, 2, Random(0),
+                            trust_state(nodes))
     ids = {n.identity.account_id for n in chosen}
     assert ids == {b"\x01", b"\x02"}
-    only = select_sensors(nodes, SelectionScheme.TRUST_VALUE, 1, Random(0))
+    only = select_sensors(nodes, SelectionScheme.TRUST_VALUE, 1, Random(0),
+                          trust_state(nodes))
     assert only[0].identity.account_id == b"\x01"
 
 
 def test_register_time_takes_prefix():
     nodes = [FakeNode(0.1 * i, bytes([i])) for i in range(5)]
-    chosen = select_sensors(nodes, SelectionScheme.REGISTER_TIME, 2, Random(0))
+    chosen = select_sensors(nodes, SelectionScheme.REGISTER_TIME, 2, Random(0),
+                            trust_state(nodes))
     assert chosen == nodes[:2]
 
 
 def test_saturation_selects_everyone():
     nodes = [FakeNode(0.5, bytes([i])) for i in range(4)]
     for scheme in SelectionScheme:
-        assert len(select_sensors(nodes, scheme, 10, Random(0))) == 4
+        assert len(select_sensors(nodes, scheme, 10, Random(0), trust_state(nodes))) == 4
 
 
 def test_random_selection_reproducible():
     nodes = [FakeNode(0.5, bytes([i])) for i in range(10)]
-    a = select_sensors(nodes, SelectionScheme.RANDOM, 4, Random(99))
-    b = select_sensors(nodes, SelectionScheme.RANDOM, 4, Random(99))
+    a = select_sensors(nodes, SelectionScheme.RANDOM, 4, Random(99), trust_state(nodes))
+    b = select_sensors(nodes, SelectionScheme.RANDOM, 4, Random(99), trust_state(nodes))
     assert [n.identity.account_id for n in a] == [n.identity.account_id for n in b]
 
 
@@ -282,9 +294,56 @@ def test_warmup_selects_all_candidates():
 def test_conservation_audit_detects_leaks():
     world = World(small_cfg(rounds=2))
     world.run()
-    world.balances[world.nodes[0].account_id] += 1
+    tip = world.chain.tip.account_states
+    leaky = world.nodes[0].account_id
+    tip[leaky] = replace(tip[leaky], balance=tip[leaky].balance + 1)
     with pytest.raises(simnet.ConservationViolation):
         world.audit()
+
+
+def test_audit_finds_a_deposit_left_in_escrow(monkeypatch):
+    """A destroyed auction that keeps one bidder's deposit breaks the audit
+    in that round, though the tip's balances plus the escrow add up."""
+    destroy = contracts.SacState.destroy
+
+    def keep_first_deposit(sac, now_ms):
+        queued = len(sac.pending_moves)
+        destroy(sac, now_ms)
+        del sac.pending_moves[queued]       # the first bidder's deposit refund
+
+    monkeypatch.setattr(contracts.SacState, "destroy", keep_first_deposit)
+    world = World(small_cfg(rounds=1, bid_probability=1.0))
+    with pytest.raises(simnet.ConservationViolation, match="left in escrow"):
+        world.run_round(0)
+    assert world.escrowed == small_cfg().d_a
+    tip_total = sum(a.balance for a in world.chain.tip.account_states.values())
+    assert tip_total + world.escrowed == world.initial_supply + world.minted - world.burned
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n1=st.integers(1, 12),
+       p_active=st.floats(0.0, 1.0), bid_probability=st.floats(0.0, 1.0),
+       inject_forks=st.booleans(), rounds=st.integers(1, 6))
+def test_the_chain_state_is_the_only_account_book(seed, n1, p_active, bid_probability,
+                                                  inject_forks, rounds):
+    """After every round nothing is escrowed, the tip's balances are the
+    initial supply plus minted less burned, and each report row shows the
+    tip's tokens and trust and mines at the parent's trust."""
+    world = World(small_cfg(seed=seed, n1=n1, p_active=p_active, rounds=rounds,
+                            bid_probability=bid_probability, inject_forks=inject_forks,
+                            warmup_rounds=2))
+    for r in range(rounds):
+        parent = world.chain.tip.account_states
+        report = world.run_round(r)
+        tip = world.chain.tip.account_states
+        assert world.escrowed == 0
+        assert (sum(a.balance for a in tip.values())
+                == world.initial_supply + world.minted - world.burned)
+        for node, row in zip(world.nodes, report.rows):
+            assert row.node == node.label
+            assert row.tokens == tip[node.account_id].balance
+            assert row.tv_after == tip[node.account_id].trust.tv
+            assert row.tv_mining == parent[node.account_id].trust.tv
 
 
 def test_fork_injection_still_builds_valid_chain():
