@@ -11,6 +11,9 @@ errors.
 
 `calibrate` benchmarks real nonce searches per leading-zero count and
 recommends a base difficulty for the block interval --t0-ms.
+
+Both write to --out if it is given, else to $POTCHAIN_OUT if it is set,
+else to the config's output_dir (`run`) or `out` (`calibrate`).
 """
 
 from __future__ import annotations
@@ -162,8 +165,7 @@ def cmd_run(args) -> int:
         return 1
     if args.seed is not None:
         cfg.sim = replace(cfg.sim, seed=args.seed)
-    out_dir = os.environ.get("POTCHAIN_OUT") or args.out or cfg.output_dir
-    out = Path(out_dir)
+    out = Path(args.out or os.environ.get("POTCHAIN_OUT") or cfg.output_dir)
 
     summary = Summary()
     summary.info(f"config: {args.config}")
@@ -201,7 +203,7 @@ def cmd_calibrate(args) -> int:
     if args.t0_ms <= 0:
         print("--t0-ms must be positive", file=sys.stderr)
         return 1
-    out = Path(os.environ.get("POTCHAIN_OUT") or args.out)
+    out = Path(args.out or os.environ.get("POTCHAIN_OUT") or "out")
     try:
         out.mkdir(parents=True, exist_ok=True)      # fail before the searches, not after
     except OSError as exc:
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal_p.add_argument("--runs", type=int, default=20)
     cal_p.add_argument("--seed", type=int, default=42)
     cal_p.add_argument("--t0-ms", type=int, default=1000)
-    cal_p.add_argument("--out", default="out")
+    cal_p.add_argument("--out", default=None, help="output directory (default: out)")
     cal_p.set_defaults(func=cmd_calibrate)
     return parser
 

@@ -421,29 +421,24 @@ pool.TASKS.update((task.__name__, task)
 
 
 def submit_verify_batch(items) -> pool.Batch:
-    """`verify_batch(items)` sent to the workers: the batch's `results()`
-    gives its results. The check is bound from the pool's registry, so a
-    wrapper later set on `crypto.verify` sees neither the caller's claims
-    nor a worker's items."""
-    return pool.submit(pool.TASKS["verify"], items)
-
-
-def verify_batch(items) -> list[bool]:
     """`[verify(*item) for item in items]` for (payload, signature, public
-    key) triples, checked on every CPU as `submit_verify_batch` binds it."""
-    return submit_verify_batch(items).results()
+    key) triples, sent to the workers: the batch's `results()` gives its
+    results. The check is bound from the pool's registry, so a wrapper
+    later set on `crypto.verify` sees neither the caller's claims nor a
+    worker's items."""
+    return pool.submit(pool.TASKS["verify"], items)
 
 
 def sign_batch(items) -> list[bytes]:
     """`[sign(*item) for item in items]` for (payload, seed) pairs, with the
-    signature bound as in `verify_batch`. Ed25519 signatures are
+    signature bound as in `submit_verify_batch`. Ed25519 signatures are
     deterministic, so a worker's are the caller's byte for byte."""
     return pool.map(pool.TASKS["sign"], items)
 
 
 def ring_verify_batch(pairs) -> list[bool]:
     """`[ring_verify(packet, sig) for packet, sig in pairs]`, with the check
-    bound as in `verify_batch`."""
+    bound as in `submit_verify_batch`."""
     return pool.map(pool.TASKS["ring_verify"], pairs)
 
 
@@ -483,9 +478,10 @@ def ring_sign_batch(jobs, rng: Random) -> list[RingSignature]:
 # scans a head of four times that, at least SCAN_HEAD, in the caller alone:
 # 98% end there and wake no worker. A longer search starts on every CPU at
 # its first nonce. A chunk makes the round trip a few percent of a round; a
-# piece, the unit of a claim, is about 0.05 ms of scanning. Only `pow-search`
-# and `potchain calibrate` reach the rounds: every simulated block's search
-# ends in the head.
+# piece, the unit of a claim, is about 0.05 ms of scanning. A round is
+# scanned to its end, so it also bounds the nonces scanned past a hit. Only
+# `pow-search` and `potchain calibrate` reach the rounds: every simulated
+# block's search ends in the head.
 SCAN_HEAD = 256             # nonces the caller scans alone, at least
 SCAN_CHUNK = 2048           # nonces per CPU per round
 SCAN_PIECE = 128            # nonces per item of a round's `pool.map`
@@ -496,8 +492,8 @@ def scan_nonces_batch(preimage: bytes, bound: bytes, start: int, count: int) -> 
 
     The caller scans the head alone. The rest goes out in rounds of up to
     SCAN_CHUNK nonces per CPU, each round one `pool.map` of the scan over
-    SCAN_PIECE-nonce pieces that stops at the first piece with a hit, so
-    the index is the sequential scan's. Only a search that outlasts the
+    SCAN_PIECE-nonce pieces. The round's first piece with a hit gives the
+    index, so it is the sequential scan's. Only a search that outlasts the
     head, as in `pow-search` and `potchain calibrate`, reaches the pool.
     """
     scan = pool.TASKS["scan_nonces"]
@@ -509,9 +505,9 @@ def scan_nonces_batch(preimage: bytes, bound: bytes, start: int, count: int) -> 
     while hit is None and done < count:
         end = min(count, done + (len(pool.start()) + 1) * SCAN_CHUNK)
         found = pool.map(scan, [(preimage, bound, start + lo, min(SCAN_PIECE, end - lo))
-                                for lo in range(done, end, SCAN_PIECE)], stop=bool)
-        if found[-1] is not None:
-            hit = done + (len(found) - 1) * SCAN_PIECE + found[-1]
+                                for lo in range(done, end, SCAN_PIECE)])
+        hit = next((done + i * SCAN_PIECE + t for i, t in enumerate(found) if t is not None),
+                   None)
         done = end
     return hit
 

@@ -16,8 +16,10 @@ to: the layout that is hashed is the one exported (`block_to_record`).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import MappingProxyType
 
 from . import consensus, crypto
 from .consensus import DifficultyParams
@@ -203,7 +205,12 @@ class BlockHeader:
 class Block:
     header: BlockHeader
     transactions: tuple[Transaction, ...]
-    account_states: dict[bytes, AccountState]
+    account_states: Mapping[bytes, AccountState]
+
+    def __post_init__(self):
+        # the state a block commits to cannot be edited once it is sealed
+        object.__setattr__(self, "account_states",
+                           MappingProxyType(dict(self.account_states)))
 
     def is_genesis(self) -> bool:
         return self.header.prev_hash == ZERO32
@@ -236,8 +243,7 @@ def _seal(chain: Chain, prev_hash: bytes, transactions, accounts,
     found = consensus.mine(header.preimage(), chain.target_for(miner.account_id))
     header = replace(header, nonce=found.nonce)
     header = replace(header, miner_sig=crypto.sign(header.header_hash(), miner.sig_sk))
-    return Block(header=header, transactions=tuple(transactions),
-                 account_states=dict(accounts))
+    return Block(header=header, transactions=tuple(transactions), account_states=accounts)
 
 
 def make_block(chain: Chain, transactions, accounts, miner: crypto.NodeIdentity,
@@ -267,13 +273,13 @@ class Chain:
                                            compare=False)
 
     @classmethod
-    def genesis(cls, accounts: dict[bytes, AccountState],
+    def genesis(cls, accounts: Mapping[bytes, AccountState],
                 params: DifficultyParams) -> "Chain":
         tx_root, state_root = compute_roots([], accounts)
         header = BlockHeader(prev_hash=ZERO32, tx_root=tx_root,
                              state_root=state_root, miner_id=ZERO32,
                              miner_trust=0, timestamp_ms=0, nonce=0)
-        block = Block(header=header, transactions=(), account_states=dict(accounts))
+        block = Block(header=header, transactions=(), account_states=accounts)
         return cls(params=params, blocks=[block], beta=params.beta0)
 
     @property

@@ -31,6 +31,13 @@ batch whose answer was dropped before it read it works those items itself.
 `abandon()` claims every item of a batch, so a worker still on it stops
 after its current item.
 
+Every item of a batch is worked: there is no early stop. The back claims,
+the meeting wait and the spin below each stay because the benchmark reads
+slower without them (README, `potchain.pool`). That a batch owns its
+worker's answer (`_Worker.batch`) is for correctness: an answer that comes
+after the caller took every item, or after `abandon()`, is never read as a
+later batch's.
+
 A worker waits for its next share as the caller waits for an answer: it
 polls its pipe without sleeping for at most `SPIN_SECONDS`, and only then
 blocks in `recv`. A round sends four batches (ring sign, ring verify,
@@ -55,7 +62,6 @@ from __future__ import annotations
 import mmap
 import os
 import signal
-from itertools import chain
 from time import perf_counter
 
 # What a worker runs, by name: the functions as registered, so a wrapper
@@ -83,12 +89,11 @@ def _poll(conn, timeout: float) -> bool:
 
 
 def _serve(conn, parent_end, back, front) -> None:
-    """Worker loop: for each (task name, share, stop) received on `conn`,
-    answer with the results of the share's items in order, up to the
-    caller's claims (index `back[0]` on) or the first r with stop(r),
-    keeping the index of the item it is on in `front[0]`, and the share's
-    length there once it has stopped. Waits for a share polling for up to
-    `SPIN_SECONDS`, then blocking."""
+    """Worker loop: for each (task name, share) received on `conn`, answer
+    with the results of the share's items in order, up to the caller's
+    claims (index `back[0]` on), keeping the index of the item it is on in
+    `front[0]`, and the share's length there once it has stopped. Waits for
+    a share polling for up to `SPIN_SECONDS`, then blocking."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # the caller handles Ctrl-C
     parent_end.close()
     for worker in _workers:                         # a sibling's pipe, inherited
@@ -96,15 +101,13 @@ def _serve(conn, parent_end, back, front) -> None:
     while True:
         try:
             _poll(conn, SPIN_SECONDS)
-            name, share, stop = conn.recv()
+            name, share = conn.recv()
             task, results = TASKS[name], []
             for i, item in enumerate(share):
                 front[0] = i
                 if i >= back[0]:
                     break
                 results.append(task(*item))
-                if stop is not None and stop(results[-1]):
-                    break
             front[0] = len(share)       # done: the answer is on its way
             conn.send(results)
         except Exception:
@@ -142,7 +145,7 @@ class _Worker:
         """Answers sent and not yet read: 1 or 0, never more."""
         return int(self.batch is not None)
 
-    def send(self, batch: Batch, task: str, share: list, stop) -> bool:
+    def send(self, batch: Batch, task: str, share: list) -> bool:
         """Send a share of `batch`, unless the answer to an earlier one is
         still to come (one that has come is read and dropped): whether it
         was sent. Raises one of _DEAD if the worker has died."""
@@ -152,7 +155,7 @@ class _Worker:
         if self.batch is not None:
             return False
         self.back[0], self.front[0] = len(share), -1
-        self.conn.send((task, share, stop))
+        self.conn.send((task, share))
         self.batch = batch
         return True
 
@@ -209,9 +212,6 @@ def stop() -> None:
     _workers_pid = 0
 
 
-_stop_pool = stop       # a batch has a `stop` of its own
-
-
 def _replace(worker: _Worker) -> _Worker:
     """Stop a worker that has died, and start its replacement in the pool."""
     worker.stop()
@@ -225,37 +225,29 @@ def _replace(worker: _Worker) -> _Worker:
 class Batch:
     """A batch that `submit` has sent to the workers."""
 
-    def __init__(self, fn, items: list, stop):
-        self.fn, self.stop = fn, stop
+    def __init__(self, fn, items: list):
+        self.fn = fn
         workers = start()
         size = max(1, -(-len(items) // max(1, len(workers))))
         # [the worker sent the share, or None if the caller works it; the share]
         self.shares = [[None, items[lo:lo + size]] for lo in range(0, len(items), size)]
         for worker, share in zip(workers, self.shares):
             try:
-                sent = worker.send(self, fn.__name__, share[1], stop)
+                sent = worker.send(self, fn.__name__, share[1])
             except _DEAD:
                 worker = _replace(worker)
-                sent = worker.send(self, fn.__name__, share[1], stop)
+                sent = worker.send(self, fn.__name__, share[1])
             share[0] = worker if sent else None
 
     def results(self) -> list:
-        """`[fn(*item) for item in items]`; with `stop`, only the results up
-        to the first r with stop(r). At the end every item left is claimed,
-        so a worker still on a share stops after its current item. Any
-        exception stops every worker and propagates."""
-        results = []
+        """`[fn(*item) for item in items]`. Any exception stops every worker
+        and propagates."""
         try:
-            for result in chain.from_iterable(self._collect(worker, share)
-                                              for worker, share in self.shares):
-                results.append(result)
-                if self.stop is not None and self.stop(result):
-                    break
+            return [result for worker, share in self.shares
+                    for result in self._collect(worker, share)]
         except BaseException:
-            _stop_pool()                # a pipe may be left in the middle of a message
+            stop()                      # a pipe may be left in the middle of a message
             raise
-        self.abandon()
-        return results
 
     def abandon(self) -> None:
         """Claim every item left, so a worker still on a share of this batch
@@ -301,31 +293,28 @@ class Batch:
             _item_seconds[name] = perf_counter() - started
         answer = self._answer(worker) if back else []
         yield from answer[:back]
-        # items it gave no result for: all if it died, else only past a hit
+        # items it gave no result for: all, if it died or its answer was dropped
         yield from (fn(*item) for item in share[len(answer):back])
         yield from reversed(tail)
 
 
-def submit(fn, items, stop=None) -> Batch:
+def submit(fn, items) -> Batch:
     """Send `[fn(*item) for item in items]` to the workers, one contiguous
-    share each, and return the batch; its `results()` gives the results, with
-    `stop` only those up to the first r with stop(r). Only the pooled rounds
-    of `crypto.scan_nonces_batch` pass a `stop`, so it serves only the
-    `pow-search` benchmark and `potchain calibrate`. A worker runs the task
-    registered under `fn.__name__`, and `stop`, which must pickle; the
-    caller runs `fn` on the items it claims and on each share a worker still
-    busy with an earlier batch was not sent. A name `TASKS` does not hold
-    raises ValueError before anything is sent."""
+    share each, and return the batch; its `results()` gives the results. A
+    worker runs the task registered under `fn.__name__`; the caller runs
+    `fn` on the items it claims and on each share a worker still busy with
+    an earlier batch was not sent. A name `TASKS` does not hold raises
+    ValueError before anything is sent."""
     if fn.__name__ not in TASKS:
         raise ValueError(f"no pool task is registered as {fn.__name__!r}")
     try:
-        return Batch(fn, list(items), stop)
+        return Batch(fn, list(items))
     except BaseException:
-        _stop_pool()                    # a pipe may be left in the middle of a message
+        stop()                          # a pipe may be left in the middle of a message
         raise
 
 
-def map(fn, items, stop=None) -> list:
+def map(fn, items) -> list:
     """`[fn(*item) for item in items]`, worked on every CPU this process may
-    run on; with `stop`, only the results up to the first r with stop(r)."""
-    return submit(fn, items, stop).results()
+    run on."""
+    return submit(fn, items).results()

@@ -10,9 +10,9 @@ from potchain import pool
 @pytest.fixture(scope="module")
 def one_worker():
     """The worker pool restarted as if this process may run on two CPUs, on
-    any host, and restarted at the real count afterwards: every `pool.map`
-    batch (`crypto.sign_batch`, `verify_batch`, `ring_sign_batch` and
-    `ring_verify_batch`, and the signature check of a block) goes to one
+    any host, and restarted at the real count afterwards: every pool
+    batch (`crypto.sign_batch`, `submit_verify_batch`, `ring_sign_batch`
+    and `ring_verify_batch`, and the signature check of a block) goes to one
     forked worker as a single share, which it works from the front while
     the caller claims its items from the back, and every pooled nonce search
     (`consensus.mine` through `crypto.scan_nonces_batch`, past its

@@ -73,6 +73,35 @@ MUTANTS = (
            "            raise\n",
            ("test_ledger.py::test_a_failed_root_or_seal_check_abandons_the_signature_batch",
             "test_ledger.py::test_a_bad_root_abandons_the_check_started_ahead")),
+    Mutant("worker-ignores-claims", "src/potchain/pool.py",
+           "                if i >= back[0]:\n                    break\n",
+           "",
+           ("test_pool.py::test_a_healthy_batch_works_each_item_once_but_where_the_ends_meet",)),
+    Mutant("abandon-claims-nothing", "src/potchain/pool.py",
+           "                worker.back[0] = 0\n",
+           "                pass\n",
+           ("test_ledger.py::test_a_failed_root_or_seal_check_abandons_the_signature_batch",)),
+    Mutant("scan-takes-last-hit", "src/potchain/crypto.py",
+           "for i, t in enumerate(found) if t is not None)",
+           "for i, t in reversed(list(enumerate(found))) if t is not None)",
+           ("test_consensus.py::test_pooled_mine_matches_reference_property",
+            "test_consensus.py::test_many_short_searches_leave_at_most_one_unread_answer")),
+    Mutant("timestamp-may-equal-parent", "src/potchain/ledger.py",
+           "        if header.timestamp_ms <= parent.header.timestamp_ms:\n",
+           "        if header.timestamp_ms < parent.header.timestamp_ms:\n",
+           ("test_ledger.py::test_append_bad_timestamp",)),
+    Mutant("record-keeps-trailing-bytes", "src/potchain/ledger.py",
+           "    if reader.at != len(reader.data):\n",
+           "    if False:\n",
+           ("test_ledger.py::test_import_raises_malformed_record",)),
+    Mutant("block-state-is-a-plain-dict", "src/potchain/ledger.py",
+           "MappingProxyType(dict(self.account_states))",
+           "dict(self.account_states)",
+           ("test_ledger.py::test_the_committed_state_is_read_only",)),
+    Mutant("fork-rank-lower-trust-first", "src/potchain/consensus.py",
+           "    return (-header.miner_trust, header.timestamp_ms, header.header_hash())\n",
+           "    return (header.miner_trust, header.timestamp_ms, header.header_hash())\n",
+           ("test_attacks.py::test_fork_grinding_a_rival_never_wins_on_lower_trust",)),
 )
 
 

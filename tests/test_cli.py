@@ -527,6 +527,19 @@ def test_env_var_overrides_output_dir(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "env-out" / "mining.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "calibrate"])
+def test_an_explicit_out_beats_the_env_var(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("POTCHAIN_OUT", str(tmp_path / "env-out"))
+    args = ([str(write_cfg(tmp_path))] if command == "run"
+            else ["--max-z", "2", "--runs", "1"])
+    rc = cli.main([command, *args, "--out", str(tmp_path / "flag-out")])
+    capsys.readouterr()
+    assert rc in (0, 2)
+    written = "mining.csv" if command == "run" else "calibration.csv"
+    assert (tmp_path / "flag-out" / written).exists()
+    assert not (tmp_path / "env-out").exists()
+
+
 def test_same_seed_twice_hash_identical(tmp_path, capsys):
     path = write_cfg(tmp_path)
     cli.main(["run", str(path), "--out", str(tmp_path / "r1")])

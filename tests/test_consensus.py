@@ -243,7 +243,7 @@ def test_a_stalled_worker_is_covered_and_its_late_answers_dropped(one_worker):
     # every batch after it reads its own answers, not the stale scan answers
     sk = crypto.make_signing_key(Random(1))
     items = [(p, crypto.sign(p, sk), crypto.signing_pubkey(sk)) for p in preimages]
-    assert crypto.verify_batch(items) == [True] * len(items)
+    assert crypto.submit_verify_batch(items).results() == [True] * len(items)
     for p in preimages:
         assert (_search(consensus.mine, p, 13, 0, HEAD + 2 * ROUND)
                 == _search(mine_reference, p, 13, 0, HEAD + 2 * ROUND))

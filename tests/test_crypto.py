@@ -110,7 +110,7 @@ def corrupt(item, how: str, rng: Random):
 def test_verify_batch_equals_verify_in_order(one_worker, draws, seed):
     rng = Random(seed)
     items = [corrupt(signed_item(key, payload), how, rng) for key, payload, how in draws]
-    assert crypto.verify_batch(items) == [crypto.verify(*item) for item in items]
+    assert crypto.submit_verify_batch(items).results() == [crypto.verify(*item) for item in items]
 
 
 def test_verify_batch_on_one_cpu_starts_no_worker(monkeypatch):
@@ -119,7 +119,7 @@ def test_verify_batch_on_one_cpu_starts_no_worker(monkeypatch):
     try:
         items = [signed_item(i % 4, bytes([i])) for i in range(9)]
         items[8] = corrupt(items[8], "payload", Random(0))
-        assert crypto.verify_batch(items) == [True] * 8 + [False]
+        assert crypto.submit_verify_batch(items).results() == [True] * 8 + [False]
         assert pool._workers == []
     finally:
         pool.stop()
@@ -135,15 +135,15 @@ def kill_first_worker():
 
 def test_a_killed_worker_is_replaced_and_its_share_still_checked(one_worker, toy_ring):
     good = [signed_item(i % 4, bytes([i])) for i in range(10)]
-    assert crypto.verify_batch(good) == [True] * 10
+    assert crypto.submit_verify_batch(good).results() == [True] * 10
     worker = kill_first_worker()
     # the back half, which the caller claims once it finds the worker dead,
     # holds only bad signatures
     bad = good[:5] + [corrupt(item, "signature", Random(i)) for i, item in enumerate(good[5:])]
-    assert crypto.verify_batch(bad) == [True] * 5 + [False] * 5
+    assert crypto.submit_verify_batch(bad).results() == [True] * 5 + [False] * 5
     replacement = pool._workers[0]
     assert replacement.process.is_alive() and replacement.process.pid != worker.process.pid
-    assert crypto.verify_batch(bad) == [True] * 5 + [False] * 5
+    assert crypto.submit_verify_batch(bad).results() == [True] * 5 + [False] * 5
 
     # ring batches sent after a kill are answered in full and correctly
     kill_first_worker()
@@ -161,13 +161,13 @@ def test_a_killed_worker_is_replaced_and_its_share_still_checked(one_worker, toy
 
 def test_a_stalled_workers_share_is_checked_by_the_caller(one_worker, toy_ring):
     good = [signed_item(i % 4, bytes([i])) for i in range(10)]
-    assert crypto.verify_batch(good) == [True] * 10
+    assert crypto.submit_verify_batch(good).results() == [True] * 10
     worker = pool._workers[0]
     os.kill(worker.process.pid, signal.SIGSTOP)     # a vCPU the host does not run
     try:
         # the worker is sent the whole batch; the caller claims every item
         bad = good[:7] + [corrupt(good[7], "signature", Random(0))] + good[8:]
-        assert crypto.verify_batch(bad) == [True] * 7 + [False, True, True]
+        assert crypto.submit_verify_batch(bad).results() == [True] * 7 + [False, True, True]
         pairs = ring_pairs(toy_ring, Random(2))
         assert crypto.ring_verify_batch(pairs) == [crypto.ring_verify(*p) for p in pairs]
         jobs = ring_jobs(toy_ring, [(5, i, bytes([i]), i % 2) for i in range(6)])
@@ -177,8 +177,8 @@ def test_a_stalled_workers_share_is_checked_by_the_caller(one_worker, toy_ring):
         assert pool._workers[0] is worker and worker.unread == 1
     finally:
         os.kill(worker.process.pid, signal.SIGCONT)
-    assert crypto.verify_batch(bad) == [True] * 7 + [False, True, True]
-    assert crypto.verify_batch(good) == [True] * 10
+    assert crypto.submit_verify_batch(bad).results() == [True] * 7 + [False, True, True]
+    assert crypto.submit_verify_batch(good).results() == [True] * 10
 
 
 @pytest.mark.parametrize("method", ["send", "poll"])
@@ -186,7 +186,7 @@ def test_a_timeout_on_a_workers_pipe_stops_the_batch(one_worker, method):
     """Only a pipe error that means the worker died replaces the worker; a
     TimeoutError, as an alarm handler raises, stops the batch and the pool."""
     good = [signed_item(i % 4, bytes([i])) for i in range(10)]
-    assert crypto.verify_batch(good) == [True] * 10
+    assert crypto.submit_verify_batch(good).results() == [True] * 10
     worker = pool._workers[0]
     conn = worker.conn
     # A worker whose answer is still to come is sent nothing, so the next
@@ -210,12 +210,12 @@ def test_a_timeout_on_a_workers_pipe_stops_the_batch(one_worker, method):
     pool.TASKS["verify"] = verify
     try:
         with pytest.raises(TimeoutError):
-            crypto.verify_batch(good)
+            crypto.submit_verify_batch(good).results()
         assert pool._workers == []
     finally:
         pool.TASKS["verify"] = original
         pool.stop()     # no later test may reach a patched pipe
-    assert crypto.verify_batch(good) == [True] * 10
+    assert crypto.submit_verify_batch(good).results() == [True] * 10
 
 
 # =============================================================================
@@ -292,7 +292,7 @@ def counted(fn, log: Path):
 @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-shares", "one-cpu"])
 def test_a_wrapper_on_a_task_sees_only_what_its_entry_point_binds(
         monkeypatch, tmp_path, toy_ring, cpus):
-    """`verify_batch`, `sign_batch` and `ring_verify_batch` bind their task
+    """`submit_verify_batch`, `sign_batch` and `ring_verify_batch` bind their task
     from the pool's registry, so a wrapper later set on `crypto.verify`,
     `crypto.sign` or `crypto.ring_verify` runs neither in the caller nor in
     a worker. `ring_sign_batch` looks `crypto.ring_sign` up at the call, so
@@ -312,7 +312,7 @@ def test_a_wrapper_on_a_task_sees_only_what_its_entry_point_binds(
     for name, log in logs.items():
         monkeypatch.setattr(crypto, name, counted(getattr(crypto, name), log))
     try:
-        assert (crypto.sign_batch(signed), crypto.verify_batch(checked),
+        assert (crypto.sign_batch(signed), crypto.submit_verify_batch(checked).results(),
                 crypto.ring_verify_batch(pairs)) == expected
         assert crypto.ring_sign_batch(jobs, Random(3)) == ring_sigs
         assert len(pool._workers) == len(cpus) - 1

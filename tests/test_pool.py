@@ -40,10 +40,6 @@ def logged(log: str, index: int, hit: bool, pauses: tuple, signum: int):
     return index, hit
 
 
-def is_hit(result) -> bool:
-    return result[1]
-
-
 @pytest.fixture(scope="module")
 def claims(one_worker):
     """`logged` runs in the workers: it is registered before the pool restarts."""
@@ -61,13 +57,12 @@ def claims(one_worker):
 @example(size=200, hits={199}, pause=0.0001)    # the first item the caller claims
 @example(size=200, hits={100, 101}, pause=0.0004)
 @example(size=1, hits={0}, pause=0)
-def test_map_is_the_sequential_prefix_up_to_the_first_hit(claims, size, hits, pause):
+def test_map_is_the_sequential_result_whoever_works_each_item(claims, size, hits, pause):
     # Pauses from 0 to 0.4 ms an item move the point where the caller's
-    # claims meet the worker's along the share, so the hits fall on both
-    # sides of it.
+    # claims meet the worker's along the share; the hits are payload that
+    # must come back at their own indices, on either side of it.
     items = [(os.devnull, i, i in hits, (pause, pause), 0) for i in range(size)]
-    first = min((i for i in hits if i < size), default=size - 1)
-    assert pool.map(logged, items, is_hit) == [(i, i in hits) for i in range(first + 1)]
+    assert pool.map(logged, items) == [(i, i in hits) for i in range(size)]
 
 
 def worked(log) -> list[tuple[int, int]]:
@@ -95,7 +90,7 @@ def test_a_healthy_batch_works_each_item_once_but_where_the_ends_meet(claims, tm
 def test_claims_hold_with_more_workers_than_cores(claims, monkeypatch):
     """Three workers and the caller share this host's cores, so a claim is
     often written while the worker that reads it is descheduled; every batch
-    still gives the sequential prefix."""
+    still gives the sequential results."""
     pool.stop()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     rng, deadline = Random(5), time.monotonic() + 60
@@ -104,9 +99,7 @@ def test_claims_hold_with_more_workers_than_cores(claims, monkeypatch):
             size = rng.randrange(120)
             hits = {rng.randrange(150) for _ in range(rng.randrange(3))}
             items = [(os.devnull, i, i in hits, (0, 0), 0) for i in range(size)]
-            first = min((i for i in hits if i < size), default=size - 1)
-            assert pool.map(logged, items, is_hit) == [(i, i in hits)
-                                                          for i in range(first + 1)]
+            assert pool.map(logged, items) == [(i, i in hits) for i in range(size)]
             assert time.monotonic() < deadline
         assert len(pool._workers) == 3 and all(w.unread <= 1 for w in pool._workers)
     finally:

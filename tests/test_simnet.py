@@ -294,9 +294,11 @@ def test_warmup_selects_all_candidates():
 def test_conservation_audit_detects_leaks():
     world = World(small_cfg(rounds=2))
     world.run()
-    tip = world.chain.tip.account_states
+    tip = world.chain.tip
     leaky = world.nodes[0].account_id
-    tip[leaky] = replace(tip[leaky], balance=tip[leaky].balance + 1)
+    account = tip.account_states[leaky]
+    world.chain.blocks[-1] = replace(tip, account_states={
+        **tip.account_states, leaky: replace(account, balance=account.balance + 1)})
     with pytest.raises(simnet.ConservationViolation):
         world.audit()
 
