@@ -4,7 +4,9 @@ and the two-stage commit/reveal scheme used for anonymous sensing uploads.
 Implements:
 1. A single system hash (SHA-256) used everywhere (headers, merkle roots,
    commitments, ring symmetric-key derivation).
-2. Ed25519 account signatures behind a plain sign/verify interface.
+2. Ed25519 account signatures through libsodium (`ctypes`), behind a plain
+   sign/verify interface. libsodium refuses small-order and non-canonical
+   keys and R values and a non-canonical S, as a real chain must.
 3. Ring signatures over RSA trapdoor permutations, extended to a common
    2^b domain, glued by a keyed Feistel permutation.
 4. Hash commitments over (sensing result, random nonce, message id) plus
@@ -25,16 +27,11 @@ Ring signature byte conventions (reproducible across implementations):
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
 
 from . import pool
 
@@ -56,10 +53,34 @@ def sha256(data: bytes) -> bytes:
 
 
 # =============================================================================
-# Regular account signatures (Ed25519 behind a byte-level interface)
+# Regular account signatures (Ed25519 through libsodium)
 # =============================================================================
 
-KEY_CACHE = 4096        # parsed signing keys a process keeps, at most
+def _load_sodium() -> ctypes.CDLL:
+    """libsodium, loaded by soname (`ctypes.util.find_library` would run
+    `ldconfig` and cost 0.5 MB) and initialised. It is loaded at import,
+    before the pool forks, so every worker inherits the initialised library."""
+    for soname in ("libsodium.so.26", "libsodium.so.23"):
+        try:
+            lib = ctypes.CDLL(soname)
+        except OSError:
+            continue
+        if lib.sodium_init() < 0:
+            raise ImportError(f"potchain.crypto: {soname} failed to initialise")
+        char_p, ull = ctypes.c_char_p, ctypes.c_ulonglong
+        for fn, argtypes in ((lib.crypto_sign_seed_keypair, [char_p, char_p, char_p]),
+                             (lib.crypto_sign_detached,
+                              [char_p, ctypes.c_void_p, char_p, ull, char_p]),
+                             (lib.crypto_sign_verify_detached, [char_p, char_p, ull, char_p])):
+            fn.argtypes, fn.restype = argtypes, ctypes.c_int
+        return lib
+    raise ImportError("potchain.crypto needs libsodium (libsodium.so.26 or "
+                      "libsodium.so.23) for Ed25519 signatures; install libsodium")
+
+
+_sodium = _load_sodium()
+
+KEY_CACHE = 4096        # expanded signing keys a process keeps, at most
 
 
 def make_signing_key(rng: Random) -> bytes:
@@ -68,26 +89,36 @@ def make_signing_key(rng: Random) -> bytes:
 
 
 @lru_cache(maxsize=KEY_CACHE)
-def _parsed(seed: bytes) -> Ed25519PrivateKey:
-    """The key a seed names, parsed once per process: a forked worker
-    inherits the caller's parses and adds its own."""
-    return Ed25519PrivateKey.from_private_bytes(seed)
+def _parsed(seed: bytes) -> bytes:
+    """libsodium's 64-byte secret key for a seed (the seed, then its public
+    key), expanded once per process: a forked worker inherits the caller's
+    expansions and adds its own."""
+    if len(seed) != 32:
+        raise ValueError(f"an Ed25519 seed is 32 bytes, not {len(seed)}")
+    pk, sk = ctypes.create_string_buffer(32), ctypes.create_string_buffer(64)
+    _sodium.crypto_sign_seed_keypair(pk, sk, seed)
+    return sk.raw
 
 
 def signing_pubkey(seed: bytes) -> bytes:
-    return _parsed(seed).public_key().public_bytes_raw()
+    return _parsed(bytes(seed))[32:]
 
 
 def sign(payload: bytes, seed: bytes) -> bytes:
-    return _parsed(seed).sign(payload)
+    payload, sig = bytes(payload), ctypes.create_string_buffer(64)
+    _sodium.crypto_sign_detached(sig, None, payload, len(payload), _parsed(bytes(seed)))
+    return sig.raw
 
 
 def verify(payload: bytes, sig: bytes, pk: bytes) -> bool:
-    try:
-        Ed25519PublicKey.from_public_bytes(pk).verify(sig, payload)
-        return True
-    except (InvalidSignature, ValueError):
+    """libsodium's check, which also refuses a small-order or non-canonical
+    key or R and a non-canonical S. A signature or key of the wrong length
+    (the empty key of an absent account among them) is False before libsodium
+    would read past it."""
+    payload, sig, pk = bytes(payload), bytes(sig), bytes(pk)
+    if len(sig) != 64 or len(pk) != 32:
         return False
+    return _sodium.crypto_sign_verify_detached(sig, payload, len(payload), pk) == 0
 
 
 # =============================================================================

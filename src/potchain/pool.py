@@ -43,10 +43,12 @@ polls its pipe without sleeping for at most `SPIN_SECONDS`, and only then
 blocks in `recv`. A round sends four batches (ring sign, ring verify,
 Ed25519 sign and verify), and a worker woken from `recv` starts a share
 0.1-0.2 ms later than one that polls: the time the host takes to wake an
-idle vCPU. On a 2-vCPU host the idle gaps a worker saw between shares were
-p50 1.9 ms and p90 4.3 ms in `sensing-n5`, 2.8 and 4.6 ms in `mining-n20`,
-2.5 and 4.0 ms in `chain-replay` and 1.6 and 1.8 ms in `pow-search`, and
-5 ms covers 94-100% of them. So an idle worker uses at most 5 ms of one
+idle vCPU. On a 2-vCPU host the idle gaps a worker saw between shares (from
+sending one answer to receiving the next share, in 8 s runs of
+`perfbench/run.py --seed 11` with libsodium's Ed25519) were p50 0.6 ms and
+p90 1.7 ms in `sensing-n5`, 1.2 and 2.5 ms in `mining-n20`, 1.2 and 2.2 ms
+in `chain-replay` and 0.8 and 1.3 ms in `pow-search`, and 5 ms covers
+98-100% of them. So an idle worker uses at most 5 ms of one
 CPU after each share, then sleeps. The spin is bounded, as in Karlin, Li,
 Manasse and Owicki (SOSP 1991), but sized from those gaps rather than from
 the cost of a wake-up: a worker has a CPU to itself that the process would

@@ -60,6 +60,11 @@ MUTANTS = (
            "        if self.sealed:\n            signed.append((header.header_hash(),",
            "        if False:\n            signed.append((header.header_hash(),",
            ("test_ledger.py::test_the_seal_signature_is_checked_first_and_only_in_the_batch",)),
+    Mutant("verify-ignores-libsodium", "src/potchain/crypto.py",
+           "(sig, payload, len(payload), pk) == 0\n",
+           "(sig, payload, len(payload), pk) <= 0\n",     # libsodium returns 0 or -1
+           ("test_crypto.py::test_verify_rejects_flipped_payload",
+            "test_ledger.py::test_append_refuses_a_forgery_under_a_small_order_key")),
     Mutant("nonce-does-not-wrap", "src/potchain/crypto.py",
            "        nonce = (nonce + last - first) % NONCE_SPACE\n",
            "        nonce = nonce + last - first\n",

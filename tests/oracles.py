@@ -1,11 +1,11 @@
 """Brute-force reference implementations the contract, crypto and ledger
-tests compare against, and the export mutator the ledger tests feed to
-import."""
+tests compare against, the export mutator the ledger tests feed to import,
+and the small-order signature forgery both crypto and ledger tests offer."""
 
 import hashlib
 from random import Random
 
-from potchain import ledger
+from potchain import crypto, ledger
 from potchain.consensus import Exhausted, MineResult, meets_target
 from potchain.contracts import NoBidders
 
@@ -25,6 +25,24 @@ def second_price_oracle(bids: dict[bytes, int], reveal_order: dict[bytes, int]) 
     entrants.sort(key=lambda e: (-e[1], reveal_order[e[0]], e[0]))
     price = entrants[1][1] if len(entrants) > 1 else entrants[0][1]
     return entrants[0][0], price
+
+
+# The Ed25519 group order and the encoding of the identity point, a key of
+# order 1: [k]A is the identity for every k.
+ED25519_L = 2 ** 252 + 27742317777372353535851937790883648493
+IDENTITY_KEY = b"\x01" + bytes(31)
+
+
+def small_order_forgery(seed: bytes) -> bytes:
+    """R || S with R = [S]B: under `IDENTITY_KEY` the check [S]B = R + [k]A
+    holds for every payload, so a verifier that takes small-order keys takes
+    it. S is the clamped scalar `seed` expands to (RFC 8032), reduced mod L,
+    and R is that scalar's public key."""
+    h = bytearray(hashlib.sha512(seed).digest()[:32])
+    h[0] &= 248
+    h[31] = (h[31] & 127) | 64
+    s = int.from_bytes(h, "little") % ED25519_L
+    return crypto.signing_pubkey(seed) + s.to_bytes(32, "little")
 
 
 def _feistel_round_reference(key: bytes, rnd: int, half: int, half_bits: int) -> int:

@@ -10,11 +10,21 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import feistel_inverse_reference, feistel_reference
+from oracles import (
+    ED25519_L,
+    IDENTITY_KEY,
+    feistel_inverse_reference,
+    feistel_reference,
+    small_order_forgery,
+)
 from potchain import crypto, pool
 
 TOY_BITS = 64
@@ -60,17 +70,87 @@ def test_verify_rejects_wrong_key():
     assert not crypto.verify(b"m", sig, crypto.signing_pubkey(sk_b))
 
 
+def reference_verify(payload: bytes, sig: bytes, pk: bytes) -> bool:
+    """`cryptography`'s (OpenSSL's) Ed25519 check: the reference for
+    `verify` away from small-order keys and R values, which only `verify`
+    refuses."""
+    try:
+        Ed25519PublicKey.from_public_bytes(pk).verify(sig, payload)
+        return True
+    except InvalidSignature:
+        return False
+
+
+def flip(data: bytes, bit: int) -> bytes:
+    i = bit // 8 % len(data)
+    return data[:i] + bytes([data[i] ^ 1 << bit % 8]) + data[i + 1:]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 77])
-def test_sign_matches_key_parsed_from_seed_bytes(seed):
+@settings(max_examples=25, deadline=None)
+@given(payload=st.binary(min_size=1, max_size=300), bit=st.integers(0, 8 * 300))
+def test_sign_matches_key_parsed_from_seed_bytes(seed, payload, bit):
     """An identity keeps the 32 seeded bytes of its signing key, and signing
-    with them gives the bytes of a key parsed afresh from that seed."""
+    with them gives the bytes of a key parsed afresh from that seed by
+    `cryptography`. `verify` agrees with `cryptography`'s check on the honest
+    signature and on one bit flipped in the signature, payload or key."""
     identity = crypto.make_identity(Random(seed), rsa_bits=TOY_BITS)
     seed_bytes = Random(seed).getrandbits(256).to_bytes(32, "big")
     assert identity.sig_sk == seed_bytes
     fresh = Ed25519PrivateKey.from_private_bytes(seed_bytes)
-    for payload in (b"", b"payload", bytes(range(256))):
-        assert crypto.sign(payload, identity.sig_sk) == fresh.sign(payload)
-    assert identity.sig_pk == fresh.public_key().public_bytes_raw()
+    for message in (b"", b"payload", bytes(range(256)), payload):
+        assert crypto.sign(message, identity.sig_sk) == fresh.sign(message)
+    pk = identity.sig_pk
+    assert pk == fresh.public_key().public_bytes_raw()
+    sig = crypto.sign(payload, identity.sig_sk)
+    for item in ((payload, sig, pk), (payload, flip(sig, bit), pk),
+                 (flip(payload, bit), sig, pk), (payload, sig, flip(pk, bit))):
+        assert crypto.verify(*item) == reference_verify(*item)
+    assert crypto.verify(payload, sig, pk)
+
+
+VERIFY_SEED = bytes(range(32))
+VERIFY_SIG = crypto.sign(b"m", VERIFY_SEED)
+VERIFY_PK = crypto.signing_pubkey(VERIFY_SEED)
+
+
+@pytest.mark.parametrize("sig, pk", [
+    # under the identity key, R || S with R = [S]B holds for every payload
+    # in the group equation: OpenSSL takes it
+    (small_order_forgery(VERIFY_SEED), IDENTITY_KEY),
+    (VERIFY_SIG[:32] + (int.from_bytes(VERIFY_SIG[32:], "little") + ED25519_L).to_bytes(
+        32, "little"), VERIFY_PK),
+    (VERIFY_SIG[:63], VERIFY_PK),
+    (VERIFY_SIG + bytes(1), VERIFY_PK),
+    (VERIFY_SIG, VERIFY_PK[:31]),
+    (VERIFY_SIG, b""),
+], ids=["small-order-key", "s-plus-l", "63-byte-sig", "65-byte-sig", "31-byte-key", "empty-key"])
+def test_verify_refuses(sig, pk):
+    assert not crypto.verify(b"m", sig, pk)
+
+
+def test_verify_and_sign_read_bytes_like_inputs_as_their_bytes():
+    seed, sig, pk = VERIFY_SEED, VERIFY_SIG, VERIFY_PK
+    for kind in (bytearray, memoryview):
+        assert crypto.verify(kind(b"m"), kind(sig), kind(pk))
+        assert not crypto.verify(kind(b"n"), kind(sig), kind(pk))
+        assert crypto.sign(kind(b"m"), kind(seed)) == sig
+        assert crypto.signing_pubkey(kind(seed)) == pk
+
+
+@pytest.mark.parametrize("length", [0, 31, 33])
+def test_a_seed_of_the_wrong_length_raises(length):
+    with pytest.raises(ValueError):
+        crypto.sign(b"m", bytes(length))
+
+
+def test_a_missing_libsodium_is_an_import_error_that_names_it(monkeypatch):
+    def absent(name, *args, **kwargs):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(crypto.ctypes, "CDLL", absent)
+    with pytest.raises(ImportError, match="libsodium"):
+        crypto._load_sodium()
 
 
 # =============================================================================

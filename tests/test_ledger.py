@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import import_reference, mutate_export
+from oracles import IDENTITY_KEY, import_reference, mutate_export, small_order_forgery
 from potchain import consensus, crypto, ledger, pool, simnet
 from potchain.config import load_config
 from potchain.consensus import DifficultyParams
@@ -204,6 +204,21 @@ def test_append_bad_tx_signature(identities):
                               identities[0], ts)
     with pytest.raises(BadSignature):
         chain.verify_block(block)
+
+
+def test_append_refuses_a_forgery_under_a_small_order_key(identities):
+    """An account whose key is the identity point takes, in the group
+    equation alone, any R || S with R = [S]B on any payload. The chain
+    refuses the transaction all the same."""
+    accounts = {ident.account_id: account_for(ident) for ident in identities[:2]}
+    forger = replace(account_for(identities[2]), sig_pk=IDENTITY_KEY)
+    chain = Chain.genesis({**accounts, forger.account_id: forger}, CHAIN_PARAMS)
+    tx = Transaction(kind=TxKind.REWARD, payload=b"pay me", signer=forger.account_id,
+                     signature=small_order_forgery(identities[2].sig_sk))
+    block = sealed(chain, [tx], identities[0])
+    with pytest.raises(BadSignature, match="transaction signature invalid"):
+        chain.append_block(block)
+    assert len(chain.blocks) == 1
 
 
 @pytest.mark.parametrize("bad", [9, 0], ids=["caller-share", "worker-share"])
