@@ -231,6 +231,17 @@ def check_roots(block: Block) -> None:
         raise BadRoot("account-state root mismatch")
 
 
+def check_identities(block: Block, parent: Block) -> None:
+    """Raise StateMismatch unless `block` holds the accounts `parent` holds,
+    each with the same keys: a block moves tokens and trust, but cannot
+    change who an account is."""
+    def keys(accounts):
+        return {aid: (a.sig_pk, a.ring_n, a.ring_e) for aid, a in accounts.items()}
+
+    if keys(block.account_states) != keys(parent.account_states):
+        raise StateMismatch("block changes the accounts or their keys")
+
+
 def _seal(chain: Chain, prev_hash: bytes, transactions, accounts,
           miner: crypto.NodeIdentity, timestamp_ms: int) -> Block:
     """Assemble a header over the roots, mine it at the miner's target on
@@ -327,10 +338,10 @@ class Chain:
         self._ahead = _SignatureCheck(block, self.tip)
 
     def verify_block(self, block: Block) -> None:
-        """Check the parent link, the timestamp, the roots, the seal and the
-        signatures, in that order. The signatures are those of the check
-        `start_check` started for this block on this tip, or else of one
-        started once the seal has passed."""
+        """Check the parent link, the timestamp, the roots, the seal, the
+        signatures and the identities, in that order. The signatures are
+        those of the check `start_check` started for this block on this tip,
+        or else of one started once the seal has passed."""
         header = block.header
         parent = self.tip
         check, self._ahead = self._ahead, None
@@ -349,6 +360,7 @@ class Chain:
                 check.abandon()
             raise
         (check or _SignatureCheck(block, parent)).collect()
+        check_identities(block, parent)
 
     def append_block(self, block: Block) -> None:
         self.verify_block(block)
@@ -358,10 +370,10 @@ class Chain:
 
 class _SignatureCheck:
     """Every signature `block` carries, checked as one batch on all CPUs:
-    first the seal, by the miner's key in `parent`, or in the block itself
-    for a genesis (`parent` None), where a plain one (miner ZERO32) must
-    carry none; then each account signature, by its signer's key in the
-    block or else in `parent`. An absent account gives the empty key, under
+    first the seal, then each account signature, each by its signer's key
+    in `parent`, or in the block itself for a genesis (`parent` None), where
+    a plain one (miner ZERO32) must carry no seal. A block's own states
+    cannot vouch for a key. An absent account gives the empty key, under
     which no signature checks."""
 
     def __init__(self, block: Block, parent: Block | None):
@@ -373,8 +385,7 @@ class _SignatureCheck:
             signed.append((header.header_hash(), header.miner_sig, keys.get(header.miner_id)))
         for tx in block.transactions:
             if tx.signer != RING_SIGNER:    # ring-signed uploads: checked at contract admission
-                account = block.account_states.get(tx.signer) or keys.get(tx.signer)
-                signed.append((tx.payload, tx.signature, account))
+                signed.append((tx.payload, tx.signature, keys.get(tx.signer)))
         self.batch = crypto.submit_verify_batch(
             [(message, signature, account.sig_pk if account else b"")
              for message, signature, account in signed])

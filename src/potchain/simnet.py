@@ -1,10 +1,16 @@
 """Deterministic discrete-round network simulator.
 
-Each round replays the six-phase access workflow on an in-process chain:
-task-issuer contract deployment, registration with deposit-to-trust
-conversion, sensor selection, ring-signed uploads plus commitments and
-majority fusion, the sealed auction when the band is idle, and finally
-trust updates with per-node expected mining cost accounting.
+A round plays the paper's access workflow on an in-process chain in the
+seven phases `PHASES` names, each a `World` method that reads and adds to
+the round's `RoundRecord`: registration (the task issuer deploys the CSC
+and the SAC, and nodes apply with a deposit), selection, bids, sensing
+(ring-signed uploads plus commitments, then majority fusion), auction (on
+an idle verdict), settlement (reveals, then trust updates) and sealing
+(the block is signed, mined, appended and audited, and the round reported
+with per-node expected mining cost). Registration, selection, bids,
+auction and settlement move contract state, tokens and trust only: ring
+signing and the CSC's ring check are in sensing, and every account
+signature, the block and its checks in sealing.
 
 Behavior classes:
 - Rnode: senses honestly every round (p_d / p_f draws).
@@ -20,10 +26,10 @@ from the config seed, so a config + seed pair fully fixes all artifacts.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from random import Random
-from typing import NamedTuple
 
 from . import consensus, contracts, crypto, ledger
 from .consensus import DifficultyParams
@@ -227,13 +233,36 @@ class RoundReport:
     warmup: bool
 
 
-class RoundPlay(NamedTuple):
-    """A round's report plus the contract results a scripted caller reads."""
-    report: RoundReport
-    admitted: list[Node]        # registered with the CSC
-    refused: list[Node]         # applied, but no payable deposit clears tv_thr
-    settlement: dict[bytes, SettlementRecord]
-    winner: tuple[bytes, int] | None
+PHASES = ("registration", "selection", "bids", "sensing", "auction", "settlement", "sealing")
+
+
+@dataclass
+class RoundRecord:
+    """What a round's phases share. Trust and balances are read from
+    `parent`, the tip's state; token moves land in `balances`. `txs` is the
+    block's transactions in order, the account-signed ones as (kind,
+    payload, identity) until sealing signs them."""
+    index: int
+    warmup: bool
+    parent: Mapping[bytes, AccountState]
+    balances: dict[bytes, int]
+    txs: list = field(default_factory=list)
+    issuer: Node | None = None
+    csc: CscState | None = None
+    sac: SacState | None = None
+    arrival: list[Node] = field(default_factory=list)           # network-arrival order
+    deposits: dict[bytes, int] = field(default_factory=dict)    # applicant -> deposit
+    refused: list[Node] = field(default_factory=list)   # no payable deposit clears tv_thr
+    admitted: list[Node] = field(default_factory=list)          # registered with the CSC
+    bidder_plan: dict[bytes, tuple[int, int, bytes, bytes]] = field(default_factory=dict)
+    pu_truth: int = 0
+    reveals: list[tuple[bytes, int, bytes, bytes]] = field(default_factory=list)
+    fusion: int | None = None
+    winner: tuple[bytes, int] | None = None
+    settlement: dict[bytes, SettlementRecord] = field(default_factory=dict)
+    outcomes: dict[bytes, Outcome] = field(default_factory=dict)
+    accounts: dict[bytes, AccountState] = field(default_factory=dict)
+    report: RoundReport | None = None
 
 
 class ConservationViolation(Exception):
@@ -264,9 +293,7 @@ class World:
         self.by_account = {n.account_id: n for n in self.nodes}
 
         self.initial_supply = cfg.initial_balance * len(self.nodes)
-        self.minted = 0
-        self.burned = 0
-        self.escrowed = 0
+        self.minted = self.burned = self.escrowed = 0
 
         self.chain = Chain.genesis({n.account_id: AccountState(
             account_id=n.account_id, sig_pk=n.identity.sig_pk, ring_n=n.identity.ring_sk.n,
@@ -322,122 +349,112 @@ class World:
                 f"supply {total} != initial {self.initial_supply} "
                 f"+ minted {self.minted} - burned {self.burned}")
 
-    # ---- the round loop -----------------------------------------------------
+    # ---- the round loop: one RoundRecord through the PHASES -------------------
     def run_round(self, round_idx: int) -> RoundReport:
-        report = self.play_round(round_idx).report
-        self.reports.append(report)
-        return report
+        rec = self.new_round(round_idx)
+        for phase in PHASES:
+            getattr(self, phase)(rec)
+        self.reports.append(rec.report)
+        return rec.report
 
-    def play_round(self, round_idx: int) -> RoundPlay:
-        """Play one round on the chain; the report is not kept."""
-        cfg = self.cfg
-        base_ms = round_idx * ROUND_MS
-        t_self_d = base_ms + 600
-        warmup = round_idx < cfg.warmup
-
-        pu_truth = 1 if self.stream("channel").random() < cfg.p_active else 0
-
-        # Trust and balances come from the tip; token moves go to a round copy.
+    def new_round(self, round_idx: int) -> RoundRecord:
+        """The record a round's phases share, over the tip's state."""
         parent = self.chain.tip.account_states
-        balances = {aid: account.balance for aid, account in parent.items()}
-        issuer = self.by_account[ledger.compression_authority(self.chain.tip)]
-        csc_id = crypto.sha256(round_idx.to_bytes(8, "big") + b"csc")[:16]
-        sac_id = crypto.sha256(round_idx.to_bytes(8, "big") + b"sac")[:16]
+        return RoundRecord(round_idx, round_idx < self.cfg.warmup, parent,
+                           {aid: account.balance for aid, account in parent.items()})
+
+    def registration(self, rec: RoundRecord) -> None:
+        """The task issuer, the tip's compression authority, deploys the
+        round's CSC and SAC; then the nodes that show up, in network-arrival
+        order, apply with the deposit that clears the trust threshold."""
+        cfg, base_ms, parent = self.cfg, rec.index * ROUND_MS, rec.parent
+        rec.issuer = self.by_account[ledger.compression_authority(self.chain.tip)]
+        csc_id = crypto.sha256(rec.index.to_bytes(8, "big") + b"csc")[:16]
+        sac_id = crypto.sha256(rec.index.to_bytes(8, "big") + b"sac")[:16]
         # Warm-up rounds lift the sensor cap so every applicant takes part
         # and builds a behavior-reflecting trust value.
-        round_n1 = max(cfg.n1, len(self.nodes)) if warmup else cfg.n1
-        csc = CscState(CscConfig(csc_id=csc_id, t_ddl_ms=base_ms + 300, n1=round_n1,
-                                 tv_thr=cfg.tv_thr, d_s=cfg.d_s,
-                                 reward_sensing=cfg.reward_sensing))
-        sac = SacState(SacConfig(sac_id=sac_id, csc_id=csc_id, n2=cfg.n2,
-                                 t_self_d_ms=t_self_d, d_a=cfg.d_a))
-        # Account-signed transactions wait as (kind, payload, identity) for
-        # the round's one signing batch; ring-signed uploads go in as made.
-        txs: list = [
-            (TxKind.CONTRACT_DEPLOY, contracts.encode_csc_deploy(csc.config), issuer.identity),
-            (TxKind.CONTRACT_DEPLOY, contracts.encode_sac_deploy(sac.config), issuer.identity),
-        ]
-
-        # Phase 2: who shows up this round, in network-arrival order, with
-        # the deposit that clears the trust threshold.
-        arrival = list(self.nodes)
-        self.stream("arrival").shuffle(arrival)
-        candidates, refused = [], []
-        deposits: dict[bytes, int] = {}
-        for node in arrival:
+        n1 = max(cfg.n1, len(self.nodes)) if rec.warmup else cfg.n1
+        rec.csc = CscState(CscConfig(csc_id=csc_id, t_ddl_ms=base_ms + 300, n1=n1,
+                                     tv_thr=cfg.tv_thr, d_s=cfg.d_s,
+                                     reward_sensing=cfg.reward_sensing))
+        rec.sac = SacState(SacConfig(sac_id=sac_id, csc_id=csc_id, n2=cfg.n2,
+                                     t_self_d_ms=base_ms + 600, d_a=cfg.d_a))
+        rec.txs += [(TxKind.CONTRACT_DEPLOY, encode(contract.config), rec.issuer.identity)
+                    for encode, contract in ((contracts.encode_csc_deploy, rec.csc),
+                                             (contracts.encode_sac_deploy, rec.sac))]
+        rec.arrival = list(self.nodes)
+        self.stream("arrival").shuffle(rec.arrival)
+        for node in rec.arrival:
             if self.node_rng(node).random() >= node.profile.participation:
                 continue
             deposit = contracts.min_deposit(parent[node.account_id].trust.tv,
                                             cfg.tv_thr, cfg.d_s)
-            if deposit is not None and deposit <= balances[node.account_id]:
-                candidates.append(node)
-                deposits[node.account_id] = deposit
+            if deposit is not None and deposit <= rec.balances[node.account_id]:
+                rec.deposits[node.account_id] = deposit
             else:
-                refused.append(node)
+                rec.refused.append(node)
 
-        # Phase 3: selection (warm-up rounds select everyone who applied).
-        selected = candidates if warmup else select_sensors(
-            candidates, cfg.selection, cfg.n1, self.stream("select"), parent)
-        admitted: list[Node] = []
+    def selection(self, rec: RoundRecord) -> None:
+        """The sensors are selected from the applicants (warm-up rounds select
+        them all) and register with the CSC, which escrows their deposits."""
+        csc, parent = rec.csc, rec.parent
+        candidates = [self.by_account[aid] for aid in rec.deposits]
+        selected = candidates if rec.warmup else select_sensors(
+            candidates, self.cfg.selection, self.cfg.n1, self.stream("select"), parent)
         for node in selected:
-            deposit = deposits[node.account_id]
-            tv = parent[node.account_id].trust.tv
+            deposit, tv = rec.deposits[node.account_id], parent[node.account_id].trust.tv
             if csc.register(node.account_id, node.identity.ring_pk, deposit, tv):
-                admitted.append(node)
-                txs.append((
-                    TxKind.DEPOSIT,
-                    contracts.encode_csc_deposit(node.account_id, tv, csc_id, deposit),
-                    node.identity))
-        self.apply_moves(csc, balances)
+                rec.admitted.append(node)
+                rec.txs.append((TxKind.DEPOSIT, contracts.encode_csc_deposit(
+                    node.account_id, tv, csc.config.csc_id, deposit), node.identity))
+        self.apply_moves(csc, rec.balances)
 
-        # Bidders register before the sensing outcome is known.
-        bid_rng = self.stream("bids")
-        bidder_plan: dict[bytes, tuple[int, int, bytes, bytes]] = {}
-        for node in arrival:
-            bid = self.force_bids.get((round_idx, node.index))
+    def bids(self, rec: RoundRecord) -> None:
+        """Bidders register with the SAC before the sensing outcome is known,
+        each escrowing d_a, then commit a real and a decoy sealed bid."""
+        cfg, sac, bid_rng = self.cfg, rec.sac, self.stream("bids")
+        for node in rec.arrival:
+            bid = self.force_bids.get((rec.index, node.index))
             if bid is None:
                 if bid_rng.random() >= cfg.bid_probability:
                     continue
-                bid = (bid_rng.randint(BID_MIN, BID_MAX),
-                       bid_rng.randint(BID_MIN, BID_MAX))
+                bid = (bid_rng.randint(BID_MIN, BID_MAX), bid_rng.randint(BID_MIN, BID_MAX))
             valuation, decoy = bid
-            if (balances[node.account_id] < cfg.d_a + valuation + decoy
+            if (rec.balances[node.account_id] < cfg.d_a + valuation + decoy
                     or not sac.register(node.account_id, cfg.d_a)):
                 continue
             rnd_real = bid_rng.getrandbits(256).to_bytes(32, "big")
             rnd_decoy = bid_rng.getrandbits(256).to_bytes(32, "big")
-            bidder_plan[node.account_id] = (valuation, decoy, rnd_real, rnd_decoy)
-            txs.append((
-                TxKind.DEPOSIT,
-                contracts.encode_sac_deposit(
-                    node.account_id, parent[node.account_id].trust.tv, sac_id, cfg.d_a,
-                    contracts.bid_commitment_digest(valuation, True, rnd_real)),
+            rec.bidder_plan[node.account_id] = (valuation, decoy, rnd_real, rnd_decoy)
+            rec.txs.append((TxKind.DEPOSIT, contracts.encode_sac_deposit(
+                node.account_id, rec.parent[node.account_id].trust.tv, sac.config.sac_id,
+                cfg.d_a, contracts.bid_commitment_digest(valuation, True, rnd_real)),
                 node.identity))
-        self.apply_moves(sac, balances)
+        self.apply_moves(sac, rec.balances)
         sac.begin_committing()
-        for pk, (valuation, decoy, rnd_real, rnd_decoy) in bidder_plan.items():
-            node = self.by_account[pk]
-            for amount, real, rnd in ((valuation, True, rnd_real),
-                                      (decoy, False, rnd_decoy)):
+        for pk, (valuation, decoy, rnd_real, rnd_decoy) in rec.bidder_plan.items():
+            for amount, real, rnd in ((valuation, True, rnd_real), (decoy, False, rnd_decoy)):
                 digest = contracts.bid_commitment_digest(amount, real, rnd)
                 sac.commit(pk, digest, amount)
-                txs.append((
-                    TxKind.BID_COMMIT,
-                    contracts.encode_bid_commit(sac_id, digest, amount),
-                    node.identity))
-        self.apply_moves(sac, balances)
+                rec.txs.append((TxKind.BID_COMMIT, contracts.encode_bid_commit(
+                    sac.config.sac_id, digest, amount), self.by_account[pk].identity))
+        self.apply_moves(sac, rec.balances)
 
-        # Phase 4: ring-signed uploads plus commitments, then fusion.
+    def sensing(self, rec: RoundRecord) -> None:
+        """The primary user's state is drawn, and each admitted sensor reports
+        on it in a packet; the packets are ring-signed as one batch and
+        uploaded in one call, each followed by its sensor's commitment; then
+        the CSC fuses the reports."""
+        csc, csc_id, now_upload = rec.csc, rec.csc.config.csc_id, rec.index * ROUND_MS + 200
+        rec.pu_truth = 1 if self.stream("channel").random() < self.cfg.p_active else 0
         csc.begin_sensing()
-        ring_members = sorted(admitted, key=lambda n: csc.registered[n.account_id].order)
-        ring = [n.identity.ring_pk for n in ring_members]
-        msgid_rng = self.stream("msgid")
-        drawn: list[tuple[Node, int, bytes, bytes, crypto.SensingPacket]] = []
-        now_upload = base_ms + 200
-        for node in ring_members:
-            sr = sense(node.profile, pu_truth, self.node_rng(node),
-                       parent[node.account_id].trust.sensing_rounds)
-            if (round_idx, node.index) in self.force_flip:
+        members = sorted(rec.admitted, key=lambda n: csc.registered[n.account_id].order)
+        ring = [n.identity.ring_pk for n in members]
+        msgid_rng, jobs = self.stream("msgid"), []
+        for position, node in enumerate(members):
+            sr = sense(node.profile, rec.pu_truth, self.node_rng(node),
+                       rec.parent[node.account_id].trust.sensing_rounds)
+            if (rec.index, node.index) in self.force_flip:
                 sr = 1 - sr
             msg_id = msgid_rng.getrandbits(128).to_bytes(16, "big")
             rnd = msgid_rng.getrandbits(256).to_bytes(32, "big")
@@ -445,128 +462,106 @@ class World:
                 msg_id, sr, now_upload,
                 lat_microdeg=msgid_rng.randint(-90_000_000, 90_000_000),
                 lon_microdeg=msgid_rng.randint(-180_000_000, 180_000_000))
-            drawn.append((node, sr, rnd, msg_id, packet))
-        jobs = [(packet, position, node.identity.ring_sk, ring)
-                for position, (node, _, _, _, packet) in enumerate(drawn)]
+            rec.reveals.append((node.account_id, sr, rnd, msg_id))
+            jobs.append((packet, position, node.identity.ring_sk, ring))
         ring_sigs = crypto.ring_sign_batch(jobs, self.stream("ringsig"))
         csc.upload([(job[0], ring_sig) for job, ring_sig in zip(jobs, ring_sigs)], now_upload)
-        reveals: list[tuple[bytes, int, bytes, bytes]] = []
-        for (node, sr, rnd, msg_id, packet), ring_sig in zip(drawn, ring_sigs):
-            csc.add_commitment(crypto.commit(sr, rnd, msg_id, csc_id,
-                                             node.account_id))
-            txs.append(Transaction(kind=TxKind.SENSING_UPLOAD,
-                                   payload=contracts.encode_sensing_upload(csc_id, packet),
-                                   signer=ledger.RING_SIGNER,
-                                   signature=ring_sig.canonical_bytes()))
-            txs.append((
-                TxKind.BID_COMMIT,
-                contracts.encode_sensing_commit(
-                    csc_id, csc.commitments[node.account_id].digest, node.account_id),
-                node.identity))
-            reveals.append((node.account_id, sr, rnd, msg_id))
-
-        fusion: int | None
+        for (pk, sr, rnd, msg_id), job, ring_sig in zip(rec.reveals, jobs, ring_sigs):
+            csc.add_commitment(crypto.commit(sr, rnd, msg_id, csc_id, pk))
+            rec.txs.append(Transaction(kind=TxKind.SENSING_UPLOAD,
+                                       payload=contracts.encode_sensing_upload(csc_id, job[0]),
+                                       signer=ledger.RING_SIGNER,
+                                       signature=ring_sig.canonical_bytes()))
+            rec.txs.append((TxKind.BID_COMMIT, contracts.encode_sensing_commit(
+                csc_id, csc.commitments[pk].digest, pk), self.by_account[pk].identity))
         try:
-            fusion = csc.fuse()
+            rec.fusion = csc.fuse()
         except contracts.NoPackets:
-            fusion = None
-        self.apply_moves(csc, balances)
+            rec.fusion = None
+        self.apply_moves(csc, rec.balances)
 
-        # Phase 5: the sealed auction runs only on an idle verdict.
-        winner = None
-        if sac.open_reveal(fusion if fusion is not None else 1):
+    def auction(self, rec: RoundRecord) -> None:
+        """On an idle verdict (or none) the bidders reveal both bids and the
+        SAC names the second-price winner; either way the SAC is destroyed."""
+        sac = rec.sac
+        if sac.open_reveal(rec.fusion if rec.fusion is not None else 1):
             for pk in list(sac.bidders):
-                valuation, decoy, rnd_real, rnd_decoy = bidder_plan[pk]
-                sac.reveal(pk, [valuation, decoy], [True, False],
-                           [rnd_real, rnd_decoy])
-                txs.append((
-                    TxKind.REVEAL,
-                    contracts.encode_auction_reveal(sac_id, [valuation, decoy],
-                                                    [True, False],
-                                                    [rnd_real, rnd_decoy]),
-                    self.by_account[pk].identity))
+                valuation, decoy, rnd_real, rnd_decoy = rec.bidder_plan[pk]
+                sac.reveal(pk, [valuation, decoy], [True, False], [rnd_real, rnd_decoy])
+                rec.txs.append((TxKind.REVEAL, contracts.encode_auction_reveal(
+                    sac.config.sac_id, [valuation, decoy], [True, False],
+                    [rnd_real, rnd_decoy]), self.by_account[pk].identity))
             try:
-                winner = sac.win()
+                rec.winner = sac.win()
             except contracts.NoBidders:
-                winner = None
-        sac.destroy(t_self_d)
-        self.apply_moves(sac, balances)
+                rec.winner = None
+        sac.destroy(sac.config.t_self_d_ms)
+        self.apply_moves(sac, rec.balances)
 
-        # Phase 6: reveals, settlement, trust updates.
-        outcomes: dict[bytes, Outcome] = {}
-        if fusion is not None:
-            for pk, sr, rnd, msg_id in reveals:
-                txs.append((
-                    TxKind.REVEAL,
-                    contracts.encode_sensing_reveal(csc_id, sr, rnd, msg_id),
-                    self.by_account[pk].identity))
-            settlement = csc.settle(reveals)
-            self.apply_moves(csc, balances)
-            txs.append((
-                TxKind.SETTLEMENT,
-                contracts.encode_settlement(csc_id, fusion, settlement),
-                issuer.identity))
-            outcomes = dict(csc.trust_events())
+    def settlement(self, rec: RoundRecord) -> None:
+        """Given a verdict, the sensors reveal and the CSC settles; then every
+        account's trust is updated, as inactive where the settlement names no
+        outcome, into the accounts the round's block will hold."""
+        csc, csc_id = rec.csc, rec.csc.config.csc_id
+        if rec.fusion is not None:
+            for pk, sr, rnd, msg_id in rec.reveals:
+                rec.txs.append((TxKind.REVEAL, contracts.encode_sensing_reveal(
+                    csc_id, sr, rnd, msg_id), self.by_account[pk].identity))
+            rec.settlement = csc.settle(rec.reveals)
+            self.apply_moves(csc, rec.balances)
+            rec.txs.append((TxKind.SETTLEMENT, contracts.encode_settlement(
+                csc_id, rec.fusion, rec.settlement), rec.issuer.identity))
+            rec.outcomes = dict(csc.trust_events())
+        rec.accounts = {aid: replace(account, balance=rec.balances[aid], trust=update_trust(
+                            account.trust, rec.outcomes.get(aid, Outcome.INACTIVE), rec.index,
+                            self.cfg.trust))
+                        for aid, account in rec.parent.items()}
 
-        accounts = {aid: replace(account, balance=balances[aid], trust=update_trust(
-                        account.trust, outcomes.get(aid, Outcome.INACTIVE), round_idx,
-                        cfg.trust))
-                    for aid, account in parent.items()}
-
-        # Mining, then expected-cost accounting over the parent-state trust.
-        miner = self._append_block(txs, accounts, self._pick_miner(parent),
-                                   (round_idx + 1) * ROUND_MS)
+    def sealing(self, rec: RoundRecord) -> None:
+        """One block per candidate over the round's accounts, each paying its
+        own miner the reward last, all signed in one batch; the fork-choice
+        winner is appended and audited, and the report reads the new tip.
+        With inject_forks the smallest other account seals a rival block."""
+        miner, accounts, parent = self._pick_miner(rec.parent), rec.accounts, rec.parent
+        candidates = [miner]
+        if self.cfg.inject_forks and len(self.nodes) > 1:
+            candidates.append(next(n for n in sorted(self.nodes, key=lambda n: n.account_id)
+                                   if n.account_id != miner.account_id))
+        signed = ledger.sign_txs(rec.txs + [
+            (TxKind.REWARD, contracts.encode_reward(node.account_id, REWARD_MINING),
+             node.identity) for node in candidates])
+        blocks, txs = [], signed[:len(rec.txs)]
+        for node, reward_tx in zip(candidates, signed[len(txs):]):
+            account = accounts[node.account_id]
+            paid = {**accounts,
+                    node.account_id: replace(account, balance=account.balance + REWARD_MINING)}
+            blocks.append(ledger.make_block(self.chain, txs + [reward_tx], paid,
+                                            node.identity, (rec.index + 1) * ROUND_MS))
+        chosen = consensus.resolve_fork([block.header for block in blocks])
+        block = next(block for block in blocks if block.header is chosen)
+        self.minted += REWARD_MINING
+        self.chain.append_block(block)
         self.audit()
-
-        tip = self.chain.tip.account_states
-        rows = []
+        tip, rows = self.chain.tip.account_states, []
         for node in self.nodes:
-            outcome = outcomes.get(node.account_id, Outcome.INACTIVE)
             tv_mining = parent[node.account_id].trust.tv
             rows.append(RoundRow(
                 node=node.label, kind=node.profile.kind.value,
-                uploaded=node.account_id in csc.commitments,
-                outcome=outcome.value, tv_after=tip[node.account_id].trust.tv,
-                tv_mining=tv_mining,
+                uploaded=node.account_id in rec.csc.commitments,
+                outcome=rec.outcomes.get(node.account_id, Outcome.INACTIVE).value,
+                tv_after=tip[node.account_id].trust.tv, tv_mining=tv_mining,
                 z_bits=consensus.mining_target(
-                    tv_mining, cfg.difficulty.beta0).leading_zero_bits,
+                    tv_mining, self.cfg.difficulty.beta0).leading_zero_bits,
                 tokens=tip[node.account_id].balance))
-        report = RoundReport(round=round_idx, pu_truth=pu_truth,
-                             fusion_result=fusion, miner=miner.label, rows=rows,
-                             warmup=warmup)
-        return RoundPlay(report, admitted, refused, csc.settlement, winner)
+        rec.report = RoundReport(round=rec.index, pu_truth=rec.pu_truth,
+                                 fusion_result=rec.fusion, rows=rows, warmup=rec.warmup,
+                                 miner=self.by_account[block.header.miner_id].label)
 
     def _pick_miner(self, parent_state) -> Node:
         """The node with the lowest parent-state difficulty mines the block."""
         beta = self.chain.beta_for_next()
         return min(self.nodes, key=lambda n: (consensus.difficulty(
             parent_state[n.account_id].trust.tv, beta), n.account_id))
-
-    def _append_block(self, txs, accounts, miner: Node, timestamp_ms: int) -> Node:
-        """Seal one block per candidate over `accounts`, each paying its own
-        miner the reward last, signed in one batch with `txs`; append the
-        fork-choice winner, count its reward as minted and return it. With
-        inject_forks the smallest other account seals a rival block."""
-        candidates = [miner]
-        if self.cfg.inject_forks and len(self.nodes) > 1:
-            candidates.append(next(n for n in sorted(self.nodes, key=lambda n: n.account_id)
-                                   if n.account_id != miner.account_id))
-        signed = ledger.sign_txs(txs + [
-            (TxKind.REWARD, contracts.encode_reward(node.account_id, REWARD_MINING),
-             node.identity) for node in candidates])
-        blocks = []
-        for node, reward_tx in zip(candidates, signed[len(txs):]):
-            account = accounts[node.account_id]
-            paid = {**accounts,
-                    node.account_id: replace(account, balance=account.balance + REWARD_MINING)}
-            blocks.append(ledger.make_block(self.chain, signed[:len(txs)] + [reward_tx], paid,
-                                            node.identity, timestamp_ms))
-        chosen = consensus.resolve_fork([block.header for block in blocks])
-        block = next(block for block in blocks if block.header is chosen)
-        winner = self.by_account[block.header.miner_id]
-        self.minted += REWARD_MINING
-        self.chain.append_block(block)
-        return winner
 
     def run(self) -> list[RoundReport]:
         for r in range(self.cfg.rounds):
@@ -713,15 +708,17 @@ def demo_round(cfg: SimConfig, pu_force: str) -> dict:
     world.force_bids = {(0, node.index): bid for node, bid in zip(bidders, DEMO_BIDS)}
     if pu_force == "none":
         world.force_flip = {(0, DEMO_DISSENTER)}
-    play = world.play_round(0)
+    rec = world.new_round(0)
+    for phase in PHASES:
+        getattr(world, phase)(rec)
     labels = {node.account_id: f"{kind}{i + 1}" for kind, group in
               (("sensor", sensors), ("bidder", bidders)) for i, node in enumerate(group)}
     return {
-        "selected_trusts": sorted(DEMO_TRUSTS[node.index] for node in play.admitted),
-        "rejected": sorted(labels[node.account_id] for node in play.refused),
-        "fusion": play.report.fusion_result,
-        "winner": labels[play.winner[0]] if play.winner else None,
-        "price": play.winner[1] if play.winner else None,
-        "settlement": {labels[pk]: (rec.outcome.value, rec.reward, rec.deposit_returned)
-                       for pk, rec in play.settlement.items()},
+        "selected_trusts": sorted(DEMO_TRUSTS[node.index] for node in rec.admitted),
+        "rejected": sorted(labels[node.account_id] for node in rec.refused),
+        "fusion": rec.fusion,
+        "winner": labels[rec.winner[0]] if rec.winner else None,
+        "price": rec.winner[1] if rec.winner else None,
+        "settlement": {labels[pk]: (entry.outcome.value, entry.reward, entry.deposit_returned)
+                       for pk, entry in rec.settlement.items()},
     }

@@ -107,6 +107,15 @@ MUTANTS = (
            "    return (-header.miner_trust, header.timestamp_ms, header.header_hash())\n",
            "    return (header.miner_trust, header.timestamp_ms, header.header_hash())\n",
            ("test_attacks.py::test_fork_grinding_a_rival_never_wins_on_lower_trust",)),
+    Mutant("signer-key-from-block", "src/potchain/ledger.py",
+           "signed.append((tx.payload, tx.signature, keys.get(tx.signer)))",
+           "signed.append((tx.payload, tx.signature,\n"
+           "                               block.account_states.get(tx.signer) or keys.get(tx.signer)))",
+           ("test_attacks.py::test_a_block_cannot_take_over_another_account",)),
+    Mutant("identities-not-checked", "src/potchain/ledger.py",
+           "        check_identities(block, parent)\n",
+           "",
+           ("test_ledger.py::test_a_block_cannot_change_who_an_account_is",)),
 )
 
 

@@ -119,3 +119,34 @@ def test_a_replayed_reward_is_refused():
                               chain.tip.header.timestamp_ms + simnet.ROUND_MS)
     with pytest.raises(ledger.LedgerError):
         chain.append_block(block)
+
+
+def test_a_block_cannot_take_over_another_account():
+    """Three rounds of smoke.cfg, then the next miner seals a block whose
+    state gives a victim the miner's signing key and moves the victim's
+    balance to the miner, carrying a transaction "by the victim" signed with
+    the miner's key. The signer's key comes from the parent state, where the
+    victim still holds its own, so the block is refused and the tip keeps
+    the victim's key."""
+    world = simnet.World(replace(load_config(CONFIG_DIR / "smoke.cfg").sim, rounds=3))
+    world.run()
+    chain = world.chain
+    state = chain.tip.account_states
+    miner = world._pick_miner(state)
+    victim = next(node for node in world.nodes if node.account_id != miner.account_id)
+    loot = state[victim.account_id].balance
+    taken = {**state,
+             victim.account_id: replace(state[victim.account_id], sig_pk=miner.identity.sig_pk,
+                                        balance=0),
+             miner.account_id: replace(state[miner.account_id],
+                                       balance=state[miner.account_id].balance + loot)}
+    payload = contracts.encode_reward(miner.account_id, loot)
+    forged = ledger.Transaction(kind=TxKind.REWARD, payload=payload, signer=victim.account_id,
+                                signature=crypto.sign(payload, miner.identity.sig_sk))
+    block = ledger.make_block(chain, [forged], taken, miner.identity,
+                              chain.tip.header.timestamp_ms + simnet.ROUND_MS)
+    with pytest.raises(ledger.BadSignature, match="transaction signature invalid"):
+        chain.append_block(block)
+    assert len(chain.blocks) == 4
+    assert chain.tip.account_states[victim.account_id].sig_pk == victim.identity.sig_pk
+    print(f"account takeover: PASS ({loot} wei and the victim's key stay where they were)")

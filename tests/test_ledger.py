@@ -320,6 +320,33 @@ def test_a_miner_absent_from_the_parent_fails_the_trust_field_not_the_check(iden
     chain.append_block(block)
 
 
+@pytest.mark.parametrize("change", ["sig_pk", "ring_n", "ring_e", "added", "removed"])
+def test_a_block_cannot_change_who_an_account_is(identities, change):
+    """A block whose state changes one identity field of an account that
+    signs nothing in it, or adds or removes an account, is refused with
+    StateMismatch once its signatures have passed; the tip stays."""
+    chain = fresh_chain(identities[:2], trusts=(0.5, 0.5))
+    accounts = dict(chain.tip.account_states)
+    other = accounts[identities[1].account_id]
+    if change == "sig_pk":
+        accounts[other.account_id] = replace(other, sig_pk=identities[0].sig_pk)
+    elif change == "ring_n":
+        accounts[other.account_id] = replace(other, ring_n=identities[2].ring_sk.n)
+    elif change == "ring_e":
+        accounts[other.account_id] = replace(other, ring_e=other.ring_e + 2)
+    elif change == "added":
+        accounts[identities[2].account_id] = account_for(identities[2])
+    else:
+        del accounts[other.account_id]
+    txs = [ledger.make_signed_tx(TxKind.REWARD, b"tick", identities[0])]
+    block = ledger.make_block(chain, txs, accounts, identities[0],
+                              chain.tip.header.timestamp_ms + 900)
+    with pytest.raises(StateMismatch, match="changes the accounts or their keys"):
+        chain.append_block(block)
+    assert len(chain.blocks) == 1
+    chain.append_block(next_block(chain, identities[0]))
+
+
 @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
                    reason="a block's account states are asserted, not replayed from "
                    "its transactions (ROADMAP item 2)")

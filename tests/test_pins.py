@@ -63,3 +63,41 @@ def test_demo_summaries_are_pinned(tmp_path, capsys):
         config.write_text(preset.replace("pu_force = idle", f"pu_force = {pu_force}"))
         assert run_summary(config, tmp_path / pu_force) == expected
     capsys.readouterr()
+
+
+# Short runs of the sensing and on-off presets: all three selection schemes
+# (so the draws of the `select` stream) and the AC6 recovery probe's
+# flipped report (`World.force_flip`), which no other pin covers.
+SENSING_SHORT_SHA256 = "49cb9c87bd5184ea77ca63f925103344b44cd0b66512b5071f43b3cd7713671c"
+ONOFF_SHORT_SHA256 = "ce6ab8d36b4305249a96d5659719e84d43b51071349ca8e0f7c01f9b8e791c6c"
+ONOFF_SHORT_RECOVERY = (
+    "AC6-recovery: PASS (recovered in 9 rounds (window 10), residual 0.0000)")
+
+
+def edited_preset(tmp_path: Path, name: str, line: str, edited: str) -> Path:
+    """The bundled preset `name` with its one `line` replaced, in `tmp_path`."""
+    preset = (CONFIG_DIR / name).read_text()
+    assert preset.count(line) == 1
+    config = tmp_path / name
+    config.write_text(preset.replace(line, edited))
+    return config
+
+
+def test_a_short_sensing_sweep_csv_is_pinned(tmp_path, capsys):
+    config = edited_preset(tmp_path, "sensing_schemes.cfg",
+                           "rounds_per_point = 500", "rounds_per_point = 20")
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) in (0, 2)
+    capsys.readouterr()
+    csv = (tmp_path / "out" / "sensing.csv").read_bytes()
+    assert csv.count(b"\n") == 1 + 3 * 4      # three schemes at four n1 values
+    assert hashlib.sha256(csv).hexdigest() == SENSING_SHORT_SHA256
+
+
+def test_short_trust_curves_and_their_recovery_are_pinned(tmp_path, capsys):
+    config = edited_preset(tmp_path, "trust_curves.cfg", "rounds = 500", "rounds = 60")
+    lines = run_summary(config, tmp_path / "out")
+    capsys.readouterr()
+    csv = (tmp_path / "out" / "onoff.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == ONOFF_SHORT_SHA256
+    assert [line for line in lines if line.startswith("AC6-recovery")] == [
+        ONOFF_SHORT_RECOVERY]

@@ -517,3 +517,42 @@ def test_a_round_signs_its_transactions_and_rewards_in_one_batch(monkeypatch):
     reward = world.chain.tip.transactions[-1]
     assert reward.kind is ledger.TxKind.REWARD
     assert reward.signer == world.chain.tip.header.miner_id
+
+
+# the crypto entry points that sign or check a signature, and the one
+# phase of a round that may call each
+SIGNING_PHASE = {"ring_sign_batch": "sensing", "ring_verify_batch": "sensing",
+                 "sign_batch": "sealing", "sign": "sealing", "submit_verify_batch": "sealing"}
+
+
+def test_only_sensing_and_sealing_sign_or_check_signatures(monkeypatch):
+    """smoke.cfg, which seals a rival block each round, played phase by
+    phase with every signing and checking entry point of `crypto` raising
+    outside its phase: ring signing and the CSC's ring check in sensing,
+    every Ed25519 signature and check in sealing. The other five phases
+    move contract state, tokens and trust only, and the reports are
+    run_round's."""
+    sim = replace(load_config(CONFIG_DIR / "smoke.cfg").sim, rounds=20)
+    assert sim.inject_forks and sim.rounds > sim.warmup
+    expected = World(sim).run()
+    phase, called = [None], set()
+
+    def guarded(name, fn):
+        def call(*args, **kwargs):
+            if phase[0] != SIGNING_PHASE[name]:
+                raise AssertionError(f"crypto.{name} called in {phase[0]}")
+            called.add(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in SIGNING_PHASE:
+        monkeypatch.setattr(crypto, name, guarded(name, getattr(crypto, name)))
+    world, reports = World(sim), []
+    for r in range(sim.rounds):
+        rec = world.new_round(r)
+        for name in simnet.PHASES:
+            phase[0] = name
+            getattr(world, name)(rec)
+        reports.append(rec.report)
+    assert reports == expected
+    assert called == set(SIGNING_PHASE)
