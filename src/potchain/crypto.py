@@ -9,10 +9,13 @@ Implements:
    keys and R values and a non-canonical S, as a real chain must.
 3. Ring signatures over RSA trapdoor permutations, extended to a common
    2^b domain, glued by a keyed Feistel permutation.
-4. Hash commitments over (sensing result, random nonce, message id) plus
+4. RSA ring keys whose primes come from the caller's `Random` (a World's
+   `keys` stream); below psi_12 a prime is proven with twelve fixed
+   Miller-Rabin bases and still takes every random draw its test makes.
+5. Hash commitments over (sensing result, random nonce, message id) plus
    the reveal-side binding check.
-5. The trial loop of the proof-of-trust nonce search.
-6. Batches of signatures, signature checks, ring closings, ring checks and
+6. The trial loop of the proof-of-trust nonce search.
+7. Batches of signatures, signature checks, ring closings, ring checks and
    nonce scans, worked on every CPU by the worker pool (`potchain.pool`).
 
 Ring signature byte conventions (reproducible across implementations):
@@ -126,9 +129,29 @@ def verify(payload: bytes, sig: bytes, pk: bytes) -> bool:
 # =============================================================================
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+_FIXED_BASES = _SMALL_PRIMES[:12]               # 2 through 37
+_PSI_12 = 318_665_857_834_031_151_167_461       # least composite passing all
+
+
+def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+    """Whether odd n, with n - 1 = d * 2^s and d odd, passes base a."""
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = (x * x) % n
+        if x == n - 1:
+            return True
+    return False
 
 
 def _is_probable_prime(n: int, rng: Random, rounds: int = 40) -> bool:
+    """Miller-Rabin with `rounds` bases drawn from `rng`. Once the first
+    passes, an n below psi_12 (`_PSI_12`) is decided by the bases 2 to 37,
+    which no composite below it passes (Sorenson and Webster, "Strong
+    pseudoprimes to twelve prime bases", Math. Comp. 86, 2017). A prime
+    they prove takes its other draws unused, so `rng` ends where the full
+    test leaves it; a composite they catch runs the random rounds on."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -138,17 +161,14 @@ def _is_probable_prime(n: int, rng: Random, rounds: int = 40) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
+    for i in range(rounds):
+        if not _strong_probable_prime(n, rng.randrange(2, n - 1), d, s):
             return False
+        if i == 0 and n < _PSI_12 and all(
+                _strong_probable_prime(n, a, d, s) for a in _FIXED_BASES):
+            for _ in range(rounds - 1):
+                rng.randrange(2, n - 1)
+            return True
     return True
 
 

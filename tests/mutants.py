@@ -116,6 +116,44 @@ MUTANTS = (
            "        check_identities(block, parent)\n",
            "",
            ("test_ledger.py::test_a_block_cannot_change_who_an_account_is",)),
+    Mutant("pow-not-checked", "src/potchain/ledger.py",
+           "        if not consensus.meets_target(header.header_hash(), z):\n",
+           "        if False:\n",
+           ("test_ledger.py::test_append_bad_pow",)),
+    Mutant("trust-field-not-checked", "src/potchain/ledger.py",
+           "        if header.miner_trust != self.committed_trust(header.miner_id):\n",
+           "        if False:\n",
+           ("test_ledger.py::test_append_bad_trust_field",)),
+    Mutant("state-root-not-compared", "src/potchain/ledger.py",
+           "    if block.header.state_root != state_root:\n",
+           "    if False:\n",
+           ("test_ledger.py::test_import_rejects_tampered_record",)),
+    Mutant("anyone-may-compress", "src/potchain/ledger.py",
+           "    if new_genesis.header.miner_id != compression_authority(tip):\n",
+           "    if False:\n",
+           ("test_ledger.py::test_compress_rejects_wrong_compressor",
+            "test_ledger.py::test_compress_tie_breaks_to_smallest_account")),
+    Mutant("short-chain-may-compress", "src/potchain/ledger.py",
+           "    if len(chain.blocks) < COMPRESS_MIN_LEN:\n",
+           "    if False:\n",
+           ("test_ledger.py::test_compress_requires_min_length",)),
+    Mutant("prime-skips-catch-up-draws", "src/potchain/crypto.py",
+           "            for _ in range(rounds - 1):\n                rng.randrange(2, n - 1)\n",
+           "",
+           ("test_crypto.py::test_a_prime_the_fixed_bases_prove_takes_all_forty_draws",
+            "test_crypto.py::test_prime_test_matches_reference_property",
+            "test_pins.py::test_identities_are_pinned")),
+    Mutant("liar-base-rejects-early", "src/potchain/crypto.py",
+           "        if i == 0 and n < _PSI_12 and all(\n",
+           "        if i == 0 and n < _PSI_12 and not all(\n"
+           "                _strong_probable_prime(n, a, d, s) for a in _FIXED_BASES):\n"
+           "            return False\n"
+           "        if i == 0 and n < _PSI_12 and all(\n",
+           ("test_crypto.py::test_a_liar_first_base_runs_the_random_rounds_on",
+            "test_crypto.py::test_strong_pseudoprimes_are_rejected_with_the_reference_draws")),
+    Mutant("fixed-bases-at-psi-12", "src/potchain/crypto.py",
+           "n < _PSI_12 and", "n <= _PSI_12 and",
+           ("test_crypto.py::test_psi_12_passes_every_fixed_base_and_takes_the_random_path",)),
 )
 
 

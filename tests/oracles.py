@@ -1,6 +1,7 @@
 """Brute-force reference implementations the contract, crypto and ledger
-tests compare against, the export mutator the ledger tests feed to import,
-and the small-order signature forgery both crypto and ledger tests offer."""
+tests compare against (the 40-random-base Miller-Rabin test among them),
+the export mutator the ledger tests feed to import, and the small-order
+signature forgery both crypto and ledger tests offer."""
 
 import hashlib
 from random import Random
@@ -25,6 +26,32 @@ def second_price_oracle(bids: dict[bytes, int], reveal_order: dict[bytes, int]) 
     entrants.sort(key=lambda e: (-e[1], reveal_order[e[0]], e[0]))
     price = entrants[1][1] if len(entrants) > 1 else entrants[0][1]
     return entrants[0][0], price
+
+
+def is_probable_prime_reference(n: int, rng: Random, rounds: int = 40) -> bool:
+    """Reference prime test: the small-prime sieve, then `rounds` Miller-Rabin
+    rounds, each on a base drawn from `rng` and each run in full."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for _ in range(rounds):
+        a = rng.randrange(2, n - 1)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = (x * x) % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # The Ed25519 group order and the encoding of the identity point, a key of

@@ -23,6 +23,7 @@ from oracles import (
     IDENTITY_KEY,
     feistel_inverse_reference,
     feistel_reference,
+    is_probable_prime_reference,
     small_order_forgery,
 )
 from potchain import crypto, pool
@@ -727,3 +728,80 @@ def test_rsa_key_inverts():
     sk = crypto.make_ring_key(Random(5), bits=TOY_BITS)
     for value in (0, 1, 12345, sk.n - 1):
         assert pow(pow(value, sk.e, sk.n), sk.d, sk.n) == value
+
+
+# =============================================================================
+# Prime test
+# =============================================================================
+
+def strong_liar(n: int, a: int) -> bool:
+    """Whether odd composite n passes the strong probable-prime test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    return crypto._strong_probable_prime(n, a, d, s)
+
+
+def both_verdicts(n: int, seed: int) -> tuple[bool, Random]:
+    """`_is_probable_prime(n)` on Random(seed), checked to give the
+    reference's verdict and to leave its Random in the reference's state."""
+    rng, ref = Random(seed), Random(seed)
+    verdict = crypto._is_probable_prime(n, rng)
+    assert verdict == is_probable_prime_reference(n, ref)
+    assert rng.getstate() == ref.getstate()
+    return verdict, rng
+
+
+def next_prime(n: int) -> int:
+    while not is_probable_prime_reference(n, Random(n)):
+        n += 2
+    return n
+
+
+ODD_64 = st.integers(2 ** 30, 2 ** 63 - 1).map(lambda k: 2 * k + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.one_of(ODD_64, st.integers(2 ** 30, 2 ** 62).map(lambda k: next_prime(2 * k + 1))),
+       seed=st.integers(0, 2 ** 64))
+def test_prime_test_matches_reference_property(n, seed):
+    both_verdicts(n, seed)
+
+
+# psi_2 to psi_11 (OEIS A014233; psi_7 = psi_8, psi_9 = psi_10 = psi_11), the
+# least strong pseudoprimes to the first k prime bases, each with the one
+# fixed base that first catches it: the last passes 2 to 31.
+STRONG_PSEUDOPRIMES = {1373653: 5, 25326001: 7, 3215031751: 11, 2152302898747: 13,
+                       3474749660383: 17, 341550071728321: 23, 3825123056546413051: 37}
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+def test_strong_pseudoprimes_are_rejected_with_the_reference_draws(n):
+    assert next(a for a in crypto._FIXED_BASES if not strong_liar(n, a)) == STRONG_PSEUDOPRIMES[n]
+    liars = 0
+    for seed in range(20):
+        assert both_verdicts(n, seed)[0] is False
+        liars += strong_liar(n, Random(seed).randrange(2, n - 1))
+    assert liars      # some first base passed, so the fixed bases ran
+
+
+def test_a_liar_first_base_runs_the_random_rounds_on():
+    n = 3215031751
+    assert Random(2).randrange(2, n - 1) == 242886305 and strong_liar(n, 242886305)
+    one_draw = Random(2)
+    one_draw.randrange(2, n - 1)
+    verdict, rng = both_verdicts(n, 2)
+    assert verdict is False
+    assert rng.getstate() != one_draw.getstate()    # base 11 caught n, yet it drew on
+
+
+def test_psi_12_passes_every_fixed_base_and_takes_the_random_path():
+    n = crypto._PSI_12
+    assert all(strong_liar(n, a) for a in crypto._FIXED_BASES)
+    assert strong_liar(n, Random(0).randrange(2, n - 1))
+    assert both_verdicts(n, 0)[0] is False
+
+
+def test_a_prime_the_fixed_bases_prove_takes_all_forty_draws():
+    assert both_verdicts(next_prime(2 ** 63 + 1), 7)[0] is True

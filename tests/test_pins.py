@@ -5,8 +5,11 @@ and says why.
 
 import hashlib
 from pathlib import Path
+from random import Random
 
-from potchain import cli
+import pytest
+
+from potchain import cli, crypto
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -101,3 +104,26 @@ def test_short_trust_curves_and_their_recovery_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(csv).hexdigest() == ONOFF_SHORT_SHA256
     assert [line for line in lines if line.startswith("AC6-recovery")] == [
         ONOFF_SHORT_RECOVERY]
+
+
+# Node identities, which every chain, CSV and benchmark pin is built on: per
+# modulus size, a digest over three seeds' ring keys (n, e, d, p, q in
+# decimal) and Ed25519 public keys. 64 and 128 bits cover the sizes the
+# presets seat; 512 is `crypto.DEFAULT_RSA_BITS`, whose 256-bit primes lie
+# above the bound below which `crypto._is_probable_prime` proves with fixed
+# bases.
+IDENTITY_SHA256 = {
+    64: "db112982d6c169bfcf7fb4e80142f68cd743924f313e03f0d4aa493f5e19eb38",
+    128: "8c6a6bd91ad0fab719f98b7be2180758624086172eab66bdd02f5430f27e82c6",
+    512: "274419093005560c34cfbda4871d5000ee5e3f07f1b2564ae13a625d3f66a88f",
+}
+
+
+@pytest.mark.parametrize("bits", sorted(IDENTITY_SHA256))
+def test_identities_are_pinned(bits):
+    lines = []
+    for seed in (1, 2, 3):
+        ident = crypto.make_identity(Random(seed), rsa_bits=bits)
+        sk = ident.ring_sk
+        lines.append(f"{sk.n} {sk.e} {sk.d} {sk.p} {sk.q} {ident.sig_pk.hex()}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == IDENTITY_SHA256[bits]
