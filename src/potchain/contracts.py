@@ -42,7 +42,7 @@ from .trust import Outcome
 
 CONVERT_UNIT_WEI = 1000      # wei per 0.01 of trust boost
 CONVERT_CAP = 0.10
-DEFAULT_COMMIT_CAP = 8
+COMMIT_CAP = 8               # blinded bids a bidder may commit to one auction
 
 
 class ContractError(Exception):
@@ -331,7 +331,6 @@ class SacConfig:
     n2: int
     t_self_d_ms: int
     d_a: int
-    commit_cap: int = DEFAULT_COMMIT_CAP
 
 
 def bid_commitment_digest(dp: int, real: bool, rnd: bytes) -> bytes:
@@ -363,7 +362,6 @@ class SacState:
     bids_list: dict = field(default_factory=dict)     # pk -> [BlindedBid]
     revealed: dict = field(default_factory=dict)      # pk -> RevealRecord
     pending_moves: list = field(default_factory=list)
-    _reveal_counter: int = 0
 
     def _guard(self) -> None:
         if self.phase is SacPhase.DESTROYED:
@@ -396,8 +394,8 @@ class SacState:
         self._require(SacPhase.COMMITTING)
         if pk not in self.bidders:
             raise NotRegistered("commit from unregistered bidder")
-        if len(self.bids_list[pk]) >= self.config.commit_cap:
-            raise TooManyCommits(f"over cap {self.config.commit_cap}")
+        if len(self.bids_list[pk]) >= COMMIT_CAP:
+            raise TooManyCommits(f"over cap {COMMIT_CAP}")
         self.bids_list[pk].append(BlindedBid(digest=blinded_bid, value=attached_value))
         self.pending_moves.append(TokenMove("escrow", pk, attached_value))
 
@@ -437,8 +435,7 @@ class SacState:
                 refund += dps[i]
                 self.pending_moves.append(TokenMove("refund", pk, dps[i]))
         record = RevealRecord(total_valid_bid=total, refund=refund,
-                              order=self._reveal_counter)
-        self._reveal_counter += 1
+                              order=len(self.revealed))
         self.revealed[pk] = record
         return record
 

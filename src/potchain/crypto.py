@@ -26,6 +26,9 @@ Ring signature byte conventions (reproducible across implementations):
   is SHA-256("ring-feistel" || k || round_byte || right_half_bytes)
   truncated to b/2 bits
 - symmetric key k = SHA-256(canonical packet bytes)
+- a signature's draws (`ring_draws`): v, then x_i for every member but the
+  signer in ring order, each getrandbits(b); `ring_sign` signs from that
+  list and draws nothing itself
 """
 
 from __future__ import annotations
@@ -378,7 +381,7 @@ def _signer_key(signer_index: int, signer_sk: RingSecretKey,
     return pk
 
 
-def _ring_draws(ring: list[RingPublicKey], rng: Random) -> list[int]:
+def ring_draws(ring: list[RingPublicKey], rng: Random) -> list[int]:
     """A signature's random values in draw order: v, then x_i for every
     member but the signer, each as wide as the ring's common domain."""
     bits = _common_domain_bits(ring)
@@ -386,14 +389,15 @@ def _ring_draws(ring: list[RingPublicKey], rng: Random) -> list[int]:
 
 
 def ring_sign(packet: SensingPacket, signer_index: int, signer_sk: RingSecretKey,
-              ring: list[RingPublicKey], rng: Random) -> RingSignature:
-    """Sign a packet as an anonymous member of `ring`."""
+              ring: list[RingPublicKey], draws: list[int]) -> RingSignature:
+    """Sign a packet as an anonymous member of `ring`, from the values
+    `ring_draws(ring, rng)` drew."""
     pk = _signer_key(signer_index, signer_sk, ring)
     bits = _common_domain_bits(ring)
     domain = 1 << bits
     key = sha256(packet.canonical_bytes())
 
-    v, *others = _ring_draws(ring, rng)
+    v, *others = draws
     xs: list[int | None] = others[:signer_index] + [None] + others[signer_index:]
     ys = [None if x is None else _forward(member, x, domain)
           for member, x in zip(ring, xs)]
@@ -493,30 +497,19 @@ def ring_verify_batch(pairs) -> list[bool]:
     return pool.map(pool.TASKS["ring_verify"], pairs)
 
 
-class _Replay:
-    """Stands in for the batch's Random in one `ring_sign` call, giving back
-    in order the draws taken for that call."""
-
-    def __init__(self, draws: list[int]):
-        self.draws = iter(draws)
-
-    def getrandbits(self, bits: int) -> int:
-        return next(self.draws)
-
-
 def ring_sign_batch(jobs, rng: Random) -> list[RingSignature]:
-    """`[ring_sign(*job, rng) for job in jobs]` for (packet, signer index,
-    secret key, ring) jobs, the rings closed on every CPU.
+    """`[ring_sign(*job, ring_draws(job[3], rng)) for job in jobs]` for
+    (packet, signer index, secret key, ring) jobs, the rings closed on
+    every CPU.
 
-    Every job's index and key are checked before `rng` is drawn from. The
-    draws are then taken job by job in `ring_sign` order, so the signatures
-    and the final state of `rng` are those of the sequential calls.
+    Every job's index and key are checked before `rng` is drawn from; the
+    draws are then taken job by job, so `rng` ends where the sequential
+    calls leave it.
     """
     jobs = list(jobs)
     for packet, signer_index, signer_sk, ring in jobs:
         _signer_key(signer_index, signer_sk, ring)
-    calls = [(packet, signer_index, signer_sk, ring, _Replay(_ring_draws(ring, rng)))
-             for packet, signer_index, signer_sk, ring in jobs]
+    calls = [(*job, ring_draws(job[3], rng)) for job in jobs]
     # ring_sign is looked up at the call, not bound: a wrapper set on
     # `crypto.ring_sign` times the signatures the caller claims
     return pool.map(ring_sign, calls)

@@ -332,22 +332,25 @@ class Chain:
         the workers; `verify_block(block)` collects the check while the tip
         is still its parent. A check started before and not collected is
         abandoned."""
+        self._ahead = self._check_for(block)
+
+    def _check_for(self, block: Block) -> _SignatureCheck:
+        """The check started for `block` on the tip, or else a new one; any
+        other check started ahead is abandoned."""
         ahead, self._ahead = self._ahead, None
+        if ahead is not None and ahead.block is block and ahead.parent is self.tip:
+            return ahead
         if ahead is not None:
             ahead.abandon()
-        self._ahead = _SignatureCheck(block, self.tip)
+        return _SignatureCheck(block, self.tip)
 
     def verify_block(self, block: Block) -> None:
         """Check the parent link, the timestamp, the roots, the seal, the
         signatures and the identities, in that order. The signatures are
-        those of the check `start_check` started for this block on this tip,
-        or else of one started once the seal has passed."""
-        header = block.header
-        parent = self.tip
-        check, self._ahead = self._ahead, None
-        if check is not None and (check.block is not block or check.parent is not parent):
-            check.abandon()
-            check = None
+        checked on the workers from the start: by the check `start_check`
+        started for this block on this tip, or else by one started here."""
+        header, parent = block.header, self.tip
+        check = self._check_for(block)
         try:
             if header.prev_hash != parent.header.header_hash():
                 raise BadParent("prev_hash does not point at the tip")
@@ -356,10 +359,9 @@ class Chain:
             check_roots(block)
             self.check_seal(header)
         except BaseException:
-            if check is not None:
-                check.abandon()
+            check.abandon()
             raise
-        (check or _SignatureCheck(block, parent)).collect()
+        check.collect()
         check_identities(block, parent)
 
     def append_block(self, block: Block) -> None:

@@ -142,11 +142,6 @@ class _Worker:
         child_end.close()
         self.batch: Batch | None = None     # the batch whose answer is still to be read
 
-    @property
-    def unread(self) -> int:
-        """Answers sent and not yet read: 1 or 0, never more."""
-        return int(self.batch is not None)
-
     def send(self, batch: Batch, task: str, share: list) -> bool:
         """Send a share of `batch`, unless the answer to an earlier one is
         still to come (one that has come is read and dropped): whether it

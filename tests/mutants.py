@@ -74,8 +74,8 @@ MUTANTS = (
            'worker.answered(float("inf"))',
            ("test_pool.py::test_a_stopped_worker_holds_a_batch_up_for_one_item_at_most",)),
     Mutant("early-failure-keeps-check", "src/potchain/ledger.py",
-           "            if check is not None:\n                check.abandon()\n            raise\n",
-           "            raise\n",
+           "        except BaseException:\n            check.abandon()\n            raise\n",
+           "        except BaseException:\n            raise\n",
            ("test_ledger.py::test_a_failed_root_or_seal_check_abandons_the_signature_batch",
             "test_ledger.py::test_a_bad_root_abandons_the_check_started_ahead")),
     Mutant("worker-ignores-claims", "src/potchain/pool.py",
@@ -154,6 +154,22 @@ MUTANTS = (
     Mutant("fixed-bases-at-psi-12", "src/potchain/crypto.py",
            "n < _PSI_12 and", "n <= _PSI_12 and",
            ("test_crypto.py::test_psi_12_passes_every_fixed_base_and_takes_the_random_path",)),
+    Mutant("ring-draws-reordered", "src/potchain/crypto.py",
+           "    v, *others = draws\n",
+           "    *others, v = draws\n",
+           ("test_vectors.py::test_ring_signing_vectors",)),
+    Mutant("scan-shares-the-high-state", "src/potchain/crypto.py",
+           "            h = high.copy()\n",
+           "            h = high\n",
+           ("test_consensus.py::test_scan_nonces_matches_reference_across_256_nonce_blocks",)),
+    Mutant("nonce-mask-drops-a-bit", "src/potchain/crypto.py",
+           "        first = nonce & 0xFF\n",
+           "        first = nonce & 0x7F\n",
+           ("test_consensus.py::test_scan_nonces_matches_reference_across_256_nonce_blocks",)),
+    Mutant("trust-selection-seats-newcomers-first", "src/potchain/simnet.py",
+           "key=lambda n: (-state[n.identity.account_id].trust.tv,",
+           "key=lambda n: (state[n.identity.account_id].trust.tv,",
+           ("test_attacks.py::test_whitewashing_a_fresh_identity_ranks_and_mines_as_tv_zero",)),
 )
 
 

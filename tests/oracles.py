@@ -1,14 +1,17 @@
 """Brute-force reference implementations the contract, crypto and ledger
 tests compare against (the 40-random-base Miller-Rabin test among them),
-the export mutator the ledger tests feed to import, and the small-order
-signature forgery both crypto and ledger tests offer."""
+the export mutator the ledger tests feed to import, the small-order
+signature forgery both crypto and ledger tests offer, and an export-only
+adversary that links sensing uploads to their senders."""
 
 import hashlib
 from random import Random
+from typing import NamedTuple
 
-from potchain import crypto, ledger
+from potchain import contracts, crypto, ledger
 from potchain.consensus import Exhausted, MineResult, meets_target
 from potchain.contracts import NoBidders
+from potchain.ledger import TxKind
 
 
 def brute_force_majority(bits: list[int]) -> int:
@@ -186,3 +189,56 @@ def import_reference(data: bytes, params) -> ledger.Chain:
         ledger._SignatureCheck(block, None).collect()
         chain = ledger.Chain(params=params, blocks=[block], beta=params.beta0)
     return chain
+
+
+class UploadLinks(NamedTuple):
+    """What a chain export alone tells of one sensing upload."""
+    height: int                 # the block that carries it
+    ring: frozenset             # the account ids whose ring keys sign it
+    by_reveal: bytes | None     # the signer of a same-block sensing reveal of its msgID
+    by_order: bytes | None      # the signer of the sensing commitment right after it
+
+    def anonymity_set(self) -> frozenset:
+        """The ring members the chain does not rule out (Serjantov and
+        Danezis, PET 2002, with every member equally likely)."""
+        return frozenset(aid for aid in self.ring
+                         if self.by_reveal in (None, aid) and self.by_order in (None, aid))
+
+
+def _ring_keys(signature: bytes) -> list[tuple[int, int]]:
+    """The (n, e) of each member, read from `RingSignature.canonical_bytes`:
+    the 2-byte member count, the 1-byte modulus width, then each modulus
+    and its 8-byte exponent."""
+    count, width, at, keys = int.from_bytes(signature[:2], "big"), signature[2], 3, []
+    for _ in range(count):
+        keys.append((int.from_bytes(signature[at:at + width], "big"),
+                     int.from_bytes(signature[at + width:at + width + 8], "big")))
+        at += width + 8
+    return keys
+
+
+def upload_links(data: bytes) -> list[UploadLinks]:
+    """Each sensing upload of a chain export, as an adversary who reads only
+    the export's bytes links it. A sensing reveal (a REVEAL whose payload
+    starts 0x00) opens msgID under its sender's account signature, and its
+    H(msgID) is the packet's tag; each upload is followed by its sender's
+    account-signed commitment (a BID_COMMIT whose payload starts 0x00)."""
+    msg_id_at = 1 + contracts.CONTRACT_ID_BYTES + 1 + 32 + 2
+    links = []
+    for height, record in enumerate(ledger._records(data)):
+        block = ledger.block_from_record(record)
+        by_key = {(a.ring_n, a.ring_e): aid for aid, a in block.account_states.items()}
+        txs = block.transactions
+        revealed = {crypto.sha256(tx.payload[msg_id_at:]): tx.signer for tx in txs
+                    if tx.kind is TxKind.REVEAL and tx.payload[:1] == b"\x00"}
+        for tx, after in zip(txs, txs[1:] + (None,)):
+            if tx.kind is not TxKind.SENSING_UPLOAD:
+                continue
+            _, packet = contracts.decode_sensing_upload(tx.payload)
+            committed = (after is not None and after.kind is TxKind.BID_COMMIT
+                         and after.payload[:1] == b"\x00")
+            links.append(UploadLinks(
+                height=height, ring=frozenset(by_key[key] for key in _ring_keys(tx.signature)),
+                by_reveal=revealed.get(packet.msg_id_hash),
+                by_order=after.signer if committed else None))
+    return links

@@ -216,14 +216,14 @@ def test_ac8_crypto_suite():
         for signer in range(size):
             packet = crypto.make_packet(f"u{size}:{signer}".encode(), 1, 1000)
             sig = crypto.ring_sign(packet, signer, identities[signer].ring_sk,
-                                   ring, rng)
+                                   ring, crypto.ring_draws(ring, rng))
             assert crypto.ring_verify(packet, sig)
             completeness += 1
 
     # 100 mutated packets must all be rejected
     base_packet = crypto.make_packet(b"target", 1, 5000, 1_000_000, 2_000_000)
     base_sig = crypto.ring_sign(base_packet, 2, identities[2].ring_sk,
-                                pks[:5], rng)
+                                pks[:5], crypto.ring_draws(pks[:5], rng))
     rejections = 0
     for i in range(100):
         field = i % 4

@@ -3,12 +3,14 @@ of attack and defense techniques for reputation systems", ACM Computing
 Surveys, 2009) that the chain resists today, or, marked xfail, does not
 yet. Each test prints what it measured."""
 
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from random import Random
 
 import pytest
 
+from oracles import upload_links
 from potchain import consensus, contracts, crypto, ledger, simnet
 from potchain.config import load_config
 from potchain.ledger import TxKind
@@ -150,3 +152,100 @@ def test_a_block_cannot_take_over_another_account():
     assert len(chain.blocks) == 4
     assert chain.tip.account_states[victim.account_id].sig_pk == victim.identity.sig_pk
     print(f"account takeover: PASS ({loot} wei and the victim's key stay where they were)")
+
+
+def paper_chain(trust: float = 0.9):
+    """A genesis at the paper's difficulty (`DifficultyParams()`, beta0 =
+    2^18) holding three toy accounts of equal trust, and their identities."""
+    rng = Random(9)
+    identities = [crypto.make_identity(rng, rsa_bits=64) for _ in range(3)]
+    accounts = {i.account_id: ledger.AccountState(
+        account_id=i.account_id, sig_pk=i.sig_pk, ring_n=i.ring_sk.n, ring_e=i.ring_sk.e,
+        balance=1000, trust=TrustState(tv=trust)) for i in identities}
+    return ledger.Chain.genesis(accounts, consensus.DifficultyParams()), identities
+
+
+def block_at(chain, miner, timestamp_ms):
+    return ledger.make_block(chain, [], dict(chain.tip.account_states), miner, timestamp_ms)
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="verify_block asks only that a stamp follow its parent's "
+                   "(ROADMAP item 9)")
+def test_a_stamp_from_the_future_is_refused():
+    """A block stamped 127 s after its parent would cut beta from 2^18 to
+    262,144 - 127 * 2,048 = 2,048 for the rest of the chain, since the rule
+    never raises it: the chain refuses the stamp."""
+    chain, identities = paper_chain()
+    chain.append_block(block_at(chain, identities[0], 1000))
+    params = chain.params
+    stamp = chain.tip.header.timestamp_ms + 127 * params.t0_ms
+    assert consensus.adapt_base(params.beta0, stamp, chain.tip.header.timestamp_ms,
+                                params) == 2048
+    future = block_at(chain, identities[1], stamp)
+    print(f"a stamp from the future: beta {params.beta0} -> 2048 once it is appended")
+    with pytest.raises(ledger.BadTimestamp):
+        chain.append_block(future)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="fork_rank breaks equal trust by the earlier stamp "
+                   "(ROADMAP item 9)")
+def test_a_tie_is_not_won_by_stamping_early():
+    """Two blocks of equal committed trust on one parent, one stamped a
+    round after it and its rival 1 ms after it: the tie goes to the smaller
+    H(prev_hash || miner_id), a value neither miner chooses once the parent
+    is fixed, whichever of them stamps early."""
+    chain, identities = paper_chain()
+    parent = chain.tip.header
+
+    def tie_rank(header):
+        return crypto.sha256(parent.header_hash() + header.miner_id)
+
+    honest, rival = identities[:2]
+    for early, late in ((rival, honest), (honest, rival)):
+        headers = [block_at(chain, late, parent.timestamp_ms + simnet.ROUND_MS).header,
+                   block_at(chain, early, parent.timestamp_ms + 1).header]
+        assert headers[0].miner_trust == headers[1].miner_trust
+        assert consensus.resolve_fork(headers) is min(headers, key=tie_rank)
+
+
+@pytest.fixture(scope="module")
+def mining_links():
+    """The export-only adversary's view of 20 rounds of mining_cost.cfg at
+    its seed (11)."""
+    sim = replace(load_config(CONFIG_DIR / "mining_cost.cfg").sim, rounds=20)
+    assert sim.seed == 11
+    world = simnet.World(sim)
+    world.run()
+    return world, upload_links(ledger.export_chain(world.chain))
+
+
+def test_an_export_only_adversary_measures_upload_privacy(mining_links):
+    """Each upload is signed by a ring of its block's uploaders, and each of
+    the two links, when both find one, names the same member. Prints the
+    ring and anonymity set sizes and how many uploads each link ties to an
+    account."""
+    world, links = mining_links
+    uploads = Counter(link.height for link in links)
+    assert len(uploads) == world.cfg.rounds
+    for link in links:
+        assert len(link.ring) == uploads[link.height] <= world.cfg.n1
+        named = {link.by_reveal, link.by_order} - {None}
+        assert len(named) <= 1 and named <= link.ring
+    rings = sorted({len(link.ring) for link in links})
+    sizes = sorted({len(link.anonymity_set()) for link in links})
+    by_reveal = sum(link.by_reveal is not None for link in links)
+    by_order = sum(link.by_order is not None for link in links)
+    linked = sum(len(link.anonymity_set()) == 1 for link in links)
+    print(f"upload privacy: {len(links)} uploads in rings of {rings[0]} to {rings[-1]} "
+          f"members; anonymity set sizes {sizes}; linked {linked} of {len(links)} "
+          f"({by_reveal} by a same-block reveal, {by_order} by transaction order)")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a round's reveals share its uploads' block, and each upload "
+                   "is followed by its sender's commitment (ROADMAP item 5)")
+def test_no_upload_is_linked_at_its_own_block(mining_links):
+    _, links = mining_links
+    assert not any(link.by_reveal or link.by_order for link in links)

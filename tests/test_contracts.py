@@ -49,10 +49,9 @@ def new_csc(n1=3, tv_thr=0.90, d_s=100, reward=150, t_ddl=1000):
                               tv_thr=tv_thr, d_s=d_s, reward_sensing=reward))
 
 
-def new_sac(n2=4, d_a=100, t_self_d=2000, commit_cap=8):
+def new_sac(n2=4, d_a=100, t_self_d=2000):
     return SacState(SacConfig(sac_id=SAC_ID, csc_id=CSC_ID, n2=n2,
-                              t_self_d_ms=t_self_d, d_a=d_a,
-                              commit_cap=commit_cap))
+                              t_self_d_ms=t_self_d, d_a=d_a))
 
 
 def escrow_balance(moves):
@@ -185,7 +184,7 @@ def upload_for(csc, identities, sensor_results, rng):
         msg_id = rng.getrandbits(128).to_bytes(16, "big")
         rnd = rng.getrandbits(256).to_bytes(32, "big")
         packet = crypto.make_packet(msg_id, sr, 500)
-        sig = crypto.ring_sign(packet, position, ident.ring_sk, ring, rng)
+        sig = crypto.ring_sign(packet, position, ident.ring_sk, ring, crypto.ring_draws(ring, rng))
         csc.upload([(packet, sig)], 500)
         csc.add_commitment(crypto.commit(sr, rnd, msg_id, CSC_ID, reg.pk))
         reveals.append((reg.pk, sr, rnd, msg_id))
@@ -212,7 +211,8 @@ def test_upload_rejects_foreign_ring(identities):
     members = sorted(csc.registered.values(), key=lambda r: r.order)
     ring = [r.ring_pk for r in members[:-1]] + [outsider.ring_pk]
     packet = crypto.make_packet(b"m", 1, 100)
-    sig = crypto.ring_sign(packet, len(ring) - 1, outsider.ring_sk, ring, rng)
+    sig = crypto.ring_sign(packet, len(ring) - 1, outsider.ring_sk, ring,
+                           crypto.ring_draws(ring, rng))
     with pytest.raises(IllegalRing):
         csc.upload([(packet, sig)], 100)
 
@@ -224,7 +224,7 @@ def test_upload_rejects_invalid_signature(identities):
     ring = [r.ring_pk for r in members]
     ident = next(i for i in identities if i.account_id == members[0].pk)
     packet = crypto.make_packet(b"m", 1, 100)
-    sig = crypto.ring_sign(packet, 0, ident.ring_sk, ring, rng)
+    sig = crypto.ring_sign(packet, 0, ident.ring_sk, ring, crypto.ring_draws(ring, rng))
     other = crypto.make_packet(b"m", 0, 100)
     with pytest.raises(IllegalRing):
         csc.upload([(other, sig)], 100)
@@ -237,7 +237,7 @@ def test_upload_past_deadline(identities):
     ring = [r.ring_pk for r in members]
     ident = next(i for i in identities if i.account_id == members[0].pk)
     packet = crypto.make_packet(b"m", 1, 100)
-    sig = crypto.ring_sign(packet, 0, ident.ring_sk, ring, rng)
+    sig = crypto.ring_sign(packet, 0, ident.ring_sk, ring, crypto.ring_draws(ring, rng))
     with pytest.raises(PastDeadline):
         csc.upload([(packet, sig)], 5000)
 
@@ -249,9 +249,11 @@ def test_upload_duplicate_tag(identities):
     ring = [r.ring_pk for r in members]
     by_account = {i.account_id: i for i in identities}
     packet = crypto.make_packet(b"same-id", 1, 100)
-    first = crypto.ring_sign(packet, 0, by_account[members[0].pk].ring_sk, ring, rng)
+    first = crypto.ring_sign(packet, 0, by_account[members[0].pk].ring_sk, ring,
+                             crypto.ring_draws(ring, rng))
     csc.upload([(packet, first)], 100)
-    second = crypto.ring_sign(packet, 1, by_account[members[1].pk].ring_sk, ring, rng)
+    second = crypto.ring_sign(packet, 1, by_account[members[1].pk].ring_sk, ring,
+                              crypto.ring_draws(ring, rng))
     with pytest.raises(DuplicateTag):
         csc.upload([(packet, second)], 100)
 
@@ -314,7 +316,8 @@ def test_upload_batch_with_a_foreign_ring_admits_none(identities):
     outsider = identities[5]
     ring = [uploads[0][1].ring[0], outsider.ring_pk]
     packet = crypto.make_packet(b"c", 1, 100)
-    uploads.append((packet, crypto.ring_sign(packet, 1, outsider.ring_sk, ring, Random(34))))
+    uploads.append((packet, crypto.ring_sign(packet, 1, outsider.ring_sk, ring,
+                                             crypto.ring_draws(ring, Random(34)))))
     with pytest.raises(IllegalRing, match="upload 2: ring contains an unregistered key"):
         csc.upload(uploads, 100)
     assert csc.packets == []
@@ -412,7 +415,8 @@ def test_settle_ambiguous_link_forfeits_both(identities):
     by_account = {i.account_id: i for i in identities}
     msg_id = b"shared-identifier"
     packet = crypto.make_packet(msg_id, 1, 100)
-    sig = crypto.ring_sign(packet, 0, by_account[members[0].pk].ring_sk, ring, rng)
+    sig = crypto.ring_sign(packet, 0, by_account[members[0].pk].ring_sk, ring,
+                           crypto.ring_draws(ring, rng))
     csc.upload([(packet, sig)], 100)
     reveals = []
     for reg in members[:2]:          # two sensors claim the same packet
@@ -552,13 +556,14 @@ def test_commit_requires_registration(identities):
 
 
 def test_commit_cap(identities):
-    sac = new_sac(commit_cap=2)
+    sac = new_sac()
     sac.register(identities[0].account_id, 100)
     sac.begin_committing()
-    sac.commit(identities[0].account_id, bytes(32), 10)
-    sac.commit(identities[0].account_id, bytes(32), 11)
+    for value in range(contracts.COMMIT_CAP):
+        sac.commit(identities[0].account_id, bytes(32), 10 + value)
     with pytest.raises(TooManyCommits):
-        sac.commit(identities[0].account_id, bytes(32), 12)
+        sac.commit(identities[0].account_id, bytes(32), 99)
+    assert len(sac.bids_list[identities[0].account_id]) == contracts.COMMIT_CAP
 
 
 def test_register_cap(identities):
@@ -613,7 +618,7 @@ def test_vickrey_truthfulness_on_sampled_profiles(identities):
     pks = [i.account_id for i in identities[:4]]
 
     def run_auction(bids):
-        sac = new_sac(n2=4, commit_cap=1)
+        sac = new_sac(n2=4)
         for pk in bids:
             sac.register(pk, 100)
         sac.begin_committing()

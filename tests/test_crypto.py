@@ -26,7 +26,7 @@ from oracles import (
     is_probable_prime_reference,
     small_order_forgery,
 )
-from potchain import crypto, pool
+from potchain import contracts, crypto, pool
 
 TOY_BITS = 64
 
@@ -234,9 +234,8 @@ def test_a_killed_worker_is_replaced_and_its_share_still_checked(one_worker, toy
     assert crypto.ring_verify_batch(pairs) == expected
     kill_first_worker()
     jobs = ring_jobs(toy_ring, [(5, i, bytes([i]), i % 2) for i in range(6)])
-    sequential = Random(3)
     assert (crypto.ring_sign_batch(jobs, Random(3))
-            == [crypto.ring_sign(*job, sequential) for job in jobs])
+            == signed_one_by_one(jobs, Random(3)))
     assert pool._workers[0].process.is_alive()
 
 
@@ -252,10 +251,9 @@ def test_a_stalled_workers_share_is_checked_by_the_caller(one_worker, toy_ring):
         pairs = ring_pairs(toy_ring, Random(2))
         assert crypto.ring_verify_batch(pairs) == [crypto.ring_verify(*p) for p in pairs]
         jobs = ring_jobs(toy_ring, [(5, i, bytes([i]), i % 2) for i in range(6)])
-        sequential = Random(3)
         assert (crypto.ring_sign_batch(jobs, Random(3))
-                == [crypto.ring_sign(*job, sequential) for job in jobs])
-        assert pool._workers[0] is worker and worker.unread == 1
+                == signed_one_by_one(jobs, Random(3)))
+        assert pool._workers[0] is worker and worker.batch is not None
     finally:
         os.kill(worker.process.pid, signal.SIGCONT)
     assert crypto.submit_verify_batch(bad).results() == [True] * 7 + [False, True, True]
@@ -272,7 +270,7 @@ def test_a_timeout_on_a_workers_pipe_stops_the_batch(one_worker, method):
     conn = worker.conn
     # A worker whose answer is still to come is sent nothing, so the next
     # batch would never reach the patched method: wait for the answer.
-    assert not worker.unread or conn.poll(10)
+    assert worker.batch is None or conn.poll(10)
     original, caller = pool.TASKS["verify"], os.getpid()
 
     @functools.wraps(crypto.verify)     # the caller's claims run the task named "verify"
@@ -385,8 +383,7 @@ def test_a_wrapper_on_a_task_sees_only_what_its_entry_point_binds(
     jobs = ring_jobs(toy_ring, [(5, i, bytes([i]), i % 2) for i in range(6)])
     expected = ([signed_by(i % 4, bytes([i])) for i in range(10)], [True] * 10,
                 [crypto.ring_verify(*pair) for pair in pairs])
-    sequential = Random(3)
-    ring_sigs = [crypto.ring_sign(*job, sequential) for job in jobs]
+    ring_sigs = signed_one_by_one(jobs, Random(3))
     pool.stop()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     logs = {name: tmp_path / name for name in ("sign", "verify", "ring_verify", "ring_sign")}
@@ -439,7 +436,7 @@ def test_ring_completeness_every_position(toy_ring, size):
     packet = make_packet()
     for signer in range(size):
         sig = crypto.ring_sign(packet, signer, identities[signer].ring_sk,
-                               ring, rng)
+                               ring, crypto.ring_draws(ring, rng))
         assert crypto.ring_verify(packet, sig)
 
 
@@ -448,8 +445,8 @@ def test_ring_signature_reveals_no_signer_field(toy_ring):
     rng = Random(11)
     ring = pks[:5]
     packet = make_packet()
-    sig_a = crypto.ring_sign(packet, 1, identities[1].ring_sk, ring, rng)
-    sig_b = crypto.ring_sign(packet, 4, identities[4].ring_sk, ring, rng)
+    sig_a = crypto.ring_sign(packet, 1, identities[1].ring_sk, ring, crypto.ring_draws(ring, rng))
+    sig_b = crypto.ring_sign(packet, 4, identities[4].ring_sk, ring, crypto.ring_draws(ring, rng))
     assert crypto.ring_verify(packet, sig_a)
     assert crypto.ring_verify(packet, sig_b)
     # output carries only (ring, glue value, xs): same shape either way
@@ -463,7 +460,7 @@ def test_ring_rejects_tampered_packet(toy_ring):
     rng = Random(12)
     ring = pks[:4]
     packet = make_packet(sr=1)
-    sig = crypto.ring_sign(packet, 2, identities[2].ring_sk, ring, rng)
+    sig = crypto.ring_sign(packet, 2, identities[2].ring_sk, ring, crypto.ring_draws(ring, rng))
     flipped = make_packet(sr=0)
     assert not crypto.ring_verify(flipped, sig)
 
@@ -473,7 +470,7 @@ def test_ring_rejects_random_x_substitution(toy_ring):
     rng = Random(13)
     ring = pks[:4]
     packet = make_packet()
-    sig = crypto.ring_sign(packet, 0, identities[0].ring_sk, ring, rng)
+    sig = crypto.ring_sign(packet, 0, identities[0].ring_sk, ring, crypto.ring_draws(ring, rng))
     rejected = 0
     for trial in range(100):
         slot = rng.randrange(len(ring))
@@ -492,7 +489,7 @@ def test_ring_verification_symmetric_under_rotation(toy_ring):
     rng = Random(14)
     ring = pks[:5]
     packet = make_packet()
-    sig = crypto.ring_sign(packet, 3, identities[3].ring_sk, ring, rng)
+    sig = crypto.ring_sign(packet, 3, identities[3].ring_sk, ring, crypto.ring_draws(ring, rng))
     bits = crypto._common_domain_bits(list(sig.ring))
     round_keys = crypto._feistel_keys(crypto.sha256(packet.canonical_bytes()))
     ys = [crypto._forward(pk, x, 1 << bits) for pk, x in zip(sig.ring, sig.xs)]
@@ -512,7 +509,8 @@ def test_ring_sign_wrong_secret_raises(toy_ring):
     identities, pks = toy_ring
     rng = Random(15)
     with pytest.raises(crypto.BadKey):
-        crypto.ring_sign(make_packet(), 0, identities[1].ring_sk, pks[:3], rng)
+        crypto.ring_sign(make_packet(), 0, identities[1].ring_sk, pks[:3],
+                         crypto.ring_draws(pks[:3], rng))
 
 
 def test_ring_verify_malformed_inputs_false(toy_ring):
@@ -548,11 +546,96 @@ def test_feistel_matches_reference_property(key, half_bits, data):
 def test_ring_signature_serialization_roundtrippable(toy_ring):
     identities, pks = toy_ring
     rng = Random(16)
-    sig = crypto.ring_sign(make_packet(), 1, identities[1].ring_sk, pks[:3], rng)
+    sig = crypto.ring_sign(make_packet(), 1, identities[1].ring_sk, pks[:3],
+                           crypto.ring_draws(pks[:3], rng))
     raw = sig.canonical_bytes()
     assert isinstance(raw, bytes) and len(raw) > 0
     # deterministic serialization
     assert raw == sig.canonical_bytes()
+
+
+# =============================================================================
+# Ring properties (Bender, Katz and Morselli, TCC 2006), over the pure signer
+# =============================================================================
+
+@pytest.fixture(scope="module")
+def other_ring_keys():
+    """Eight toy ring keys none of `toy_ring`'s members hold."""
+    rng = Random(102)
+    return [crypto.make_ring_key(rng, TOY_BITS).public() for _ in range(8)]
+
+
+def packet_from(raw: bytes) -> crypto.SensingPacket:
+    """The packet whose canonical bytes are `raw` (49 bytes, byte 32 the
+    sensing result, 0 or 1), read as the chain reads an upload."""
+    return contracts.decode_sensing_upload(bytes(contracts.CONTRACT_ID_BYTES) + raw)[1]
+
+
+@st.composite
+def ring_signings(draw):
+    """(packet, signer index, ring size, seed): a ring of 1 to 8 toy keys,
+    any signer, any packet bytes and the draws of any seed."""
+    size = draw(st.integers(1, 8))
+    raw = bytearray(draw(st.binary(min_size=49, max_size=49)))
+    raw[32] &= 1
+    return (packet_from(bytes(raw)), draw(st.integers(0, size - 1)), size,
+            draw(st.integers(0, 2 ** 64)))
+
+
+def signed(toy_ring, packet, signer, size, seed) -> crypto.RingSignature:
+    identities, pks = toy_ring
+    ring = pks[:size]
+    return crypto.ring_sign(packet, signer, identities[signer].ring_sk, ring,
+                            crypto.ring_draws(ring, Random(seed)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ring_signings(), flip=st.integers(0, 49 * 8 - 1))
+def test_a_ring_signature_verifies_and_fails_on_a_changed_packet(toy_ring, case, flip):
+    packet, signer, size, seed = case
+    sig = signed(toy_ring, packet, signer, size, seed)
+    assert crypto.ring_verify(packet, sig)
+    raw = bytearray(packet.canonical_bytes())
+    byte, bit = divmod(flip, 8)
+    raw[byte] ^= 1 if byte == 32 else 1 << bit      # the sensing result is one bit
+    assert not crypto.ring_verify(packet_from(bytes(raw)), sig)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ring_signings(), data=st.data())
+def test_a_ring_signature_fails_under_a_changed_ring(toy_ring, other_ring_keys, case, data):
+    """A changed key, two distinct keys swapped, or another ring of the same
+    size: each fails."""
+    packet, signer, size, seed = case
+    sig = signed(toy_ring, packet, signer, size, seed)
+    ring = list(sig.ring)
+    changed = data.draw(st.integers(0, size - 1))
+    with_other_key = ring[:changed] + [other_ring_keys[changed]] + ring[changed + 1:]
+    assert not crypto.ring_verify(packet, replace(sig, ring=tuple(with_other_key)))
+    assert not crypto.ring_verify(packet, replace(sig, ring=tuple(other_ring_keys[:size])))
+    if size > 1:
+        i, j = data.draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2,
+                                  unique=True))
+        ring[i], ring[j] = ring[j], ring[i]
+        assert not crypto.ring_verify(packet, replace(sig, ring=tuple(ring)))
+
+
+def test_the_signature_does_not_depend_on_the_signers_position(toy_ring):
+    """At every signer position of a 5-member ring, 400 signatures set the
+    top domain bit of each x_i in 200 +- 45 of them: within 4.5 standard
+    deviations (sqrt(400 / 4) = 10) of the binomial's mean at one half."""
+    identities, pks = toy_ring
+    ring, rng, count = pks[:5], Random(17), 400
+    top = crypto._common_domain_bits(ring) - 1
+    for signer in range(5):
+        set_bits = [0] * 5
+        for k in range(count):
+            packet = make_packet(sr=k % 2, msg_id=k.to_bytes(2, "big"))
+            sig = crypto.ring_sign(packet, signer, identities[signer].ring_sk, ring,
+                                   crypto.ring_draws(ring, rng))
+            for i, x in enumerate(sig.xs):
+                set_bits[i] += x >> top
+        assert all(abs(n - count // 2) <= 45 for n in set_bits), (signer, set_bits)
 
 
 # =============================================================================
@@ -569,6 +652,11 @@ def ring_jobs(toy_ring, specs):
         jobs.append((crypto.make_packet(msg_id, sr, 1000), signer,
                      identities[signer].ring_sk, pks[:size]))
     return jobs
+
+
+def signed_one_by_one(jobs, rng):
+    """`ring_sign` on each job in turn, each from its own `ring_draws`."""
+    return [crypto.ring_sign(*job, crypto.ring_draws(job[3], rng)) for job in jobs]
 
 
 RING_FLAWS = ["none", "none", "packet", "x-out-of-domain", "v-out-of-domain",
@@ -598,7 +686,7 @@ def ring_pairs(toy_ring, rng):
     """Eight signed packets, every flaw once, in a shuffled order."""
     jobs = ring_jobs(toy_ring, [(size, size - 1, bytes([size]), size % 2)
                                 for size in range(1, 9)])
-    sigs = [crypto.ring_sign(*job, rng) for job in jobs]
+    sigs = signed_one_by_one(jobs, rng)
     flaws = list(RING_FLAWS)
     rng.shuffle(flaws)
     return [flawed(job[0], sig, how) for job, sig, how in zip(jobs, sigs, flaws)]
@@ -615,7 +703,7 @@ def test_ring_sign_batch_equals_ring_sign_in_order(one_worker, toy_ring, specs, 
     jobs = ring_jobs(toy_ring, specs)
     batch_rng, sequential_rng = Random(seed), Random(seed)
     sigs = crypto.ring_sign_batch(jobs, batch_rng)
-    assert sigs == [crypto.ring_sign(*job, sequential_rng) for job in jobs]
+    assert sigs == signed_one_by_one(jobs, sequential_rng)
     assert batch_rng.getstate() == sequential_rng.getstate()
     assert all(crypto.ring_verify_batch([(job[0], sig) for job, sig in zip(jobs, sigs)]))
 
@@ -640,9 +728,8 @@ def test_ring_batches_on_one_cpu_start_no_worker(monkeypatch, toy_ring):
         pairs = ring_pairs(toy_ring, Random(1))
         assert crypto.ring_verify_batch(pairs) == [crypto.ring_verify(*p) for p in pairs]
         jobs = ring_jobs(toy_ring, [(4, i, b"one", 0) for i in range(4)])
-        sequential = Random(4)
         assert (crypto.ring_sign_batch(jobs, Random(4))
-                == [crypto.ring_sign(*job, sequential) for job in jobs])
+                == signed_one_by_one(jobs, Random(4)))
         assert pool._workers == []
     finally:
         pool.stop()

@@ -79,7 +79,7 @@ def test_a_healthy_batch_works_each_item_once_but_where_the_ends_meet(claims, tm
         log = tmp_path / f"batch{batch}"
         items = [(str(log), i, False, (0.004, 0.001), 0) for i in range(20)]
         assert pool.map(logged, items) == [(i, False) for i in range(20)]
-        assert pool._workers[0].unread == 0
+        assert pool._workers[0].batch is None
         counts = Counter(index for index, _ in worked(log))
         assert sorted(counts) == list(range(20))
         assert sum(n - 1 for n in counts.values()) <= len(pool._workers)
@@ -101,7 +101,8 @@ def test_claims_hold_with_more_workers_than_cores(claims, monkeypatch):
             items = [(os.devnull, i, i in hits, (0, 0), 0) for i in range(size)]
             assert pool.map(logged, items) == [(i, i in hits) for i in range(size)]
             assert time.monotonic() < deadline
-        assert len(pool._workers) == 3 and all(w.unread <= 1 for w in pool._workers)
+        assert len(pool._workers) == 3
+        assert all(w.batch is not None or not w.conn.poll() for w in pool._workers)
     finally:
         pool.stop()
 
@@ -124,13 +125,13 @@ def test_a_worker_killed_or_stopped_mid_batch(claims, tmp_path, signum):
             worker.process.join(timeout=10)
             assert not worker.process.is_alive() and pool._workers[0] is not worker
         else:
-            assert pool._workers[0] is worker and worker.unread == 1
+            assert pool._workers[0] is worker and worker.batch is not None
     finally:
         if worker.process.is_alive():
             os.kill(worker.process.pid, signal.SIGCONT)
     for _ in range(5):
         assert batch(None) == expected
-        assert all(w.unread <= 1 for w in pool._workers)
+        assert all(w.batch is not None or not w.conn.poll() for w in pool._workers)
     assert pool._workers[0].process.is_alive()
 
 
@@ -160,7 +161,7 @@ def test_a_stopped_worker_holds_a_batch_up_for_one_item_at_most(claims, tmp_path
         started = time.monotonic()
         assert pool.map(logged, [(str(log), *item[1:]) for item in items]) == expected
         elapsed = time.monotonic() - started
-        assert pool._workers[0] is worker and worker.unread == 1
+        assert pool._workers[0] is worker and worker.batch is not None
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
