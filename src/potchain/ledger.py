@@ -11,11 +11,13 @@ empty list hashes to H("").
 Serialized trust values are fixed-point with 4 decimal digits.
 
 An export holds each block as the bytes its header hash and roots commit
-to: the layout that is hashed is the one exported (`block_to_record`).
+to: the layout that is hashed is the one exported (`block_to_record`). An
+export is written once, record by record, into one buffer.
 """
 
 from __future__ import annotations
 
+import io
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -546,9 +548,15 @@ def block_from_record(record: bytes) -> Block:
 
 
 def export_chain(chain: Chain) -> bytes:
-    """Each block's record behind its 4-byte length, genesis first."""
-    records = [block_to_record(block) for block in chain.blocks]
-    return b"".join(len(record).to_bytes(4, "big") + record for record in records)
+    """Each block's record behind its 4-byte length, genesis first, written
+    into one buffer as it is made; `getvalue` hands that buffer back
+    without copying it, so the export's bytes exist once."""
+    out = io.BytesIO()
+    for block in chain.blocks:
+        record = block_to_record(block)
+        out.write(len(record).to_bytes(4, "big"))
+        out.write(record)
+    return out.getvalue()
 
 
 def _records(data: bytes):

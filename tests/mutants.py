@@ -170,6 +170,16 @@ MUTANTS = (
            "key=lambda n: (-state[n.identity.account_id].trust.tv,",
            "key=lambda n: (state[n.identity.account_id].trust.tv,",
            ("test_attacks.py::test_whitewashing_a_fresh_identity_ranks_and_mines_as_tv_zero",)),
+    Mutant("export-holds-every-record", "src/potchain/ledger.py",
+           "    out = io.BytesIO()\n"
+           "    for block in chain.blocks:\n"
+           "        record = block_to_record(block)\n"
+           "        out.write(len(record).to_bytes(4, \"big\"))\n"
+           "        out.write(record)\n"
+           "    return out.getvalue()\n",
+           "    records = [block_to_record(block) for block in chain.blocks]\n"
+           "    return b\"\".join(len(record).to_bytes(4, \"big\") + record for record in records)\n",
+           ("test_ledger.py::test_export_holds_its_bytes_about_once",)),
 )
 
 

@@ -1,8 +1,9 @@
 """Brute-force reference implementations the contract, crypto and ledger
-tests compare against (the 40-random-base Miller-Rabin test among them),
-the export mutator the ledger tests feed to import, the small-order
-signature forgery both crypto and ledger tests offer, and an export-only
-adversary that links sensing uploads to their senders."""
+tests compare against (the 40-random-base Miller-Rabin test and the
+list-then-join chain export among them), the export mutator the ledger
+tests feed to import, the small-order signature forgery both crypto and
+ledger tests offer, and an export-only adversary that links sensing
+uploads to their senders."""
 
 import hashlib
 from random import Random
@@ -166,6 +167,13 @@ def mutate_export(data: bytes, rng: Random) -> bytes:
     at, width = rng.choice(_length_fields(data))
     value = (int.from_bytes(data[at:at + width], "big") + rng.choice((-1, 1))) % (1 << 8 * width)
     return data[:at] + value.to_bytes(width, "big") + data[at + width:]
+
+
+def export_chain_reference(chain: ledger.Chain) -> bytes:
+    """Reference export: every block's record made first, then each joined
+    behind its 4-byte length, genesis first."""
+    records = [ledger.block_to_record(block) for block in chain.blocks]
+    return b"".join(len(record).to_bytes(4, "big") + record for record in records)
 
 
 def import_reference(data: bytes, params) -> ledger.Chain:
