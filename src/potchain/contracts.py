@@ -97,6 +97,11 @@ class ContractDestroyed(ContractError):
     pass
 
 
+class BadValue(ContractError):
+    """A value its wire field cannot carry: an amount outside [0, 2^64), a
+    rnd that is not 32 bytes, or reveal lists of unequal length."""
+
+
 @dataclass(frozen=True)
 class TokenMove:
     kind: str                # escrow | refund | burn | reward
@@ -185,6 +190,8 @@ class CscState:
                  tv: float) -> bool:
         """Admit a sensor; over-capacity admissions evict the weakest."""
         self._require(CscPhase.REGISTERING)
+        if pk in self.registered:
+            raise DuplicateTag("sensor already registered")
         if ring_pk.n < 1 << (crypto.MIN_RSA_BITS - 1) or ring_pk.e <= 0:
             raise IllegalRing(f"ring key needs a modulus of at least {crypto.MIN_RSA_BITS} "
                               f"bits and a positive exponent, got n={ring_pk.n} e={ring_pk.e}")
@@ -394,6 +401,8 @@ class SacState:
         self._require(SacPhase.COMMITTING)
         if pk not in self.bidders:
             raise NotRegistered("commit from unregistered bidder")
+        if not 0 <= attached_value < ledger.U64:
+            raise BadValue(f"attached value {attached_value} outside [0, 2^64)")
         if len(self.bids_list[pk]) >= COMMIT_CAP:
             raise TooManyCommits(f"over cap {COMMIT_CAP}")
         self.bids_list[pk].append(BlindedBid(digest=blinded_bid, value=attached_value))
@@ -410,10 +419,15 @@ class SacState:
 
     def reveal(self, pk: bytes, dps: list[int], bools: list[bool],
                rnds: list[bytes]) -> RevealRecord:
-        """Open this bidder's commits in order; mismatches burn that escrow."""
+        """Open this bidder's commits in order; mismatches burn that escrow.
+        Every entry is checked before any bid is marked or refunded."""
         self._require(SacPhase.REVEALING)
         if not len(dps) == len(bools) == len(rnds):
-            raise ValueError("reveal lists must have equal length")
+            raise BadValue("reveal lists must have equal length")
+        if any(len(rnd) != 32 for rnd in rnds):
+            raise BadValue("every rnd must be 32 bytes")
+        if not all(0 <= dp < ledger.U64 for dp in dps):
+            raise BadValue("every dp must lie in [0, 2^64)")
         if pk not in self.bidders:
             raise NotRegistered("reveal from unregistered bidder")
         if pk in self.revealed:

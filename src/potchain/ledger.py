@@ -116,7 +116,7 @@ class TxKind(Enum):
 RING_SIGNER = b""  # ring-signed transactions carry no account signer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     kind: TxKind
     payload: bytes
@@ -148,7 +148,7 @@ def sign_txs(entries) -> list[Transaction]:
             for entry in entries]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccountState:
     """Balance, trust, and the public keys verifiers need."""
     account_id: bytes
@@ -182,7 +182,7 @@ def state_leaves(accounts: dict[bytes, AccountState]) -> list[bytes]:
 # Blocks
 # =============================================================================
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockHeader:
     prev_hash: bytes
     tx_root: bytes
@@ -203,7 +203,7 @@ class BlockHeader:
         return crypto.sha256(self.preimage() + self.nonce.to_bytes(8, "big"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     header: BlockHeader
     transactions: tuple[Transaction, ...]

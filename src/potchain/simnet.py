@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from random import Random
 
 from . import consensus, contracts, crypto, ledger
@@ -206,12 +207,12 @@ class Node:
     def account_id(self) -> bytes:
         return self.identity.account_id
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"node{self.index:02d}"
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRow:
     node: str
     kind: str
@@ -223,7 +224,7 @@ class RoundRow:
     tokens: int
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundReport:
     round: int
     pu_truth: int

@@ -57,7 +57,7 @@ class TrustParams:
             raise ValueError("need 0 < r2 < r1 < 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrustState:
     """Per-account trust accumulators.
 

@@ -180,6 +180,23 @@ MUTANTS = (
            "    records = [block_to_record(block) for block in chain.blocks]\n"
            "    return b\"\".join(len(record).to_bytes(4, \"big\") + record for record in records)\n",
            ("test_ledger.py::test_export_holds_its_bytes_about_once",)),
+    Mutant("register-overwrites-a-key", "src/potchain/contracts.py",
+           "        if pk in self.registered:\n"
+           "            raise DuplicateTag(\"sensor already registered\")\n",
+           "",
+           ("test_contracts.py::test_register_refuses_a_key_already_registered",)),
+    Mutant("commit-escrows-any-value", "src/potchain/contracts.py",
+           "        if not 0 <= attached_value < ledger.U64:\n",
+           "        if False:\n",
+           ("test_attacks.py::test_a_negative_bid_mints_nothing",)),
+    Mutant("reveal-checks-rnd-as-it-goes", "src/potchain/contracts.py",
+           "        if any(len(rnd) != 32 for rnd in rnds):\n",
+           "        if False:\n",
+           ("test_contracts.py::test_a_refused_reveal_changes_nothing_and_a_retry_refunds_once",)),
+    Mutant("transaction-keeps-a-dict", "src/potchain/ledger.py",
+           "@dataclass(frozen=True, slots=True)\nclass Transaction:\n",
+           "@dataclass(frozen=True)\nclass Transaction:\n",
+           ("test_simnet.py::test_the_records_a_run_keeps_carry_no_instance_dict",)),
 )
 
 

@@ -154,6 +154,36 @@ def test_a_block_cannot_take_over_another_account():
     print(f"account takeover: PASS ({loot} wei and the victim's key stay where they were)")
 
 
+def test_a_negative_bid_mints_nothing():
+    """A bidder attaches -500 wei to a sealed bid and never reveals it. Had
+    the SAC escrowed it, destroy would burn -500, so the bidder would end
+    500 up while `burned` fell by as much, and the audit would balance. The
+    commit is refused before anything is queued, and the auction runs on."""
+    rng = Random(7)
+    honest, minter = (crypto.sha256(name)[:32] for name in (b"honest", b"minter"))
+    sac = contracts.SacState(contracts.SacConfig(
+        sac_id=bytes(16), csc_id=bytes(16), n2=2, t_self_d_ms=2000, d_a=100))
+    assert sac.register(honest, 100) and sac.register(minter, 100)
+    sac.begin_committing()
+    rnd = rng.getrandbits(256).to_bytes(32, "big")
+    sac.commit(honest, contracts.bid_commitment_digest(150, True, rnd), 150)
+    queued = list(sac.pending_moves)
+    with pytest.raises(contracts.BadValue):
+        sac.commit(minter, bytes(32), -500)
+    assert sac.pending_moves == queued and sac.bids_list[minter] == []
+    assert sac.open_reveal(0)
+    sac.reveal(honest, [150], [True], [rnd])
+    assert sac.win() == (honest, 150)
+    sac.destroy(2000)
+    net = Counter()
+    for move in sac.pending_moves:
+        assert move.amount >= 0
+        net[move.pk] += {"escrow": -1, "refund": 1, "burn": 0}[move.kind] * move.amount
+    assert net == {honest: -150, minter: 0}
+    print(f"negative bid: PASS (the minter ends {net[minter]:+} wei, the winner "
+          f"{net[honest]:+} wei)")
+
+
 def paper_chain(trust: float = 0.9):
     """A genesis at the paper's difficulty (`DifficultyParams()`, beta0 =
     2^18) holding three toy accounts of equal trust, and their identities."""

@@ -7,6 +7,7 @@ import pytest
 
 from potchain import contracts, crypto
 from potchain.contracts import (
+    BadValue,
     BelowThreshold,
     ContractDestroyed,
     CscConfig,
@@ -147,6 +148,19 @@ def test_register_refuses_non_positive_ring_key(identities, n, e):
     with pytest.raises(IllegalRing):
         csc.register(ident.account_id, bad, 100, 0.95)
     assert csc.registered == {} and csc.pending_moves == []
+
+
+def test_register_refuses_a_key_already_registered(identities):
+    """A second registration of one key would escrow both deposits and keep
+    only the second, so the first would never be refunded or burned: it is
+    refused before anything is queued, and the first registration stands."""
+    csc = new_csc()
+    ident = identities[0]
+    assert csc.register(ident.account_id, ident.ring_pk, 100, 0.95)
+    with pytest.raises(DuplicateTag):
+        csc.register(ident.account_id, ident.ring_pk, 300, 0.95)
+    assert csc.registered[ident.account_id].deposit == 100
+    assert csc.pending_moves == [contracts.TokenMove("escrow", ident.account_id, 100)]
 
 
 def test_register_rejects_weaker_when_full(identities):
@@ -553,6 +567,47 @@ def test_commit_requires_registration(identities):
     sac.begin_committing()
     with pytest.raises(NotRegistered):
         sac.commit(identities[0].account_id, bytes(32), 10)
+
+
+def decoy_first_sac(identities):
+    """One bidder who committed a decoy of 60, then a real bid of 120."""
+    rng = Random(21)
+    sac = new_sac()
+    pk = identities[0].account_id
+    assert sac.register(pk, 100)
+    sac.begin_committing()
+    opens = ([60, 120], [False, True], [rng.getrandbits(256).to_bytes(32, "big")
+                                        for _ in range(2)])
+    for dp, real, rnd in zip(*opens):
+        sac.commit(pk, contracts.bid_commitment_digest(dp, real, rnd), dp)
+    assert sac.open_reveal(0)
+    return sac, pk, opens
+
+
+@pytest.mark.parametrize("bad", ["short rnd", "negative dp", "dp of 2^64", "short lists"])
+def test_a_refused_reveal_changes_nothing_and_a_retry_refunds_once(identities, bad):
+    """Every entry of a reveal is checked before any bid is marked or any
+    refund queued: a bad second entry leaves the first decoy sealed, and the
+    bidder's retry refunds that decoy once."""
+    sac, pk, (dps, bools, rnds) = decoy_first_sac(identities)
+    moves, statuses = list(sac.pending_moves), [b.status for b in sac.bids_list[pk]]
+    bad_dps, bad_bools, bad_rnds = list(dps), list(bools), list(rnds)
+    if bad == "short rnd":
+        bad_rnds[1] = bytes(5)
+    elif bad == "negative dp":
+        bad_dps[1] = -120
+    elif bad == "dp of 2^64":
+        bad_dps[1] = 1 << 64
+    else:
+        bad_bools.pop()
+    with pytest.raises(BadValue):
+        sac.reveal(pk, bad_dps, bad_bools, bad_rnds)
+    assert sac.pending_moves == moves
+    assert [b.status for b in sac.bids_list[pk]] == statuses == ["sealed", "sealed"]
+    assert pk not in sac.revealed
+    record = sac.reveal(pk, dps, bools, rnds)
+    assert (record.total_valid_bid, record.refund) == (120, 60)
+    assert sac.pending_moves[len(moves):] == [contracts.TokenMove("refund", pk, 60)]
 
 
 def test_commit_cap(identities):

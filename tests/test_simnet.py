@@ -376,6 +376,28 @@ def test_block_carries_round_transactions():
     assert ledger.TxKind.SETTLEMENT in kinds
 
 
+def test_the_records_a_run_keeps_carry_no_instance_dict():
+    """The records a chain keeps for each block and a World keeps for each
+    round are slotted, so none holds a per-instance dict; and a node's label
+    is made once, so every row of one node shares one string."""
+    world = World(replace(load_config(CONFIG_DIR / "mining_cost.cfg").sim, rounds=3))
+    world.run()
+    kept = []
+    for block in world.chain.blocks:
+        kept += [block, block.header, *block.transactions]
+        for account in block.account_states.values():
+            kept += [account, account.trust]
+    for report in world.reports:
+        kept += [report, *report.rows]
+    assert len(world.chain.blocks) == 4 and len(world.reports) == 3
+    assert {type(obj).__name__ for obj in kept} == {
+        "Block", "BlockHeader", "Transaction", "AccountState", "TrustState",
+        "RoundReport", "RoundRow"}
+    assert [type(obj).__name__ for obj in kept if hasattr(obj, "__dict__")] == []
+    for report in world.reports:
+        assert all(row.node is node.label for node, row in zip(world.nodes, report.rows))
+
+
 def test_miner_is_lowest_difficulty_node():
     world = World(small_cfg(rounds=6))
     world.run()
