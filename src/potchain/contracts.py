@@ -12,33 +12,33 @@ Token movements are not applied here; each state machine queues TokenMove
 events (escrow / refund / burn / reward) that the caller drains and applies
 to account balances, which keeps conservation auditable.
 
-Wire formats (all integers big-endian, fixed widths):
-- CSC deploy:    0x00 || csc_id(16) || t_ddl_ms(8) || n1(2) || tv_thr(2, fixed-point 1e-4)
-                 || fusion_rule(1) || d_s(8) || reward(8)
-- SAC deploy:    0x01 || csc_id(16) || sac_id(16) || n2(2) || t_self_d_ms(8)
-                 || win_rule(1) || d_a(8)
-                 (both rule bytes are 0x00: majority fusion, second-price win)
-- CSC deposit:   0x00 || pk(32) || tv(2) || csc_id(16) || amount(8)
-- SAC deposit:   0x01 || pk(32) || tv(2) || sac_id(16) || amount(8) || first_commit(32)
-- sensing upload: csc_id(16) || packet(49); ring signature rides in the
-                 transaction signature field
-- sensing commit: 0x00 || csc_id(16) || digest(32) || pk(32)
-- bid commit:    0x01 || sac_id(16) || digest(32) || value(8)
-- sensing reveal: 0x00 || csc_id(16) || sr(1) || rnd(32) || len(2) || msg_id
-- auction reveal: 0x01 || sac_id(16) || count(2) || [dp(8) || bool(1) || rnd(32)]*
-- settlement:    csc_id(16) || fusion(1) || count(2) || [pk(32) || outcome(1)
-                 || reward(8) || returned(8)]*
-- reward:        pk(32) || amount(8)
+Wire formats, one Struct each, which fixes every field's width (integers big-endian, tv
+on the trust grid, both rule bytes 0x00: majority fusion, second-price win); a payload
+reads back through `decode_payload`:
+- _CSC_DEPLOY: 0x00 || csc_id || t_ddl_ms || n1 || tv_thr || fusion_rule || d_s || reward
+- _SAC_DEPLOY: 0x01 || csc_id || sac_id || n2 || t_self_d_ms || win_rule || d_a
+- _CSC_DEPOSIT: 0x00 || pk || tv || csc_id || amount
+- _SAC_DEPOSIT: 0x01 || pk || tv || sac_id || amount || first_commit
+- _SENSING_UPLOAD: csc_id || packet (crypto.PACKET), ring-signed in the tx's signature
+- _SENSING_COMMIT: 0x00 || csc_id || digest || pk
+- _BID_COMMIT: 0x01 || sac_id || digest || value
+- _SENSING_REVEAL: 0x00 || csc_id || sr || rnd || len || msg_id
+- _AUCTION_REVEAL: 0x01 || sac_id || count || [dp || bool || rnd (_BID_OPENING)]*
+- _SETTLEMENT: csc_id || fusion || count || [pk || outcome || reward || returned
+  (_SETTLEMENT_ENTRY)]*
+- _REWARD: pk || amount
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
 from . import crypto, ledger
 from .crypto import Commitment, RingPublicKey, RingSignature, SensingPacket
-from .trust import Outcome
+from .ledger import TxKind
+from .trust import TV_SCALE, Outcome, grid_tv, quantize_tv
 
 CONVERT_UNIT_WEI = 1000      # wei per 0.01 of trust boost
 CONVERT_CAP = 0.10
@@ -196,6 +196,8 @@ class CscState:
             raise IllegalRing(f"ring key needs a modulus of at least {crypto.MIN_RSA_BITS} "
                               f"bits and a positive exponent, got n={ring_pk.n} e={ring_pk.e}")
         cfg = self.config
+        if not 0 <= deposit < ledger.U64:
+            raise BadValue(f"deposit {deposit} outside [0, 2^64)")
         if deposit < cfg.d_s:
             raise InsufficientDeposit(f"deposit {deposit} < d_s {cfg.d_s}")
         effective = tv + convert(deposit - cfg.d_s)
@@ -341,10 +343,10 @@ class SacConfig:
 
 
 def bid_commitment_digest(dp: int, real: bool, rnd: bytes) -> bytes:
-    """H(Dp || Bool || RND) over the documented fixed layout."""
+    """H(Dp || Bool || RND), laid out as a revealed bid (_BID_OPENING)."""
     if len(rnd) != 32:
         raise ValueError("rnd must be 32 bytes")
-    return crypto.sha256(dp.to_bytes(8, "big") + bytes([1 if real else 0]) + rnd)
+    return crypto.sha256(_BID_OPENING.pack(dp, bool(real), rnd))
 
 
 @dataclass
@@ -381,6 +383,8 @@ class SacState:
 
     def register(self, pk: bytes, deposit: int) -> bool:
         self._require(SacPhase.REGISTERING)
+        if not 0 <= deposit < ledger.U64:
+            raise BadValue(f"deposit {deposit} outside [0, 2^64)")
         if deposit < self.config.d_a:
             raise InsufficientDeposit(f"deposit {deposit} < d_a {self.config.d_a}")
         if pk in self.bidders:
@@ -496,80 +500,148 @@ class SacState:
 
 
 # =============================================================================
-# Transaction payload encodings (wire formats above)
+# Transaction payloads: each layout above is one Struct, packed and unpacked
 # =============================================================================
 
-CONTRACT_ID_BYTES = 16
+_CSC_DEPLOY = struct.Struct(">B16sQHHBQQ")
+_SAC_DEPLOY = struct.Struct(">B16s16sHQBQ")
+_CSC_DEPOSIT = struct.Struct(">B32sH16sQ")
+_SAC_DEPOSIT = struct.Struct(">B32sH16sQ32s")
+_SENSING_UPLOAD = struct.Struct(f">16s{crypto.PACKET.size}s")
+_SENSING_COMMIT = struct.Struct(">B16s32s32s")
+_BID_COMMIT = struct.Struct(">B16s32sQ")
+_SENSING_REVEAL = struct.Struct(">B16sB32sH")
+_AUCTION_REVEAL = struct.Struct(">B16sH")
+_BID_OPENING = struct.Struct(">QB32s")             # also what a bid commitment hashes
+_SETTLEMENT = struct.Struct(">16sBH")
+_SETTLEMENT_ENTRY = struct.Struct(">32sBQQ")
+_REWARD = struct.Struct(">32sQ")
 
 
-def _tv_fixed(tv: float) -> bytes:
-    return ledger.quantize_tv(tv).to_bytes(2, "big")
+class MalformedPayload(ledger.LedgerError):
+    """A payload that is not exactly one layout of its transaction kind."""
 
 
 def encode_csc_deploy(cfg: CscConfig) -> bytes:
-    return (b"\x00" + cfg.csc_id + cfg.t_ddl_ms.to_bytes(8, "big")
-            + cfg.n1.to_bytes(2, "big") + _tv_fixed(cfg.tv_thr) + b"\x00"
-            + cfg.d_s.to_bytes(8, "big") + cfg.reward_sensing.to_bytes(8, "big"))
+    return _CSC_DEPLOY.pack(0, cfg.csc_id, cfg.t_ddl_ms, cfg.n1, quantize_tv(cfg.tv_thr), 0,
+                            cfg.d_s, cfg.reward_sensing)
 
 
 def encode_sac_deploy(cfg: SacConfig) -> bytes:
-    return (b"\x01" + cfg.csc_id + cfg.sac_id + cfg.n2.to_bytes(2, "big")
-            + cfg.t_self_d_ms.to_bytes(8, "big") + b"\x00"
-            + cfg.d_a.to_bytes(8, "big"))
+    return _SAC_DEPLOY.pack(1, cfg.csc_id, cfg.sac_id, cfg.n2, cfg.t_self_d_ms, 0, cfg.d_a)
 
 
 def encode_csc_deposit(pk: bytes, tv: float, csc_id: bytes, amount: int) -> bytes:
-    return b"\x00" + pk + _tv_fixed(tv) + csc_id + amount.to_bytes(8, "big")
+    return _CSC_DEPOSIT.pack(0, pk, quantize_tv(tv), csc_id, amount)
 
 
 def encode_sac_deposit(pk: bytes, tv: float, sac_id: bytes, amount: int,
                        first_commit: bytes) -> bytes:
-    return (b"\x01" + pk + _tv_fixed(tv) + sac_id + amount.to_bytes(8, "big")
-            + first_commit)
+    return _SAC_DEPOSIT.pack(1, pk, quantize_tv(tv), sac_id, amount, first_commit)
 
 
 def encode_sensing_upload(csc_id: bytes, packet: SensingPacket) -> bytes:
-    return csc_id + packet.canonical_bytes()
-
-
-def decode_sensing_upload(payload: bytes) -> tuple[bytes, SensingPacket]:
-    csc_id, rest = payload[:CONTRACT_ID_BYTES], payload[CONTRACT_ID_BYTES:]
-    packet = SensingPacket(
-        msg_id_hash=rest[:32],
-        sensing_result=rest[32],
-        timestamp_ms=int.from_bytes(rest[33:41], "big"),
-        lat_microdeg=int.from_bytes(rest[41:45], "big", signed=True),
-        lon_microdeg=int.from_bytes(rest[45:49], "big", signed=True))
-    return csc_id, packet
+    return _SENSING_UPLOAD.pack(csc_id, packet.canonical_bytes())
 
 
 def encode_sensing_commit(csc_id: bytes, digest: bytes, pk: bytes) -> bytes:
-    return b"\x00" + csc_id + digest + pk
+    return _SENSING_COMMIT.pack(0, csc_id, digest, pk)
 
 
 def encode_bid_commit(sac_id: bytes, digest: bytes, value: int) -> bytes:
-    return b"\x01" + sac_id + digest + value.to_bytes(8, "big")
+    return _BID_COMMIT.pack(1, sac_id, digest, value)
 
 
 def encode_sensing_reveal(csc_id: bytes, sr: int, rnd: bytes, msg_id: bytes) -> bytes:
-    return (b"\x00" + csc_id + bytes([sr & 1]) + rnd
-            + len(msg_id).to_bytes(2, "big") + msg_id)
+    return _SENSING_REVEAL.pack(0, csc_id, sr & 1, rnd, len(msg_id)) + msg_id
 
 
 def encode_auction_reveal(sac_id: bytes, dps: list[int], bools: list[bool],
                           rnds: list[bytes]) -> bytes:
-    body = b"".join(dp.to_bytes(8, "big") + bytes([1 if b else 0]) + rnd
-                    for dp, b, rnd in zip(dps, bools, rnds))
-    return b"\x01" + sac_id + len(dps).to_bytes(2, "big") + body
+    return b"".join((_AUCTION_REVEAL.pack(1, sac_id, len(dps)),
+                     *map(_BID_OPENING.pack, dps, map(bool, bools), rnds)))
 
 
 def encode_settlement(csc_id: bytes, fusion: int, settlement: dict) -> bytes:
-    body = b"".join(
-        pk + bytes([0 if rec.outcome is Outcome.CONSISTENT else 1])
-        + rec.reward.to_bytes(8, "big") + rec.deposit_returned.to_bytes(8, "big")
-        for pk, rec in sorted(settlement.items()))
-    return csc_id + bytes([fusion]) + len(settlement).to_bytes(2, "big") + body
+    return b"".join((_SETTLEMENT.pack(csc_id, fusion, len(settlement)), *(
+        _SETTLEMENT_ENTRY.pack(pk, rec.outcome is not Outcome.CONSISTENT, rec.reward,
+                               rec.deposit_returned) for pk, rec in sorted(settlement.items()))))
 
 
 def encode_reward(pk: bytes, amount: int) -> bytes:
-    return pk + amount.to_bytes(8, "big")
+    return _REWARD.pack(pk, amount)
+
+
+def _unpack(layout: struct.Struct, payload: bytes) -> tuple:
+    if len(payload) != layout.size:
+        raise MalformedPayload(f"{len(payload)} bytes where the layout holds {layout.size}")
+    return layout.unpack(payload)
+
+
+def _counted(head: struct.Struct, entry: struct.Struct, payload: bytes) -> tuple:
+    """The fields of `head`, whose last counts the `entry`s that fill the rest."""
+    fields = _unpack(head, payload[:head.size])
+    if len(payload) != head.size + fields[-1] * entry.size:
+        raise MalformedPayload(f"{fields[-1]} entries disagree with {len(payload)} bytes")
+    return fields, list(entry.iter_unpack(payload[head.size:]))
+
+
+def _bits(*fields: int) -> None:
+    if any(field > 1 for field in fields):
+        raise MalformedPayload("a one-bit field above 1")
+
+
+def _tv(fixed: int) -> float:
+    if fixed > TV_SCALE:
+        raise MalformedPayload(f"tv {fixed} above {TV_SCALE}")
+    return grid_tv(fixed)
+
+
+def decode_payload(kind: TxKind, payload: bytes) -> tuple:
+    """The arguments from which the encoder of `payload`'s layout writes it again
+    (a deploy's are its config). MalformedPayload unless `payload` is exactly one
+    layout of `kind`: length, count and msg_id length agree, the prefix is known,
+    one-bit fields are 0 or 1, tv at most TV_SCALE, rule bytes 0, keys ascending."""
+    if kind is TxKind.SENSING_UPLOAD:
+        csc_id, raw = _unpack(_SENSING_UPLOAD, payload)
+        packet = SensingPacket(*crypto.PACKET.unpack(raw))
+        _bits(packet.sensing_result)
+        return csc_id, packet
+    if kind is TxKind.SETTLEMENT:
+        (csc_id, fusion, _), entries = _counted(_SETTLEMENT, _SETTLEMENT_ENTRY, payload)
+        _bits(fusion, *(outcome for _, outcome, _, _ in entries))
+        if [entry[0] for entry in entries] != sorted({entry[0] for entry in entries}):
+            raise MalformedPayload("settlement keys are not ascending")
+        return csc_id, fusion, {
+            pk: SettlementRecord((Outcome.CONSISTENT, Outcome.INCONSISTENT)[outcome],
+                                 reward, returned) for pk, outcome, reward, returned in entries}
+    if kind is TxKind.REWARD:
+        return _unpack(_REWARD, payload)
+    if payload[:1] not in (b"\x00", b"\x01"):
+        raise MalformedPayload(f"{kind.name} payload with prefix {payload[:1].hex() or 'none'}")
+    sac = payload[0]            # 0x00 prefixes the CSC's layout, 0x01 the SAC's
+    if kind is TxKind.CONTRACT_DEPLOY:
+        if sac:
+            _, csc_id, sac_id, n2, t_self_d_ms, rule, d_a = _unpack(_SAC_DEPLOY, payload)
+            config = SacConfig(sac_id, csc_id, n2, t_self_d_ms, d_a)
+        else:
+            _, csc_id, t_ddl_ms, n1, tv_thr, rule, d_s, reward = _unpack(_CSC_DEPLOY, payload)
+            config = CscConfig(csc_id, t_ddl_ms, n1, _tv(tv_thr), d_s, reward)
+        if rule:
+            raise MalformedPayload(f"rule byte {rule} names no rule")
+        return (config,)
+    if kind is TxKind.DEPOSIT:
+        _, pk, tv, *rest = _unpack(_SAC_DEPOSIT if sac else _CSC_DEPOSIT, payload)
+        return (pk, _tv(tv), *rest)
+    if kind is TxKind.BID_COMMIT:
+        return _unpack(_BID_COMMIT if sac else _SENSING_COMMIT, payload)[1:]
+    if sac:                     # an auction reveal
+        (_, sac_id, _), openings = _counted(_AUCTION_REVEAL, _BID_OPENING, payload)
+        _bits(*(real for _, real, _ in openings))
+        return (sac_id, [dp for dp, _, _ in openings], [real == 1 for _, real, _ in openings],
+                [rnd for _, _, rnd in openings])
+    _, csc_id, sr, rnd, length = _unpack(_SENSING_REVEAL, payload[:_SENSING_REVEAL.size])
+    _bits(sr)
+    if len(msg_id := payload[_SENSING_REVEAL.size:]) != length:
+        raise MalformedPayload(f"msg_id of {len(msg_id)} bytes where the reveal says {length}")
+    return csc_id, sr, rnd, msg_id

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -290,6 +291,9 @@ def _unpermute(round_keys: list, value: int, bits: int) -> int:
 # Sensing packet (canonical serialization so H(msg) matches everywhere)
 # =============================================================================
 
+PACKET = struct.Struct(">32sBQii")     # H(msgID), SR (one bit), timestamp_ms, lat, lon
+
+
 @dataclass(frozen=True)
 class SensingPacket:
     """Anonymous sensing upload: {H(msgID), SR, timestamp, location}.
@@ -303,11 +307,8 @@ class SensingPacket:
     lon_microdeg: int
 
     def canonical_bytes(self) -> bytes:
-        return (self.msg_id_hash
-                + bytes([self.sensing_result & 1])
-                + self.timestamp_ms.to_bytes(8, "big")
-                + self.lat_microdeg.to_bytes(4, "big", signed=True)
-                + self.lon_microdeg.to_bytes(4, "big", signed=True))
+        return PACKET.pack(self.msg_id_hash, self.sensing_result & 1, self.timestamp_ms,
+                           self.lat_microdeg, self.lon_microdeg)
 
 
 def make_packet(msg_id: bytes, sensing_result: int, timestamp_ms: int,

@@ -18,6 +18,7 @@ export is written once, record by record, into one buffer.
 from __future__ import annotations
 
 import io
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -25,10 +26,9 @@ from types import MappingProxyType
 
 from . import consensus, crypto
 from .consensus import DifficultyParams
-from .trust import TrustState
+from .trust import TV_SCALE, TrustState, grid_tv, quantize_tv
 
 ZERO32 = bytes(32)
-TV_SCALE = 10_000
 U16, U64 = 1 << 16, 1 << 64     # limits of 2- and 8-byte fields
 
 
@@ -74,11 +74,6 @@ class TooShort(LedgerError):
 
 class MalformedRecord(LedgerError):
     """An export that is not a sequence of well-formed block records."""
-
-
-def quantize_tv(tv: float) -> int:
-    """Trust value as an integer number of ten-thousandths."""
-    return min(TV_SCALE, max(0, round(tv * TV_SCALE)))
 
 
 # =============================================================================
@@ -148,6 +143,11 @@ def sign_txs(entries) -> list[Transaction]:
             for entry in entries]
 
 
+_ACCOUNT_HEAD = struct.Struct(">32s32sB")     # account_id, sig_pk, ring_n's width
+_ACCOUNT_TAIL = struct.Struct(">QHIIIIH")     # balance, tv, four round counters, wrongs
+_WRONG_ROUND = struct.Struct(">I")
+
+
 @dataclass(frozen=True, slots=True)
 class AccountState:
     """Balance, trust, and the public keys verifiers need."""
@@ -162,16 +162,12 @@ class AccountState:
         ring_pk = crypto.RingPublicKey(self.ring_n, self.ring_e)
         n_width = (self.ring_n.bit_length() + 7) // 8
         t = self.trust
-        wrongs = b"".join(m.to_bytes(4, "big") for m in sorted(t.wrong_rounds))
-        return (self.account_id + self.sig_pk
-                + bytes([n_width]) + ring_pk.canonical_bytes(n_width)
-                + self.balance.to_bytes(8, "big")
-                + quantize_tv(t.tv).to_bytes(2, "big")
-                + t.n_right.to_bytes(4, "big")
-                + t.r_sleep.to_bytes(4, "big")
-                + (t.last_round + 1).to_bytes(4, "big")
-                + t.sensing_rounds.to_bytes(4, "big")
-                + len(t.wrong_rounds).to_bytes(2, "big") + wrongs)
+        return b"".join((
+            _ACCOUNT_HEAD.pack(self.account_id, self.sig_pk, n_width),
+            ring_pk.canonical_bytes(n_width),
+            _ACCOUNT_TAIL.pack(self.balance, quantize_tv(t.tv), t.n_right, t.r_sleep,
+                               t.last_round + 1, t.sensing_rounds, len(t.wrong_rounds)),
+            *map(_WRONG_ROUND.pack, sorted(t.wrong_rounds))))
 
 
 def state_leaves(accounts: dict[bytes, AccountState]) -> list[bytes]:
@@ -181,6 +177,9 @@ def state_leaves(accounts: dict[bytes, AccountState]) -> list[bytes]:
 # =============================================================================
 # Blocks
 # =============================================================================
+
+_PREIMAGE = struct.Struct(">32s32s32s32sHQ")    # BlockHeader's fields up to timestamp_ms
+
 
 @dataclass(frozen=True, slots=True)
 class BlockHeader:
@@ -195,9 +194,8 @@ class BlockHeader:
 
     def preimage(self) -> bytes:
         """Everything the nonce search and the signature cover."""
-        return (self.prev_hash + self.tx_root + self.state_root + self.miner_id
-                + self.miner_trust.to_bytes(2, "big")
-                + self.timestamp_ms.to_bytes(8, "big"))
+        return _PREIMAGE.pack(self.prev_hash, self.tx_root, self.state_root, self.miner_id,
+                              self.miner_trust, self.timestamp_ms)
 
     def header_hash(self) -> bytes:
         return crypto.sha256(self.preimage() + self.nonce.to_bytes(8, "big"))
@@ -317,7 +315,7 @@ class Chain:
     def target_for(self, miner_id: bytes) -> int:
         """Leading-zero bits the miner's next block must clear, from the
         trust the header commits to."""
-        tv = self.committed_trust(miner_id) / TV_SCALE
+        tv = grid_tv(self.committed_trust(miner_id))
         return consensus.mining_target(tv, self.beta_for_next()).leading_zero_bits
 
     def check_seal(self, header: BlockHeader) -> None:
@@ -473,6 +471,9 @@ class _Reader:
     def uint(self, size: int) -> int:
         return int.from_bytes(self.take(size), "big")
 
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self.take(layout.size))
+
 
 def _tx_from(reader: _Reader) -> Transaction:
     """The transaction `Transaction.canonical_bytes` wrote at the reader."""
@@ -489,19 +490,19 @@ def _tx_from(reader: _Reader) -> Transaction:
 
 def _account_from(reader: _Reader) -> AccountState:
     """The account `AccountState.canonical_bytes` wrote at the reader."""
-    account_id, sig_pk, ring_n = reader.take(32), reader.take(32), reader.take(reader.uint(1))
-    if not ring_n or not ring_n[0]:
+    account_id, sig_pk, n_width = reader.unpack(_ACCOUNT_HEAD)
+    if not (ring_n := reader.take(n_width)) or not ring_n[0]:
         raise MalformedRecord("ring_n is zero or wider than its value")
-    ring_e, balance, tv = reader.uint(8), reader.uint(8), reader.uint(2)
-    if not ring_e:
+    if not (ring_e := reader.uint(8)):
         raise MalformedRecord("ring_e is zero")
+    balance, tv, n_right, r_sleep, last_round, sensing_rounds, wrongs = \
+        reader.unpack(_ACCOUNT_TAIL)
     if tv > TV_SCALE:
         raise MalformedRecord(f"tv {tv} above {TV_SCALE}")
-    n_right, r_sleep, last_round, sensing_rounds = (reader.uint(4) for _ in range(4))
-    wrong_rounds = tuple(reader.uint(4) for _ in range(reader.uint(2)))
+    wrong_rounds = tuple(reader.unpack(_WRONG_ROUND)[0] for _ in range(wrongs))
     if list(wrong_rounds) != sorted(wrong_rounds):
         raise MalformedRecord("wrong_rounds are not in ascending order")
-    trust = TrustState(tv=tv / TV_SCALE, n_right=n_right, wrong_rounds=wrong_rounds,
+    trust = TrustState(tv=grid_tv(tv), n_right=n_right, wrong_rounds=wrong_rounds,
                        r_sleep=r_sleep, last_round=last_round - 1,
                        sensing_rounds=sensing_rounds)
     return AccountState(account_id=account_id, sig_pk=sig_pk,
@@ -529,10 +530,8 @@ def block_from_record(record: bytes) -> Block:
     does not rule out but no block can hold, raises MalformedRecord: so
     `block_to_record` of any block it returns is `record`."""
     reader = _Reader(record)
-    header = BlockHeader(prev_hash=reader.take(32), tx_root=reader.take(32),
-                         state_root=reader.take(32), miner_id=reader.take(32),
-                         miner_trust=reader.uint(2), timestamp_ms=reader.uint(8),
-                         nonce=reader.uint(8), miner_sig=reader.take(reader.uint(4)))
+    header = BlockHeader(*reader.unpack(_PREIMAGE), nonce=reader.uint(8),
+                         miner_sig=reader.take(reader.uint(4)))
     if header.miner_trust > TV_SCALE:
         raise MalformedRecord(f"miner_trust {header.miner_trust} above {TV_SCALE}")
     txs = tuple(_tx_from(reader) for _ in range(reader.uint(4)))

@@ -72,6 +72,19 @@ class TrustState:
     sensing_rounds: int = 0
 
 
+TV_SCALE = 10_000       # the chain commits tv in ten-thousandths
+
+
+def quantize_tv(tv: float) -> int:
+    """Trust value as an integer number of ten-thousandths."""
+    return min(TV_SCALE, max(0, round(tv * TV_SCALE)))
+
+
+def grid_tv(fixed: int) -> float:
+    """`quantize_tv`'s inverse: the trust value `fixed` ten-thousandths stand for."""
+    return fixed / TV_SCALE
+
+
 def effective_wrong_count(wrong_rounds, n: int, window: int) -> float:
     """Linearly faded wrong count at round n: sum of (1 - age/P).
 

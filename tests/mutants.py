@@ -197,6 +197,38 @@ MUTANTS = (
            "@dataclass(frozen=True, slots=True)\nclass Transaction:\n",
            "@dataclass(frozen=True)\nclass Transaction:\n",
            ("test_simnet.py::test_the_records_a_run_keeps_carry_no_instance_dict",)),
+    Mutant("csc-register-takes-any-deposit", "src/potchain/contracts.py",
+           "        if not 0 <= deposit < ledger.U64:\n"
+           "            raise BadValue(f\"deposit {deposit} outside [0, 2^64)\")\n"
+           "        if deposit < cfg.d_s:\n",
+           "        if deposit < cfg.d_s:\n",
+           ("test_contracts.py::test_csc_register_refuses_a_deposit_the_wire_cannot_carry",)),
+    Mutant("sac-register-takes-any-deposit", "src/potchain/contracts.py",
+           "        if not 0 <= deposit < ledger.U64:\n"
+           "            raise BadValue(f\"deposit {deposit} outside [0, 2^64)\")\n"
+           "        if deposit < self.config.d_a:\n",
+           "        if deposit < self.config.d_a:\n",
+           ("test_contracts.py::test_sac_register_refuses_a_deposit_the_wire_cannot_carry",)),
+    Mutant("payload-may-run-long", "src/potchain/contracts.py",
+           "    if len(payload) != layout.size:\n",
+           "    if len(payload) < layout.size:\n",
+           ("test_contracts.py::test_a_truncated_extended_or_unprefixed_payload_is_refused",)),
+    Mutant("entry-count-not-checked", "src/potchain/contracts.py",
+           "    if len(payload) != head.size + fields[-1] * entry.size:\n",
+           "    if False:\n",
+           ("test_contracts.py::test_a_truncated_extended_or_unprefixed_payload_is_refused",)),
+    Mutant("one-bit-field-unchecked", "src/potchain/contracts.py",
+           "    if any(field > 1 for field in fields):\n",
+           "    if False:\n",
+           ("test_contracts.py::test_a_field_outside_its_range_is_refused",)),
+    Mutant("payload-tv-unbounded", "src/potchain/contracts.py",
+           "    if fixed > TV_SCALE:\n",
+           "    if False:\n",
+           ("test_contracts.py::test_a_field_outside_its_range_is_refused",)),
+    Mutant("msg-id-may-run-short", "src/potchain/contracts.py",
+           "    if len(msg_id := payload[_SENSING_REVEAL.size:]) != length:\n",
+           "    if len(msg_id := payload[_SENSING_REVEAL.size:]) > length:\n",
+           ("test_contracts.py::test_a_truncated_extended_or_unprefixed_payload_is_refused",)),
 )
 
 

@@ -227,24 +227,26 @@ def _ring_keys(signature: bytes) -> list[tuple[int, int]]:
 
 def upload_links(data: bytes) -> list[UploadLinks]:
     """Each sensing upload of a chain export, as an adversary who reads only
-    the export's bytes links it. A sensing reveal (a REVEAL whose payload
-    starts 0x00) opens msgID under its sender's account signature, and its
+    the export's bytes links it, each payload read by
+    `contracts.decode_payload`. A sensing reveal (a REVEAL naming the
+    upload's CSC) opens msgID under its sender's account signature, and its
     H(msgID) is the packet's tag; each upload is followed by its sender's
-    account-signed commitment (a BID_COMMIT whose payload starts 0x00)."""
-    msg_id_at = 1 + contracts.CONTRACT_ID_BYTES + 1 + 32 + 2
+    account-signed commitment (a BID_COMMIT naming the same CSC)."""
     links = []
     for height, record in enumerate(ledger._records(data)):
         block = ledger.block_from_record(record)
         by_key = {(a.ring_n, a.ring_e): aid for aid, a in block.account_states.items()}
-        txs = block.transactions
-        revealed = {crypto.sha256(tx.payload[msg_id_at:]): tx.signer for tx in txs
-                    if tx.kind is TxKind.REVEAL and tx.payload[:1] == b"\x00"}
-        for tx, after in zip(txs, txs[1:] + (None,)):
+        txs = [(tx, contracts.decode_payload(tx.kind, tx.payload))
+               for tx in block.transactions]
+        csc_ids = {args[0] for tx, args in txs if tx.kind is TxKind.SENSING_UPLOAD}
+        revealed = {crypto.sha256(args[3]): tx.signer for tx, args in txs
+                    if tx.kind is TxKind.REVEAL and args[0] in csc_ids}
+        for (tx, args), (after, after_args) in zip(txs, txs[1:] + [(None, ())]):
             if tx.kind is not TxKind.SENSING_UPLOAD:
                 continue
-            _, packet = contracts.decode_sensing_upload(tx.payload)
+            csc_id, packet = args
             committed = (after is not None and after.kind is TxKind.BID_COMMIT
-                         and after.payload[:1] == b"\x00")
+                         and after_args[0] == csc_id)
             links.append(UploadLinks(
                 height=height, ring=frozenset(by_key[key] for key in _ring_keys(tx.signature)),
                 by_reveal=revealed.get(packet.msg_id_hash),

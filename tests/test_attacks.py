@@ -112,7 +112,7 @@ def test_a_replayed_reward_is_refused():
     chain = world.chain
     reward = chain.blocks[1].transactions[-1]
     assert reward.kind is TxKind.REWARD
-    payee = reward.payload[:32]
+    payee, _ = contracts.decode_payload(TxKind.REWARD, reward.payload)
     account = chain.tip.account_states[payee]
     asserted = {**chain.tip.account_states,
                 payee: replace(account, balance=account.balance + simnet.REWARD_MINING)}

@@ -1,11 +1,16 @@
 """Contract state machines: sensing task lifecycle and the sealed auction."""
 
 import itertools
+from dataclasses import replace
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from potchain import contracts, crypto
+from potchain import contracts, crypto, ledger, simnet
+from potchain.config import load_config
 from potchain.contracts import (
     BadValue,
     BelowThreshold,
@@ -23,15 +28,18 @@ from potchain.contracts import (
     SacConfig,
     SacPhase,
     SacState,
+    SettlementRecord,
     TooEarly,
     TooManyCommits,
     WrongPhase,
     convert,
 )
-from potchain.trust import Outcome
+from potchain.ledger import TxKind
+from potchain.trust import TV_SCALE, Outcome, grid_tv
 
 from oracles import brute_force_majority, second_price_oracle
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CSC_ID = crypto.sha256(b"test-csc")[:16]
 SAC_ID = crypto.sha256(b"test-sac")[:16]
 
@@ -161,6 +169,17 @@ def test_register_refuses_a_key_already_registered(identities):
         csc.register(ident.account_id, ident.ring_pk, 300, 0.95)
     assert csc.registered[ident.account_id].deposit == 100
     assert csc.pending_moves == [contracts.TokenMove("escrow", ident.account_id, 100)]
+
+
+@pytest.mark.parametrize("deposit", [-1, 1 << 64])
+def test_csc_register_refuses_a_deposit_the_wire_cannot_carry(identities, deposit):
+    """A deposit travels in an 8-byte field, so one outside [0, 2^64) is
+    refused before anything is queued; 2^64 - 1 is still seated."""
+    csc, ident = new_csc(), identities[0]
+    with pytest.raises(BadValue):
+        csc.register(ident.account_id, ident.ring_pk, deposit, 0.95)
+    assert csc.pending_moves == [] and not csc.registered
+    assert csc.register(ident.account_id, ident.ring_pk, (1 << 64) - 1, 0.95)
 
 
 def test_register_rejects_weaker_when_full(identities):
@@ -621,6 +640,20 @@ def test_commit_cap(identities):
     assert len(sac.bids_list[identities[0].account_id]) == contracts.COMMIT_CAP
 
 
+@pytest.mark.parametrize("deposit", [-1, 1 << 64])
+def test_sac_register_refuses_a_deposit_the_wire_cannot_carry(identities, deposit):
+    """As the CSC's: a bidder's deposit outside [0, 2^64) is refused before
+    anything is queued, even from a bidder already registered."""
+    sac, pk = new_sac(), identities[0].account_id
+    with pytest.raises(BadValue):
+        sac.register(pk, deposit)
+    assert sac.pending_moves == [] and not sac.bidders
+    assert sac.register(pk, (1 << 64) - 1)
+    with pytest.raises(BadValue):
+        sac.register(pk, deposit)
+    assert sac.pending_moves == [contracts.TokenMove("escrow", pk, (1 << 64) - 1)]
+
+
 def test_register_cap(identities):
     sac = new_sac(n2=1)
     assert sac.register(identities[0].account_id, 100)
@@ -711,7 +744,7 @@ def test_vickrey_truthfulness_on_sampled_profiles(identities):
 def test_sensing_upload_payload_roundtrip():
     packet = crypto.make_packet(b"msg", 1, 42_000, -33_865143, 151_209900)
     payload = contracts.encode_sensing_upload(CSC_ID, packet)
-    got_id, got_packet = contracts.decode_sensing_upload(payload)
+    got_id, got_packet = contracts.decode_payload(TxKind.SENSING_UPLOAD, payload)
     assert got_id == CSC_ID
     assert got_packet == packet
 
@@ -744,3 +777,156 @@ def test_full_lifecycle_conserves_tokens(identities):
     minted = sum(m.amount for m in moves if m.kind == "reward")
     assert escrowed == refunded + burned
     assert minted == 2 * 150        # two consistent sensors
+
+
+# =============================================================================
+# Payload layouts: each encoder and `decode_payload` invert each other, and
+# every payload that is not exactly one layout is refused
+# =============================================================================
+
+U16, U64 = st.integers(0, (1 << 16) - 1), st.integers(0, (1 << 64) - 1)
+I32 = st.integers(-(1 << 31), (1 << 31) - 1)
+BIT = st.integers(0, 1)
+ID16, B32 = st.binary(min_size=16, max_size=16), st.binary(min_size=32, max_size=32)
+GRID_TV = st.integers(0, TV_SCALE).map(grid_tv)
+PACKETS = st.builds(crypto.SensingPacket, B32, BIT, U64, I32, I32)
+RECORDS = st.builds(SettlementRecord,
+                    st.sampled_from([Outcome.CONSISTENT, Outcome.INCONSISTENT]),
+                    U64, U64)
+
+
+def auction_reveals(count):
+    return st.tuples(ID16, st.lists(U64, min_size=count, max_size=count),
+                     st.lists(st.booleans(), min_size=count, max_size=count),
+                     st.lists(B32, min_size=count, max_size=count))
+
+
+# (kind, encoder, its arguments drawn across each field's width), one per layout
+LAYOUTS = (
+    (TxKind.CONTRACT_DEPLOY, contracts.encode_csc_deploy,
+     st.tuples(st.builds(CscConfig, ID16, U64, U16, GRID_TV, U64, U64))),
+    (TxKind.CONTRACT_DEPLOY, contracts.encode_sac_deploy,
+     st.tuples(st.builds(SacConfig, ID16, ID16, U16, U64, U64))),
+    (TxKind.DEPOSIT, contracts.encode_csc_deposit, st.tuples(B32, GRID_TV, ID16, U64)),
+    (TxKind.DEPOSIT, contracts.encode_sac_deposit, st.tuples(B32, GRID_TV, ID16, U64, B32)),
+    (TxKind.SENSING_UPLOAD, contracts.encode_sensing_upload, st.tuples(ID16, PACKETS)),
+    (TxKind.BID_COMMIT, contracts.encode_sensing_commit, st.tuples(ID16, B32, B32)),
+    (TxKind.BID_COMMIT, contracts.encode_bid_commit, st.tuples(ID16, B32, U64)),
+    (TxKind.REVEAL, contracts.encode_sensing_reveal,
+     st.tuples(ID16, BIT, B32, st.binary(max_size=40))),
+    (TxKind.REVEAL, contracts.encode_auction_reveal, st.integers(0, 3).flatmap(auction_reveals)),
+    (TxKind.SETTLEMENT, contracts.encode_settlement,
+     st.tuples(ID16, BIT, st.dictionaries(B32, RECORDS, max_size=3))),
+    (TxKind.REWARD, contracts.encode_reward, st.tuples(B32, U64)),
+)
+LAYOUT_IDS = [encode.__name__.removeprefix("encode_") for _, encode, _ in LAYOUTS]
+# the kinds two layouts share tell them apart by a 0x00 (CSC) or 0x01 (SAC) prefix
+ENCODERS = {kind: [encode for k, encode, _ in LAYOUTS if k is kind] for kind in TxKind}
+
+
+def reencoded(kind: TxKind, payload: bytes) -> bytes:
+    """`payload` decoded, then written again by its layout's encoder."""
+    encoders = ENCODERS[kind]
+    encode = encoders[payload[0]] if len(encoders) == 2 else encoders[0]
+    return encode(*contracts.decode_payload(kind, payload))
+
+
+@pytest.mark.parametrize("kind, encode, args", LAYOUTS, ids=LAYOUT_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_decode_payload_inverts_each_encoder(kind, encode, args, data):
+    drawn = data.draw(args)
+    payload = encode(*drawn)
+    assert contracts.decode_payload(kind, payload) == drawn
+    assert reencoded(kind, payload) == payload
+
+
+@pytest.fixture(scope="module")
+def exported_payloads():
+    """Every (kind, payload) of 20-round exports of four presets at their
+    own seeds; smoke.cfg seals a rival block every round."""
+    out = []
+    for name in ("smoke", "mining_cost", "trust_curves", "demo_round"):
+        sim = replace(load_config(CONFIG_DIR / f"{name}.cfg").sim, rounds=20)
+        assert name != "smoke" or sim.inject_forks
+        world = simnet.World(sim)
+        world.run()
+        chain = ledger.import_chain(ledger.export_chain(world.chain), world.chain.params)
+        out += [(tx.kind, tx.payload) for block in chain.blocks for tx in block.transactions]
+    return out
+
+
+def test_every_exported_payload_decodes_and_reencodes_to_itself(exported_payloads):
+    assert {kind for kind, _ in exported_payloads} == set(TxKind)
+    for kind, payload in exported_payloads:
+        assert reencoded(kind, payload) == payload
+
+
+PK, OTHER_PK = sorted(crypto.sha256(name) for name in (b"payee", b"other"))
+DIGEST, RND = crypto.sha256(b"digest"), crypto.sha256(b"rnd")
+# one payload's arguments per layout, with two entries where it has a list
+FIXED_ARGS = {
+    contracts.encode_csc_deploy: (CscConfig(CSC_ID, 1000, 3, 0.9, 100, 150),),
+    contracts.encode_sac_deploy: (SacConfig(SAC_ID, CSC_ID, 4, 2000, 100),),
+    contracts.encode_csc_deposit: (PK, 0.95, CSC_ID, 100),
+    contracts.encode_sac_deposit: (PK, 0.95, SAC_ID, 100, DIGEST),
+    contracts.encode_sensing_upload: (CSC_ID, crypto.make_packet(b"msg", 1, 42_000, -7, 8)),
+    contracts.encode_sensing_commit: (CSC_ID, DIGEST, PK),
+    contracts.encode_bid_commit: (SAC_ID, DIGEST, 120),
+    contracts.encode_sensing_reveal: (CSC_ID, 1, RND, b"msg"),
+    contracts.encode_auction_reveal: (SAC_ID, [120, 60], [True, False], [RND, DIGEST]),
+    contracts.encode_settlement: (CSC_ID, 0, {
+        PK: SettlementRecord(Outcome.CONSISTENT, 150, 100),
+        OTHER_PK: SettlementRecord(Outcome.INCONSISTENT, 0, 0)}),
+    contracts.encode_reward: (PK, 50),
+}
+
+
+@pytest.mark.parametrize("kind, encode, args", LAYOUTS, ids=LAYOUT_IDS)
+def test_a_truncated_extended_or_unprefixed_payload_is_refused(kind, encode, args):
+    payload = encode(*FIXED_ARGS[encode])
+    assert reencoded(kind, payload) == payload
+    probes = [payload[:size] for size in range(len(payload))] + [payload + b"\x00"]
+    if len(ENCODERS[kind]) == 2:
+        probes += [bytes([prefix]) + payload[1:] for prefix in (2, 0x80, 0xFF)]
+    for probe in probes:
+        with pytest.raises(contracts.MalformedPayload):
+            contracts.decode_payload(kind, probe)
+
+
+def entries(layout, *rows) -> bytes:
+    return b"".join(layout.pack(*row) for row in rows)
+
+
+# payloads of the right length whose fields hold what no encoder writes
+OUT_OF_RANGE = {
+    "sensing-reveal-sr": (TxKind.REVEAL, contracts._SENSING_REVEAL.pack(0, CSC_ID, 2, RND, 0)),
+    "packet-sr": (TxKind.SENSING_UPLOAD, contracts._SENSING_UPLOAD.pack(
+        CSC_ID, crypto.PACKET.pack(DIGEST, 2, 42_000, 0, 0))),
+    "bid-bool": (TxKind.REVEAL, entries(contracts._AUCTION_REVEAL, (1, SAC_ID, 1))
+                 + entries(contracts._BID_OPENING, (60, 2, RND))),
+    "fusion": (TxKind.SETTLEMENT, entries(contracts._SETTLEMENT, (CSC_ID, 2, 0))),
+    "outcome": (TxKind.SETTLEMENT, entries(contracts._SETTLEMENT, (CSC_ID, 0, 1))
+                + entries(contracts._SETTLEMENT_ENTRY, (PK, 2, 0, 0))),
+    "deploy-tv": (TxKind.CONTRACT_DEPLOY,
+                  contracts._CSC_DEPLOY.pack(0, CSC_ID, 1000, 3, TV_SCALE + 1, 0, 100, 150)),
+    "csc-deposit-tv": (TxKind.DEPOSIT,
+                       contracts._CSC_DEPOSIT.pack(0, PK, TV_SCALE + 1, CSC_ID, 100)),
+    "sac-deposit-tv": (TxKind.DEPOSIT,
+                       contracts._SAC_DEPOSIT.pack(1, PK, (1 << 16) - 1, SAC_ID, 100, DIGEST)),
+    "fusion-rule": (TxKind.CONTRACT_DEPLOY,
+                    contracts._CSC_DEPLOY.pack(0, CSC_ID, 1000, 3, 9000, 1, 100, 150)),
+    "win-rule": (TxKind.CONTRACT_DEPLOY,
+                 contracts._SAC_DEPLOY.pack(1, CSC_ID, SAC_ID, 4, 2000, 0xFF, 100)),
+    "keys-descending": (TxKind.SETTLEMENT, entries(contracts._SETTLEMENT, (CSC_ID, 0, 2))
+                        + entries(contracts._SETTLEMENT_ENTRY, (OTHER_PK, 0, 1, 1),
+                                  (PK, 0, 1, 1))),
+    "key-repeated": (TxKind.SETTLEMENT, entries(contracts._SETTLEMENT, (CSC_ID, 0, 2))
+                     + entries(contracts._SETTLEMENT_ENTRY, (PK, 0, 1, 1), (PK, 1, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("kind, payload", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_a_field_outside_its_range_is_refused(kind, payload):
+    with pytest.raises(contracts.MalformedPayload):
+        contracts.decode_payload(kind, payload)

@@ -27,6 +27,7 @@ from oracles import (
     small_order_forgery,
 )
 from potchain import contracts, crypto, pool
+from potchain.ledger import TxKind
 
 TOY_BITS = 64
 
@@ -567,8 +568,9 @@ def other_ring_keys():
 
 def packet_from(raw: bytes) -> crypto.SensingPacket:
     """The packet whose canonical bytes are `raw` (49 bytes, byte 32 the
-    sensing result, 0 or 1), read as the chain reads an upload."""
-    return contracts.decode_sensing_upload(bytes(contracts.CONTRACT_ID_BYTES) + raw)[1]
+    sensing result, 0 or 1), read as the chain reads an upload to a CSC whose
+    16-byte id is all zeros."""
+    return contracts.decode_payload(TxKind.SENSING_UPLOAD, bytes(16) + raw)[1]
 
 
 @st.composite
