@@ -97,6 +97,10 @@ class ContractDestroyed(ContractError):
     pass
 
 
+class WrongContract(ContractError):
+    """A commitment made for another CSC."""
+
+
 class BadValue(ContractError):
     """A value its wire field cannot carry: an amount outside [0, 2^64), a
     rnd that is not 32 bytes, or reveal lists of unequal length."""
@@ -248,6 +252,8 @@ class CscState:
 
     def add_commitment(self, commitment: Commitment) -> None:
         self._require(CscPhase.SENSING)
+        if commitment.csc_id != self.config.csc_id:
+            raise WrongContract("commitment made for another csc")
         if commitment.committer_pk not in self.registered:
             raise NotRegistered("commitment from unregistered sensor")
         if commitment.committer_pk in self.commitments:
@@ -370,6 +376,7 @@ class SacState:
     bidders: dict = field(default_factory=dict)       # pk -> deposit
     bids_list: dict = field(default_factory=dict)     # pk -> [BlindedBid]
     revealed: dict = field(default_factory=dict)      # pk -> RevealRecord
+    winner: tuple | None = None                       # (pk, price), set by win()
     pending_moves: list = field(default_factory=list)
 
     def _guard(self) -> None:
@@ -388,7 +395,7 @@ class SacState:
         if deposit < self.config.d_a:
             raise InsufficientDeposit(f"deposit {deposit} < d_a {self.config.d_a}")
         if pk in self.bidders:
-            return True
+            raise DuplicateTag("bidder already registered")
         if len(self.bidders) >= self.config.n2:
             return False
         self.bidders[pk] = deposit
@@ -476,7 +483,8 @@ class SacState:
         for pk, rec in entrants[1:]:
             self.pending_moves.append(TokenMove("refund", pk, rec.total_valid_bid))
         self.phase = SacPhase.CLOSED
-        return winner_pk, price
+        self.winner = winner_pk, price
+        return self.winner
 
     def destroy(self, now_ms: int) -> None:
         """Self-destruct: pay out what is refundable, burn what is not."""

@@ -5,12 +5,11 @@ seven phases `PHASES` names, each a `World` method that reads and adds to
 the round's `RoundRecord`: registration (the task issuer deploys the CSC
 and the SAC, and nodes apply with a deposit), selection, bids, sensing
 (ring-signed uploads plus commitments, then majority fusion), auction (on
-an idle verdict), settlement (reveals, then trust updates) and sealing
-(the block is signed, mined, appended and audited, and the round reported
-with per-node expected mining cost). Registration, selection, bids,
-auction and settlement move contract state, tokens and trust only: ring
-signing and the CSC's ring check are in sensing, and every account
-signature, the block and its checks in sealing.
+an idle verdict), settlement (reveals, then the CSC settles) and sealing
+(trust updates; the block is signed, mined, appended and audited, and the
+round reported with per-node expected mining cost). Ring signing and the
+CSC's ring check are in sensing, every account signature, the block and its
+checks in sealing; the other phases move contract state and tokens only.
 
 Behavior classes:
 - Rnode: senses honestly every round (p_d / p_f draws).
@@ -27,6 +26,7 @@ from the config seed, so a config + seed pair fully fixes all artifacts.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -34,7 +34,7 @@ from random import Random
 
 from . import consensus, contracts, crypto, ledger
 from .consensus import DifficultyParams
-from .contracts import CscConfig, CscState, SacConfig, SacState, SettlementRecord, TokenMove
+from .contracts import CscConfig, CscState, SacConfig, SacState, TokenMove
 from .ledger import AccountState, Chain, Transaction, TxKind
 from .trust import Outcome, TrustParams, TrustState, update_trust
 
@@ -239,10 +239,10 @@ PHASES = ("registration", "selection", "bids", "sensing", "auction", "settlement
 
 @dataclass
 class RoundRecord:
-    """What a round's phases share. Trust and balances are read from
-    `parent`, the tip's state; token moves land in `balances`. `txs` is the
-    block's transactions in order, the account-signed ones as (kind,
-    payload, identity) until sealing signs them."""
+    """What a round's phases share besides what its contracts hold. Trust and
+    balances are read from `parent`, the tip's state; token moves land in
+    `balances`. `txs` is the block's transactions in order, the account-signed
+    ones as (kind, payload, identity) until sealing signs them."""
     index: int
     warmup: bool
     parent: Mapping[bytes, AccountState]
@@ -254,15 +254,9 @@ class RoundRecord:
     arrival: list[Node] = field(default_factory=list)           # network-arrival order
     deposits: dict[bytes, int] = field(default_factory=dict)    # applicant -> deposit
     refused: list[Node] = field(default_factory=list)   # no payable deposit clears tv_thr
-    admitted: list[Node] = field(default_factory=list)          # registered with the CSC
     bidder_plan: dict[bytes, tuple[int, int, bytes, bytes]] = field(default_factory=dict)
     pu_truth: int = 0
     reveals: list[tuple[bytes, int, bytes, bytes]] = field(default_factory=list)
-    fusion: int | None = None
-    winner: tuple[bytes, int] | None = None
-    settlement: dict[bytes, SettlementRecord] = field(default_factory=dict)
-    outcomes: dict[bytes, Outcome] = field(default_factory=dict)
-    accounts: dict[bytes, AccountState] = field(default_factory=dict)
     report: RoundReport | None = None
 
 
@@ -353,10 +347,19 @@ class World:
     # ---- the round loop: one RoundRecord through the PHASES -------------------
     def run_round(self, round_idx: int) -> RoundReport:
         rec = self.new_round(round_idx)
-        for phase in PHASES:
-            getattr(self, phase)(rec)
+        self.play(rec)
         self.reports.append(rec.report)
         return rec.report
+
+    def play(self, rec: RoundRecord) -> None:
+        """Run the PHASES over `rec`, draining both contracts' queued moves into
+        `rec.balances` after each. A phase queues moves on one contract at most
+        (selection, sensing, settlement: CSC; bids, auction: SAC), so moves
+        apply in the order they were queued."""
+        for phase in PHASES:
+            getattr(self, phase)(rec)
+            for contract in (rec.csc, rec.sac):
+                self.apply_moves(contract, rec.balances)
 
     def new_round(self, round_idx: int) -> RoundRecord:
         """The record a round's phases share, over the tip's state."""
@@ -405,10 +408,8 @@ class World:
         for node in selected:
             deposit, tv = rec.deposits[node.account_id], parent[node.account_id].trust.tv
             if csc.register(node.account_id, node.identity.ring_pk, deposit, tv):
-                rec.admitted.append(node)
                 rec.txs.append((TxKind.DEPOSIT, contracts.encode_csc_deposit(
                     node.account_id, tv, csc.config.csc_id, deposit), node.identity))
-        self.apply_moves(csc, rec.balances)
 
     def bids(self, rec: RoundRecord) -> None:
         """Bidders register with the SAC before the sensing outcome is known,
@@ -431,7 +432,6 @@ class World:
                 node.account_id, rec.parent[node.account_id].trust.tv, sac.config.sac_id,
                 cfg.d_a, contracts.bid_commitment_digest(valuation, True, rnd_real)),
                 node.identity))
-        self.apply_moves(sac, rec.balances)
         sac.begin_committing()
         for pk, (valuation, decoy, rnd_real, rnd_decoy) in rec.bidder_plan.items():
             for amount, real, rnd in ((valuation, True, rnd_real), (decoy, False, rnd_decoy)):
@@ -439,17 +439,16 @@ class World:
                 sac.commit(pk, digest, amount)
                 rec.txs.append((TxKind.BID_COMMIT, contracts.encode_bid_commit(
                     sac.config.sac_id, digest, amount), self.by_account[pk].identity))
-        self.apply_moves(sac, rec.balances)
 
     def sensing(self, rec: RoundRecord) -> None:
-        """The primary user's state is drawn, and each admitted sensor reports
+        """The primary user's state is drawn, and each registered sensor reports
         on it in a packet; the packets are ring-signed as one batch and
         uploaded in one call, each followed by its sensor's commitment; then
         the CSC fuses the reports."""
         csc, csc_id, now_upload = rec.csc, rec.csc.config.csc_id, rec.index * ROUND_MS + 200
         rec.pu_truth = 1 if self.stream("channel").random() < self.cfg.p_active else 0
         csc.begin_sensing()
-        members = sorted(rec.admitted, key=lambda n: csc.registered[n.account_id].order)
+        members = [self.by_account[pk] for pk in csc.registered]
         ring = [n.identity.ring_pk for n in members]
         msgid_rng, jobs = self.stream("msgid"), []
         for position, node in enumerate(members):
@@ -475,55 +474,46 @@ class World:
                                        signature=ring_sig.canonical_bytes()))
             rec.txs.append((TxKind.BID_COMMIT, contracts.encode_sensing_commit(
                 csc_id, csc.commitments[pk].digest, pk), self.by_account[pk].identity))
-        try:
-            rec.fusion = csc.fuse()
-        except contracts.NoPackets:
-            rec.fusion = None
-        self.apply_moves(csc, rec.balances)
+        with suppress(contracts.NoPackets):     # the task is voided; fusion_result stays None
+            csc.fuse()
 
     def auction(self, rec: RoundRecord) -> None:
         """On an idle verdict (or none) the bidders reveal both bids and the
         SAC names the second-price winner; either way the SAC is destroyed."""
-        sac = rec.sac
-        if sac.open_reveal(rec.fusion if rec.fusion is not None else 1):
+        sac, fusion = rec.sac, rec.csc.fusion_result
+        if sac.open_reveal(fusion if fusion is not None else 1):
             for pk in list(sac.bidders):
                 valuation, decoy, rnd_real, rnd_decoy = rec.bidder_plan[pk]
                 sac.reveal(pk, [valuation, decoy], [True, False], [rnd_real, rnd_decoy])
                 rec.txs.append((TxKind.REVEAL, contracts.encode_auction_reveal(
                     sac.config.sac_id, [valuation, decoy], [True, False],
                     [rnd_real, rnd_decoy]), self.by_account[pk].identity))
-            try:
-                rec.winner = sac.win()
-            except contracts.NoBidders:
-                rec.winner = None
+            with suppress(contracts.NoBidders):
+                sac.win()
         sac.destroy(sac.config.t_self_d_ms)
-        self.apply_moves(sac, rec.balances)
 
     def settlement(self, rec: RoundRecord) -> None:
-        """Given a verdict, the sensors reveal and the CSC settles; then every
-        account's trust is updated, as inactive where the settlement names no
-        outcome, into the accounts the round's block will hold."""
+        """Given a verdict, the sensors reveal and the CSC settles."""
         csc, csc_id = rec.csc, rec.csc.config.csc_id
-        if rec.fusion is not None:
+        if csc.fusion_result is not None:
             for pk, sr, rnd, msg_id in rec.reveals:
                 rec.txs.append((TxKind.REVEAL, contracts.encode_sensing_reveal(
                     csc_id, sr, rnd, msg_id), self.by_account[pk].identity))
-            rec.settlement = csc.settle(rec.reveals)
-            self.apply_moves(csc, rec.balances)
+            csc.settle(rec.reveals)
             rec.txs.append((TxKind.SETTLEMENT, contracts.encode_settlement(
-                csc_id, rec.fusion, rec.settlement), rec.issuer.identity))
-            rec.outcomes = dict(csc.trust_events())
-        rec.accounts = {aid: replace(account, balance=rec.balances[aid], trust=update_trust(
-                            account.trust, rec.outcomes.get(aid, Outcome.INACTIVE), rec.index,
-                            self.cfg.trust))
-                        for aid, account in rec.parent.items()}
+                csc_id, csc.fusion_result, csc.settlement), rec.issuer.identity))
 
     def sealing(self, rec: RoundRecord) -> None:
-        """One block per candidate over the round's accounts, each paying its
-        own miner the reward last, all signed in one batch; the fork-choice
-        winner is appended and audited, and the report reads the new tip.
-        With inject_forks the smallest other account seals a rival block."""
-        miner, accounts, parent = self._pick_miner(rec.parent), rec.accounts, rec.parent
+        """Trust is updated, inactive where the CSC names no outcome; one block per
+        candidate, each paying its own miner the reward last, all signed in one
+        batch; the fork-choice winner is appended and audited, and the report
+        reads the new tip. With inject_forks the smallest other id seals a rival."""
+        parent, outcomes = rec.parent, dict(rec.csc.trust_events())
+        accounts = {aid: replace(account, balance=rec.balances[aid], trust=update_trust(
+                        account.trust, outcomes.get(aid, Outcome.INACTIVE), rec.index,
+                        self.cfg.trust))
+                    for aid, account in parent.items()}
+        miner = self._pick_miner(parent)
         candidates = [miner]
         if self.cfg.inject_forks and len(self.nodes) > 1:
             candidates.append(next(n for n in sorted(self.nodes, key=lambda n: n.account_id)
@@ -549,13 +539,13 @@ class World:
             rows.append(RoundRow(
                 node=node.label, kind=node.profile.kind.value,
                 uploaded=node.account_id in rec.csc.commitments,
-                outcome=rec.outcomes.get(node.account_id, Outcome.INACTIVE).value,
+                outcome=outcomes.get(node.account_id, Outcome.INACTIVE).value,
                 tv_after=tip[node.account_id].trust.tv, tv_mining=tv_mining,
                 z_bits=consensus.mining_target(
                     tv_mining, self.cfg.difficulty.beta0).leading_zero_bits,
                 tokens=tip[node.account_id].balance))
-        rec.report = RoundReport(round=rec.index, pu_truth=rec.pu_truth,
-                                 fusion_result=rec.fusion, rows=rows, warmup=rec.warmup,
+        rec.report = RoundReport(round=rec.index, pu_truth=rec.pu_truth, warmup=rec.warmup,
+                                 fusion_result=rec.csc.fusion_result, rows=rows,
                                  miner=self.by_account[block.header.miner_id].label)
 
     def _pick_miner(self, parent_state) -> Node:
@@ -710,16 +700,17 @@ def demo_round(cfg: SimConfig, pu_force: str) -> dict:
     if pu_force == "none":
         world.force_flip = {(0, DEMO_DISSENTER)}
     rec = world.new_round(0)
-    for phase in PHASES:
-        getattr(world, phase)(rec)
+    world.play(rec)
+    csc, winner = rec.csc, rec.sac.winner
     labels = {node.account_id: f"{kind}{i + 1}" for kind, group in
               (("sensor", sensors), ("bidder", bidders)) for i, node in enumerate(group)}
     return {
-        "selected_trusts": sorted(DEMO_TRUSTS[node.index] for node in rec.admitted),
+        "selected_trusts": sorted(DEMO_TRUSTS[world.by_account[pk].index]
+                                  for pk in csc.registered),
         "rejected": sorted(labels[node.account_id] for node in rec.refused),
-        "fusion": rec.fusion,
-        "winner": labels[rec.winner[0]] if rec.winner else None,
-        "price": rec.winner[1] if rec.winner else None,
+        "fusion": csc.fusion_result,
+        "winner": labels[winner[0]] if winner else None,
+        "price": winner[1] if winner else None,
         "settlement": {labels[pk]: (entry.outcome.value, entry.reward, entry.deposit_returned)
-                       for pk, entry in rec.settlement.items()},
+                       for pk, entry in csc.settlement.items()},
     }

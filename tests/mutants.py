@@ -185,6 +185,23 @@ MUTANTS = (
            "            raise DuplicateTag(\"sensor already registered\")\n",
            "",
            ("test_contracts.py::test_register_refuses_a_key_already_registered",)),
+    Mutant("sac-register-accepts-a-bidder-twice", "src/potchain/contracts.py",
+           "            raise DuplicateTag(\"bidder already registered\")\n",
+           "            return True\n",
+           ("test_contracts.py::test_sac_register_refuses_a_bidder_already_registered",)),
+    Mutant("commitment-binds-no-csc", "src/potchain/contracts.py",
+           "        if commitment.csc_id != self.config.csc_id:\n",
+           "        if False:\n",
+           ("test_contracts.py::test_a_commitment_made_for_another_csc_is_refused",)),
+    Mutant("play-drains-once-at-the-end", "src/potchain/simnet.py",
+           "            getattr(self, phase)(rec)\n"
+           "            for contract in (rec.csc, rec.sac):\n"
+           "                self.apply_moves(contract, rec.balances)\n",
+           "            getattr(self, phase)(rec)\n"
+           "        for contract in (rec.csc, rec.sac):\n"
+           "            self.apply_moves(contract, rec.balances)\n",
+           ("test_simnet.py::test_world_runs_and_chain_verifies",
+            "test_simnet.py::test_the_chain_state_is_the_only_account_book")),
     Mutant("commit-escrows-any-value", "src/potchain/contracts.py",
            "        if not 0 <= attached_value < ledger.U64:\n",
            "        if False:\n",

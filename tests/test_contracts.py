@@ -31,6 +31,7 @@ from potchain.contracts import (
     SettlementRecord,
     TooEarly,
     TooManyCommits,
+    WrongContract,
     WrongPhase,
     convert,
 )
@@ -440,6 +441,18 @@ def test_settle_silent_registrant_forfeits(identities):
     assert settlement[reveals[0][0]].outcome is Outcome.INCONSISTENT
 
 
+def test_a_commitment_made_for_another_csc_is_refused(identities):
+    """A commitment names the CSC it was made for; another CSC refuses it
+    before storing it, and the sensor may still commit to its own."""
+    csc = registered_csc(identities)
+    pk, rnd = next(iter(csc.registered)), bytes(32)
+    with pytest.raises(WrongContract):
+        csc.add_commitment(crypto.commit(1, rnd, b"m", crypto.sha256(b"other-csc")[:16], pk))
+    assert csc.commitments == {}
+    csc.add_commitment(crypto.commit(1, rnd, b"m", CSC_ID, pk))
+    assert csc.commitments[pk].csc_id == CSC_ID
+
+
 def test_settle_ambiguous_link_forfeits_both(identities):
     rng = Random(11)
     csc = registered_csc(identities)
@@ -652,6 +665,18 @@ def test_sac_register_refuses_a_deposit_the_wire_cannot_carry(identities, deposi
     with pytest.raises(BadValue):
         sac.register(pk, deposit)
     assert sac.pending_moves == [contracts.TokenMove("escrow", pk, (1 << 64) - 1)]
+
+
+def test_sac_register_refuses_a_bidder_already_registered(identities):
+    """A second registration would tell the caller to write a second
+    deposit nobody escrowed: it is refused before anything is queued, and
+    the first registration stands."""
+    sac, pk = new_sac(), identities[0].account_id
+    assert sac.register(pk, 100)
+    with pytest.raises(DuplicateTag):
+        sac.register(pk, 300)
+    assert sac.bidders == {pk: 100}
+    assert sac.pending_moves == [contracts.TokenMove("escrow", pk, 100)]
 
 
 def test_register_cap(identities):

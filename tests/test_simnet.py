@@ -548,12 +548,12 @@ SIGNING_PHASE = {"ring_sign_batch": "sensing", "ring_verify_batch": "sensing",
 
 
 def test_only_sensing_and_sealing_sign_or_check_signatures(monkeypatch):
-    """smoke.cfg, which seals a rival block each round, played phase by
-    phase with every signing and checking entry point of `crypto` raising
-    outside its phase: ring signing and the CSC's ring check in sensing,
-    every Ed25519 signature and check in sealing. The other five phases
-    move contract state, tokens and trust only, and the reports are
-    run_round's."""
+    """smoke.cfg, which seals a rival block each round, run through
+    `World.play` with each phase method marking its phase and every signing
+    and checking entry point of `crypto` raising outside its phase: ring
+    signing and the CSC's ring check in sensing, every Ed25519 signature and
+    check in sealing. The other five phases move contract state and tokens
+    only, and the reports are an unwrapped run's."""
     sim = replace(load_config(CONFIG_DIR / "smoke.cfg").sim, rounds=20)
     assert sim.inject_forks and sim.rounds > sim.warmup
     expected = World(sim).run()
@@ -567,14 +567,16 @@ def test_only_sensing_and_sealing_sign_or_check_signatures(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
+    def marked(name, fn):
+        def call(rec):
+            phase[0] = name
+            return fn(rec)
+        return call
+
     for name in SIGNING_PHASE:
         monkeypatch.setattr(crypto, name, guarded(name, getattr(crypto, name)))
-    world, reports = World(sim), []
-    for r in range(sim.rounds):
-        rec = world.new_round(r)
-        for name in simnet.PHASES:
-            phase[0] = name
-            getattr(world, name)(rec)
-        reports.append(rec.report)
-    assert reports == expected
+    world = World(sim)
+    for name in simnet.PHASES:
+        monkeypatch.setattr(world, name, marked(name, getattr(world, name)))
+    assert world.run() == expected
     assert called == set(SIGNING_PHASE)
