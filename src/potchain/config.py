@@ -15,7 +15,7 @@ one line per node kind.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .consensus import DifficultyParams
@@ -29,6 +29,7 @@ from .simnet import (
     SelectionScheme,
     SettingInvalid,
     SimConfig,
+    recovery_probe,
 )
 from .trust import TrustParams, check_onoff_resistance
 
@@ -60,12 +61,7 @@ class RunConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigInvalid("run.experiment",
                                 f"must be one of {', '.join(EXPERIMENTS)}")
-        try:
-            self.sim.validate()
-        except SettingInvalid as exc:
-            section = _SECTION_OF.get(exc.field_name)
-            name = f"{section}.{exc.field_name}" if section else exc.field_name
-            raise ConfigInvalid(name, exc.message) from exc
+        _validate_sim(self.sim)
         trust = self.sim.trust
         if self.experiment != "demo-round" and not check_onoff_resistance(
                 trust.rho, trust.eta):
@@ -85,6 +81,11 @@ class RunConfig:
             raise ConfigInvalid("sensing-experiment.n1_sweep", "an n1 outside [1, 2^16)")
         if self.rounds_per_point < 1:
             raise ConfigInvalid("sensing-experiment.rounds_per_point", "must be >= 1")
+        # each World an experiment builds checks the settings again at its own length
+        if self.experiment == "sensing":
+            _validate_sim(replace(self.sim, rounds=self.sim.warmup + self.rounds_per_point))
+        if self.experiment == "onoff":
+            _validate_sim(replace(self.sim, rounds=recovery_probe(self.sim)[1]))
         population = sum(group.count for group in self.sim.population)
         if self.experiment == "sensing" and not (set(AC4_POINTS) & set(self.n1_sweep)
                                                  or max(self.n1_sweep, default=0) >= population):
@@ -101,6 +102,15 @@ class RunConfig:
                 raise ConfigInvalid(
                     "population", f"demo-round scripts {len(DEMO_TRUSTS)} sensors "
                     f"(participation 1) then {len(DEMO_BIDS)} bidders (participation 0)")
+
+
+def _validate_sim(sim: SimConfig) -> None:
+    try:
+        sim.validate()
+    except SettingInvalid as exc:
+        section = _SECTION_OF.get(exc.field_name)
+        name = f"{section}.{exc.field_name}" if section else exc.field_name
+        raise ConfigInvalid(name, exc.message) from exc
 
 
 def _bool(raw: str) -> bool:

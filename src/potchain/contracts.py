@@ -159,32 +159,29 @@ class CscConfig:
 
 @dataclass
 class Registration:
-    pk: bytes
     ring_pk: RingPublicKey
     deposit: int
     effective_tv: float
-    order: int
 
 
 @dataclass
 class SettlementRecord:
+    """One _SETTLEMENT_ENTRY: what a sensor's deposit and report came to."""
     outcome: Outcome
     reward: int
     deposit_returned: int
-    ambiguous: bool = False
 
 
 @dataclass
 class CscState:
     config: CscConfig
     phase: CscPhase = CscPhase.REGISTERING
-    registered: dict = field(default_factory=dict)       # pk -> Registration
-    packets: list = field(default_factory=list)          # (SensingPacket, RingSignature)
+    registered: dict = field(default_factory=dict)       # pk -> Registration, in arrival order
+    packets: dict = field(default_factory=dict)          # msg_id_hash -> (packet, ring sig)
     commitments: dict = field(default_factory=dict)      # pk -> Commitment
     fusion_result: int | None = None
     settlement: dict = field(default_factory=dict)       # pk -> SettlementRecord
     pending_moves: list = field(default_factory=list)
-    _arrivals: int = 0
 
     def _require(self, phase: CscPhase) -> None:
         if self.phase is not phase:
@@ -207,19 +204,14 @@ class CscState:
         effective = tv + convert(deposit - cfg.d_s)
         if effective <= cfg.tv_thr:
             raise BelowThreshold(f"effective trust {effective:.4f} <= {cfg.tv_thr}")
-        reg = Registration(pk=pk, ring_pk=ring_pk, deposit=deposit,
-                           effective_tv=effective, order=self._arrivals)
-        self._arrivals += 1
-        if len(self.registered) < cfg.n1:
-            self.registered[pk] = reg
-            self.pending_moves.append(TokenMove("escrow", pk, deposit))
-            return True
-        lowest = min(self.registered.values(), key=lambda r: (r.effective_tv, r.pk))
-        if effective <= lowest.effective_tv:
-            return False
-        del self.registered[lowest.pk]
-        self.pending_moves.append(TokenMove("refund", lowest.pk, lowest.deposit))
-        self.registered[pk] = reg
+        if len(self.registered) >= cfg.n1:
+            lowest_pk, lowest = min(self.registered.items(),
+                                    key=lambda item: (item[1].effective_tv, item[0]))
+            if effective <= lowest.effective_tv:
+                return False
+            del self.registered[lowest_pk]
+            self.pending_moves.append(TokenMove("refund", lowest_pk, lowest.deposit))
+        self.registered[pk] = Registration(ring_pk, deposit, effective)
         self.pending_moves.append(TokenMove("escrow", pk, deposit))
         return True
 
@@ -243,12 +235,13 @@ class CscState:
         if not all(verified):
             raise IllegalRing(f"upload {verified.index(False)}: "
                               "ring signature does not verify")
-        tags = {p.msg_id_hash for p, _ in self.packets}
-        for i, (packet, _) in enumerate(uploads):
-            if packet.msg_id_hash in tags:
+        batch = {}
+        for i, (packet, ring_sig) in enumerate(uploads):
+            tag = packet.msg_id_hash
+            if tag in self.packets or tag in batch:
                 raise DuplicateTag(f"upload {i}: msg id hash already uploaded")
-            tags.add(packet.msg_id_hash)
-        self.packets += uploads
+            batch[tag] = packet, ring_sig
+        self.packets.update(batch)
 
     def add_commitment(self, commitment: Commitment) -> None:
         self._require(CscPhase.SENSING)
@@ -265,10 +258,10 @@ class CscState:
         self._require(CscPhase.SENSING)
         if not self.packets:
             self.phase = CscPhase.VOIDED
-            for reg in self.registered.values():
-                self.pending_moves.append(TokenMove("refund", reg.pk, reg.deposit))
+            for pk, reg in self.registered.items():
+                self.pending_moves.append(TokenMove("refund", pk, reg.deposit))
             raise NoPackets("no sensing packets; task voided")
-        ones = sum(p.sensing_result for p, _ in self.packets)
+        ones = sum(p.sensing_result for p, _ in self.packets.values())
         zeros = len(self.packets) - ones
         self.fusion_result = 1 if ones >= zeros else 0
         self.phase = CscPhase.REVEALING
@@ -278,13 +271,13 @@ class CscState:
         """Link packets to sensors via reveals, pay rewards, emit outcomes.
 
         reveals: list of (pk, sr, rnd, msg_id). Registered sensors that end
-        up with no validly linked packet forfeit their deposit.
+        up with no validly linked packet forfeit their deposit, as do both
+        sensors when two open one packet.
         """
         self._require(CscPhase.REVEALING)
         assert self.fusion_result is not None
         claimed: dict[bytes, bytes] = {}      # msg_id_hash -> pk
-        ambiguous: set[bytes] = set()
-        linked: dict[bytes, SensingPacket] = {}
+        linked: dict[bytes, int] = {}         # pk -> the result its packet reports
 
         for pk, sr, rnd, msg_id in reveals:
             commitment = self.commitments.get(pk)
@@ -293,27 +286,22 @@ class CscState:
             if not crypto.reveal_check(commitment, sr, rnd, msg_id):
                 continue
             tag = crypto.sha256(msg_id)
-            packet = next((p for p, _ in self.packets if p.msg_id_hash == tag), None)
-            if packet is None or packet.sensing_result != (sr & 1):
+            if tag not in self.packets or self.packets[tag][0].sensing_result != (sr & 1):
                 continue
-            if tag in claimed:
-                ambiguous.add(claimed[tag])
-                ambiguous.add(pk)
+            if tag in claimed:      # a second opener: the packet links to neither
+                linked.pop(claimed[tag], None)
                 continue
             claimed[tag] = pk
-            linked[pk] = packet
+            linked[pk] = sr & 1
 
         for pk, reg in sorted(self.registered.items()):
-            if pk in ambiguous:
-                record = SettlementRecord(Outcome.INCONSISTENT, 0, 0, ambiguous=True)
-                self.pending_moves.append(TokenMove("burn", pk, reg.deposit))
-            elif pk in linked and linked[pk].sensing_result == self.fusion_result:
+            if linked.get(pk) == self.fusion_result:
                 record = SettlementRecord(Outcome.CONSISTENT,
                                           self.config.reward_sensing, reg.deposit)
                 self.pending_moves.append(TokenMove("refund", pk, reg.deposit))
                 self.pending_moves.append(
                     TokenMove("reward", pk, self.config.reward_sensing))
-            else:   # linked to a dissenting packet, or to none
+            else:   # linked to a dissenting packet, to a shared one, or to none
                 record = SettlementRecord(Outcome.INCONSISTENT, 0, 0)
                 self.pending_moves.append(TokenMove("burn", pk, reg.deposit))
             self.settlement[pk] = record
@@ -363,19 +351,12 @@ class BlindedBid:
 
 
 @dataclass
-class RevealRecord:
-    total_valid_bid: int
-    refund: int
-    order: int
-
-
-@dataclass
 class SacState:
     config: SacConfig
     phase: SacPhase = SacPhase.REGISTERING
     bidders: dict = field(default_factory=dict)       # pk -> deposit
     bids_list: dict = field(default_factory=dict)     # pk -> [BlindedBid]
-    revealed: dict = field(default_factory=dict)      # pk -> RevealRecord
+    revealed: dict = field(default_factory=dict)      # pk -> total valid bid, in reveal order
     winner: tuple | None = None                       # (pk, price), set by win()
     pending_moves: list = field(default_factory=list)
 
@@ -429,8 +410,9 @@ class SacState:
         return True
 
     def reveal(self, pk: bytes, dps: list[int], bools: list[bool],
-               rnds: list[bytes]) -> RevealRecord:
-        """Open this bidder's commits in order; mismatches burn that escrow.
+               rnds: list[bytes]) -> int:
+        """Open this bidder's commits in order and return its total valid bid;
+        decoys are refunded, and mismatches burn that escrow.
         Every entry is checked before any bid is marked or refunded."""
         self._require(SacPhase.REVEALING)
         if not len(dps) == len(bools) == len(rnds):
@@ -443,7 +425,7 @@ class SacState:
             raise NotRegistered("reveal from unregistered bidder")
         if pk in self.revealed:
             raise DuplicateTag("bidder already revealed")
-        total, refund = 0, 0
+        total = 0
         commits = self.bids_list[pk]
         for i, bid in enumerate(commits):
             if i >= len(dps):
@@ -457,31 +439,26 @@ class SacState:
                 total += dps[i]
             else:
                 bid.status = "decoy"
-                refund += dps[i]
                 self.pending_moves.append(TokenMove("refund", pk, dps[i]))
-        record = RevealRecord(total_valid_bid=total, refund=refund,
-                              order=len(self.revealed))
-        self.revealed[pk] = record
-        return record
+        self.revealed[pk] = total
+        return total
 
     def win(self) -> tuple:
-        """Second-price settlement over the revealed totals."""
+        """Second-price settlement over the revealed totals; equal totals go
+        to the earlier reveal."""
         self._require(SacPhase.REVEALING)
-        entrants = [(pk, rec) for pk, rec in self.revealed.items()
-                    if rec.total_valid_bid > 0]
+        entrants = [(pk, total) for pk, total in self.revealed.items() if total > 0]
         if not entrants:
             self.phase = SacPhase.CLOSED
             raise NoBidders("no valid revealed bids")
-        entrants.sort(key=lambda e: (-e[1].total_valid_bid, e[1].order, e[0]))
-        winner_pk, winner_rec = entrants[0]
-        price = (entrants[1][1].total_valid_bid if len(entrants) > 1
-                 else winner_rec.total_valid_bid)
+        entrants.sort(key=lambda e: -e[1])      # stable: reveal order breaks ties
+        (winner_pk, top), rest = entrants[0], entrants[1:]
+        price = rest[0][1] if rest else top
         self.pending_moves.append(TokenMove("burn", winner_pk, price))
-        if winner_rec.total_valid_bid > price:
-            self.pending_moves.append(
-                TokenMove("refund", winner_pk, winner_rec.total_valid_bid - price))
-        for pk, rec in entrants[1:]:
-            self.pending_moves.append(TokenMove("refund", pk, rec.total_valid_bid))
+        if top > price:
+            self.pending_moves.append(TokenMove("refund", winner_pk, top - price))
+        for pk, total in rest:
+            self.pending_moves.append(TokenMove("refund", pk, total))
         self.phase = SacPhase.CLOSED
         self.winner = winner_pk, price
         return self.winner

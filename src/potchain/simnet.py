@@ -154,7 +154,7 @@ class SimConfig:
             # room for all a run can credit one account: each round's rewards
             ("initial_balance", 0 <= self.initial_balance
              < ledger.U64 - self.rounds * (REWARD_MINING + self.reward_sensing),
-             "outside [0, 2^64 - rounds * (REWARD_MINING + reward_sensing))"),
+             f"outside [0, 2^64 - {self.rounds} rounds * (REWARD_MINING + reward_sensing))"),
             ("rsa_bits", crypto.MIN_RSA_BITS <= self.rsa_bits <= crypto.MAX_RSA_BITS,
              f"outside [{crypto.MIN_RSA_BITS}, {crypto.MAX_RSA_BITS}]"),
         )
@@ -399,12 +399,13 @@ class World:
                 rec.refused.append(node)
 
     def selection(self, rec: RoundRecord) -> None:
-        """The sensors are selected from the applicants (warm-up rounds select
-        them all) and register with the CSC, which escrows their deposits."""
+        """At most the CSC's n1 sensors are selected from the applicants (in
+        warm-up that seats them all) and register with the CSC, which escrows
+        their deposits."""
         csc, parent = rec.csc, rec.parent
         candidates = [self.by_account[aid] for aid in rec.deposits]
-        selected = candidates if rec.warmup else select_sensors(
-            candidates, self.cfg.selection, self.cfg.n1, self.stream("select"), parent)
+        selected = select_sensors(candidates, self.cfg.selection, csc.config.n1,
+                                  self.stream("select"), parent)
         for node in selected:
             deposit, tv = rec.deposits[node.account_id], parent[node.account_id].trust.tv
             if csc.register(node.account_id, node.identity.ring_pk, deposit, tv):
@@ -644,18 +645,24 @@ def experiment_onoff(cfg: SimConfig) -> tuple[list[str], dict]:
 RECOVERY_TOLERANCE = 0.02   # trust deviation that counts as recovered
 
 
-def injected_error_recovery(cfg: SimConfig) -> dict:
-    """Paired runs that differ in one flipped report of node 0.
+def recovery_probe(cfg: SimConfig) -> tuple[int, int]:
+    """The round in which the recovery probe flips node 0's report, 15 rounds
+    after warm-up, and the rounds each of its runs lasts: three trust windows
+    more, plus five."""
+    error_round = cfg.warmup + 15
+    return error_round, error_round + 3 * cfg.trust.window + 5
 
-    The flip lands 15 rounds after warm-up; both runs go on for three trust
-    windows plus five rounds. Reports how many rounds node 0's trust took to
-    come back within RECOVERY_TOLERANCE of the unflipped run, the largest
+
+def injected_error_recovery(cfg: SimConfig) -> dict:
+    """Paired runs of `recovery_probe`'s length that differ in one flipped
+    report of node 0. Reports how many rounds node 0's trust took to come
+    back within RECOVERY_TOLERANCE of the unflipped run, the largest
     deviation from one window after the flip on, and whether the flip left
     every fused verdict unchanged.
     """
     window = cfg.trust.window
-    error_round = cfg.warmup + 15
-    probe = replace(cfg, rounds=error_round + 3 * window + 5)
+    error_round, rounds = recovery_probe(cfg)
+    probe = replace(cfg, rounds=rounds)
     flipped = World(probe)
     flipped.force_flip = {(error_round, 0)}
     pairs = list(zip(World(probe).run(), flipped.run()))

@@ -193,6 +193,18 @@ MUTANTS = (
            "        if commitment.csc_id != self.config.csc_id:\n",
            "        if False:\n",
            ("test_contracts.py::test_a_commitment_made_for_another_csc_is_refused",)),
+    Mutant("ambiguous-claimer-paid", "src/potchain/contracts.py",
+           "                linked.pop(claimed[tag], None)\n",
+           "",
+           ("test_contracts.py::test_settle_ambiguous_link_forfeits_both",)),
+    Mutant("repeated-tag-across-uploads", "src/potchain/contracts.py",
+           "            if tag in self.packets or tag in batch:\n",
+           "            if tag in batch:\n",
+           ("test_contracts.py::test_upload_batch_duplicate_tag_within_and_across_batches",)),
+    Mutant("reveal-tie-by-key", "src/potchain/contracts.py",
+           "        entrants.sort(key=lambda e: -e[1])",
+           "        entrants.sort(key=lambda e: (-e[1], e[0]))",
+           ("test_contracts.py::test_second_price_matches_oracle_random_profiles",)),
     Mutant("play-drains-once-at-the-end", "src/potchain/simnet.py",
            "            getattr(self, phase)(rec)\n"
            "            for contract in (rec.csc, rec.sac):\n"

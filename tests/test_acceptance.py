@@ -13,7 +13,7 @@ import pytest
 
 from potchain import cli, consensus, contracts, crypto, ledger, simnet
 from potchain.config import load_config
-from potchain.contracts import RevealRecord, SacConfig, SacState, SacPhase
+from potchain.contracts import SacConfig, SacState, SacPhase
 from potchain.ledger import AccountState, Chain
 from potchain.trust import (
     TrustParams,
@@ -172,7 +172,7 @@ def sac_with_totals(totals: list[int]) -> SacState:
         pk = bytes([i]) * 32
         sac.bidders[pk] = 1
         sac.bids_list[pk] = []
-        sac.revealed[pk] = RevealRecord(total_valid_bid=amount, refund=0, order=i)
+        sac.revealed[pk] = amount         # revealed in index order
     return sac
 
 

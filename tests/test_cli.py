@@ -424,6 +424,40 @@ def test_a_sweep_names_each_ac4_check_it_skips(tmp_path, capsys):
     assert not any(line.startswith("AC4-dominance-n3: SKIP") for line in lines)
 
 
+@pytest.mark.parametrize("preset, edits, rounds", [
+    ("sensing_schemes.cfg", {"simulation": {"initial_balance": "18446744073709550000"},
+                             "sensing-experiment": {"n1_sweep": "5", "rounds_per_point": "2"}},
+     12 + 2),
+    ("trust_curves.cfg", {"run": {"rounds": "10"},
+                          "simulation": {"initial_balance": "18446744073709546616"}},
+     30 + 15 + 3 * 10 + 5),
+], ids=["sensing-point", "recovery-probe"])
+def test_a_balance_without_room_for_a_world_the_experiment_builds_is_refused(
+        tmp_path, capsys, preset, edits, rounds):
+    """The balance leaves room for the rewards of [run] rounds, but not for
+    those of a longer World the experiment builds: a sensing point runs
+    warm-up plus rounds_per_point rounds, and the on-off recovery probe
+    runs past rounds = 10. The load refuses it, naming that length, so no
+    run starts and fails midway."""
+    parser = configparser.ConfigParser()
+    parser.read(CONFIG_DIR / preset)
+    for section, options in edits.items():
+        for option, value in options.items():
+            parser.set(section, option, value)
+    path = tmp_path / preset
+    with path.open("w") as fh:
+        parser.write(fh)
+    with pytest.raises(ConfigInvalid) as err:
+        load_config(path)
+    assert err.value.field_name == "simulation.initial_balance"
+    assert f"2^64 - {rounds} rounds" in err.value.message
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("config invalid - simulation.initial_balance: ")
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_an_onoff_run_names_the_node_type_it_lacks(tmp_path, capsys):
     path = write_cfg(tmp_path, experiment="onoff")
     assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -24,11 +24,11 @@ from potchain.contracts import (
     NoPackets,
     NotRegistered,
     PastDeadline,
-    RevealRecord,
     SacConfig,
     SacPhase,
     SacState,
     SettlementRecord,
+    TokenMove,
     TooEarly,
     TooManyCommits,
     WrongContract,
@@ -208,20 +208,19 @@ def registered_csc(identities, trusts=None, n1=3, tv_thr=0.90):
 
 def upload_for(csc, identities, sensor_results, rng):
     """Each registered sensor uploads one ring-signed packet + commitment."""
-    members = sorted(csc.registered.values(), key=lambda r: r.order)
-    ring = [r.ring_pk for r in members]
+    ring = [r.ring_pk for r in csc.registered.values()]
     by_account = {i.account_id: i for i in identities}
     reveals = []
-    for position, reg in enumerate(members):
-        ident = by_account[reg.pk]
-        sr = sensor_results[reg.pk]
+    for position, pk in enumerate(csc.registered):
+        ident = by_account[pk]
+        sr = sensor_results[pk]
         msg_id = rng.getrandbits(128).to_bytes(16, "big")
         rnd = rng.getrandbits(256).to_bytes(32, "big")
         packet = crypto.make_packet(msg_id, sr, 500)
         sig = crypto.ring_sign(packet, position, ident.ring_sk, ring, crypto.ring_draws(ring, rng))
         csc.upload([(packet, sig)], 500)
-        csc.add_commitment(crypto.commit(sr, rnd, msg_id, CSC_ID, reg.pk))
-        reveals.append((reg.pk, sr, rnd, msg_id))
+        csc.add_commitment(crypto.commit(sr, rnd, msg_id, CSC_ID, pk))
+        reveals.append((pk, sr, rnd, msg_id))
     return reveals
 
 
@@ -242,8 +241,7 @@ def test_upload_rejects_foreign_ring(identities):
     rng = Random(2)
     csc = registered_csc(identities)
     outsider = identities[5]
-    members = sorted(csc.registered.values(), key=lambda r: r.order)
-    ring = [r.ring_pk for r in members[:-1]] + [outsider.ring_pk]
+    ring = [r.ring_pk for r in csc.registered.values()][:-1] + [outsider.ring_pk]
     packet = crypto.make_packet(b"m", 1, 100)
     sig = crypto.ring_sign(packet, len(ring) - 1, outsider.ring_sk, ring,
                            crypto.ring_draws(ring, rng))
@@ -254,9 +252,8 @@ def test_upload_rejects_foreign_ring(identities):
 def test_upload_rejects_invalid_signature(identities):
     rng = Random(3)
     csc = registered_csc(identities)
-    members = sorted(csc.registered.values(), key=lambda r: r.order)
-    ring = [r.ring_pk for r in members]
-    ident = next(i for i in identities if i.account_id == members[0].pk)
+    ring = [r.ring_pk for r in csc.registered.values()]
+    ident = next(i for i in identities if i.account_id == next(iter(csc.registered)))
     packet = crypto.make_packet(b"m", 1, 100)
     sig = crypto.ring_sign(packet, 0, ident.ring_sk, ring, crypto.ring_draws(ring, rng))
     other = crypto.make_packet(b"m", 0, 100)
@@ -267,9 +264,8 @@ def test_upload_rejects_invalid_signature(identities):
 def test_upload_past_deadline(identities):
     rng = Random(4)
     csc = registered_csc(identities)
-    members = sorted(csc.registered.values(), key=lambda r: r.order)
-    ring = [r.ring_pk for r in members]
-    ident = next(i for i in identities if i.account_id == members[0].pk)
+    ring = [r.ring_pk for r in csc.registered.values()]
+    ident = next(i for i in identities if i.account_id == next(iter(csc.registered)))
     packet = crypto.make_packet(b"m", 1, 100)
     sig = crypto.ring_sign(packet, 0, ident.ring_sk, ring, crypto.ring_draws(ring, rng))
     with pytest.raises(PastDeadline):
@@ -279,14 +275,14 @@ def test_upload_past_deadline(identities):
 def test_upload_duplicate_tag(identities):
     rng = Random(5)
     csc = registered_csc(identities)
-    members = sorted(csc.registered.values(), key=lambda r: r.order)
-    ring = [r.ring_pk for r in members]
+    members = list(csc.registered)
+    ring = [r.ring_pk for r in csc.registered.values()]
     by_account = {i.account_id: i for i in identities}
     packet = crypto.make_packet(b"same-id", 1, 100)
-    first = crypto.ring_sign(packet, 0, by_account[members[0].pk].ring_sk, ring,
+    first = crypto.ring_sign(packet, 0, by_account[members[0]].ring_sk, ring,
                              crypto.ring_draws(ring, rng))
     csc.upload([(packet, first)], 100)
-    second = crypto.ring_sign(packet, 1, by_account[members[1].pk].ring_sk, ring,
+    second = crypto.ring_sign(packet, 1, by_account[members[1]].ring_sk, ring,
                               crypto.ring_draws(ring, rng))
     with pytest.raises(DuplicateTag):
         csc.upload([(packet, second)], 100)
@@ -295,14 +291,14 @@ def test_upload_duplicate_tag(identities):
 def signed_uploads(csc, identities, msg_ids, rng):
     """One (packet, ring signature) upload per msg id, signed in one batch
     by the registered sensors in turn."""
-    members = sorted(csc.registered.values(), key=lambda r: r.order)
-    ring = [r.ring_pk for r in members]
+    members = list(csc.registered)
+    ring = [r.ring_pk for r in csc.registered.values()]
     by_account = {i.account_id: i for i in identities}
     jobs = []
     for i, msg_id in enumerate(msg_ids):
         signer = i % len(members)
         jobs.append((crypto.make_packet(msg_id, 1, 100), signer,
-                     by_account[members[signer].pk].ring_sk, ring))
+                     by_account[members[signer]].ring_sk, ring))
     sigs = crypto.ring_sign_batch(jobs, rng)
     return [(job[0], sig) for job, sig in zip(jobs, sigs)]
 
@@ -318,7 +314,7 @@ def test_upload_batch_bad_signature_in_either_share(identities, one_worker, bad)
     uploads[bad] = (crypto.make_packet(b"forged", 0, 100), sig)
     with pytest.raises(IllegalRing, match=f"upload {bad}: ring signature does not verify"):
         csc.upload(uploads, 100)
-    assert csc.packets == []
+    assert csc.packets == {}
     del uploads[bad]
     csc.upload(uploads, 100)
     assert len(csc.packets) == 3
@@ -329,11 +325,11 @@ def test_upload_batch_duplicate_tag_within_and_across_batches(identities, one_wo
     uploads = signed_uploads(csc, identities, [b"a", b"b", b"c", b"a"], Random(31))
     with pytest.raises(DuplicateTag, match="upload 3"):
         csc.upload(uploads, 100)
-    assert csc.packets == []
+    assert csc.packets == {}
     csc.upload(uploads[:2], 100)
     with pytest.raises(DuplicateTag, match="upload 1"):
         csc.upload(uploads[2:], 100)
-    assert csc.packets == uploads[:2]
+    assert list(csc.packets.values()) == uploads[:2]
 
 
 def test_upload_batch_past_deadline_admits_none(identities):
@@ -341,7 +337,7 @@ def test_upload_batch_past_deadline_admits_none(identities):
     uploads = signed_uploads(csc, identities, [b"a", b"b", b"c"], Random(32))
     with pytest.raises(PastDeadline):
         csc.upload(uploads, 5000)
-    assert csc.packets == []
+    assert csc.packets == {}
 
 
 def test_upload_batch_with_a_foreign_ring_admits_none(identities):
@@ -354,7 +350,7 @@ def test_upload_batch_with_a_foreign_ring_admits_none(identities):
                                              crypto.ring_draws(ring, Random(34)))))
     with pytest.raises(IllegalRing, match="upload 2: ring contains an unregistered key"):
         csc.upload(uploads, 100)
-    assert csc.packets == []
+    assert csc.packets == {}
 
 
 def test_fuse_unanimous_idle(identities):
@@ -368,8 +364,7 @@ def test_fuse_unanimous_idle(identities):
 def test_fuse_tie_declares_busy(identities):
     rng = Random(7)
     csc = registered_csc(identities[:2], trusts=(0.95, 0.96), n1=2)
-    regs = sorted(csc.registered.values(), key=lambda r: r.order)
-    results = {regs[0].pk: 0, regs[1].pk: 1}
+    results = dict(zip(csc.registered, (0, 1)))
     upload_for(csc, identities, results, rng)
     assert csc.fuse() == 1
 
@@ -390,8 +385,8 @@ def test_fusion_rule_matches_bruteforce_majority():
         for bits in itertools.product((0, 1), repeat=size):
             csc = new_csc()
             csc.begin_sensing()
-            csc.packets = [(crypto.make_packet(bytes([i]), bit, 500), None)
-                           for i, bit in enumerate(bits)]
+            packets = [crypto.make_packet(bytes([i]), bit, 500) for i, bit in enumerate(bits)]
+            csc.packets = {p.msg_id_hash: (p, None) for p in packets}
             assert csc.fuse() == brute_force_majority(list(bits)), bits
 
 
@@ -453,27 +448,49 @@ def test_a_commitment_made_for_another_csc_is_refused(identities):
     assert csc.commitments[pk].csc_id == CSC_ID
 
 
-def test_settle_ambiguous_link_forfeits_both(identities):
+def settled_with_a_shared_packet(identities):
+    """A settled CSC whose first two sensors both opened its one packet;
+    returns it and those two sensors' keys."""
     rng = Random(11)
     csc = registered_csc(identities)
-    members = sorted(csc.registered.values(), key=lambda r: r.order)
-    ring = [r.ring_pk for r in members]
+    members = list(csc.registered)
+    ring = [r.ring_pk for r in csc.registered.values()]
     by_account = {i.account_id: i for i in identities}
     msg_id = b"shared-identifier"
     packet = crypto.make_packet(msg_id, 1, 100)
-    sig = crypto.ring_sign(packet, 0, by_account[members[0].pk].ring_sk, ring,
+    sig = crypto.ring_sign(packet, 0, by_account[members[0]].ring_sk, ring,
                            crypto.ring_draws(ring, rng))
     csc.upload([(packet, sig)], 100)
     reveals = []
-    for reg in members[:2]:          # two sensors claim the same packet
+    for pk in members[:2]:          # two sensors claim the same packet
         rnd = rng.getrandbits(256).to_bytes(32, "big")
-        csc.add_commitment(crypto.commit(1, rnd, msg_id, CSC_ID, reg.pk))
-        reveals.append((reg.pk, 1, rnd, msg_id))
+        csc.add_commitment(crypto.commit(1, rnd, msg_id, CSC_ID, pk))
+        reveals.append((pk, 1, rnd, msg_id))
     csc.fuse()
-    settlement = csc.settle(reveals)
-    assert settlement[members[0].pk].ambiguous
-    assert settlement[members[1].pk].ambiguous
-    assert settlement[members[0].pk].outcome is Outcome.INCONSISTENT
+    csc.pending_moves = []
+    csc.settle(reveals)
+    return csc, sorted(members[:2])
+
+
+def test_settle_ambiguous_link_forfeits_both(identities):
+    """Neither opener of a shared packet is linked to it, so both are
+    inconsistent and burn their deposits, and neither is rewarded, though
+    the packet agrees with the fused verdict."""
+    csc, claimers = settled_with_a_shared_packet(identities)
+    assert csc.fusion_result == 1
+    for pk in claimers:
+        assert csc.settlement[pk] == SettlementRecord(Outcome.INCONSISTENT, 0, 0)
+    assert [m for m in csc.pending_moves if m.pk in claimers] == [
+        TokenMove("burn", pk, 100) for pk in claimers]
+
+
+def test_an_ambiguous_settlement_reads_back_as_the_csc_made_it(identities):
+    """The SETTLEMENT payload carries each record whole: decoding it gives
+    back the CSC's settlement, shared-packet forfeits included."""
+    csc, _ = settled_with_a_shared_packet(identities)
+    payload = contracts.encode_settlement(CSC_ID, csc.fusion_result, csc.settlement)
+    assert contracts.decode_payload(TxKind.SETTLEMENT, payload) == (
+        CSC_ID, csc.fusion_result, csc.settlement)
 
 
 def test_no_packet_to_account_link_before_settlement(identities):
@@ -483,14 +500,13 @@ def test_no_packet_to_account_link_before_settlement(identities):
     csc = registered_csc(identities)
     upload_for(csc, identities, {pk: 1 for pk in csc.registered}, rng)
     registered_ids = set(csc.registered)
-    for packet, sig in csc.packets:
+    for packet, sig in csc.packets.values():
         blob = packet.canonical_bytes() + sig.canonical_bytes()
         for pk in registered_ids:
             assert pk not in blob
     for pk, commitment in csc.commitments.items():
         # a commitment names its sensor but hides which packet is theirs
-        tags = {p.msg_id_hash for p, _ in csc.packets}
-        assert commitment.digest not in tags
+        assert commitment.digest not in csc.packets
 
 
 def test_settle_emits_trust_events(identities):
@@ -531,13 +547,15 @@ def test_auction_table_scenario(identities):
     """Bidder 1: 100 real + 200 decoy. Bidder 2: 150 real + 300 decoy."""
     sac, opens = committed_sac(identities[:2], [(100, 200), (150, 300)])
     assert sac.open_reveal(0)
-    records = {}
+    totals, refunds = {}, {}
     for pk, (dps, bools, rnds) in opens.items():
-        records[pk] = sac.reveal(pk, dps, bools, rnds)
-    assert records[identities[0].account_id].total_valid_bid == 100
-    assert records[identities[0].account_id].refund == 200
-    assert records[identities[1].account_id].total_valid_bid == 150
-    assert records[identities[1].account_id].refund == 300
+        queued = len(sac.pending_moves)
+        totals[pk] = sac.reveal(pk, dps, bools, rnds)
+        refunds[pk] = sac.pending_moves[queued:]
+    first, second = identities[0].account_id, identities[1].account_id
+    assert totals == sac.revealed == {first: 100, second: 150}
+    assert refunds == {first: [TokenMove("refund", first, 200)],
+                       second: [TokenMove("refund", second, 300)]}
     winner, price = sac.win()
     assert winner == identities[1].account_id
     assert price == 100
@@ -547,10 +565,11 @@ def test_auction_altered_rnd_burns_only_that_commit(identities):
     sac, opens = committed_sac(identities[:2], [(100, 200), (150, 300)])
     sac.open_reveal(0)
     dps, bools, rnds = opens[identities[0].account_id]
-    record = sac.reveal(identities[0].account_id, dps, bools,
-                        [bytes(32), rnds[1]])
-    assert record.total_valid_bid == 0          # real bid failed to open
-    assert record.refund == 200                 # decoy still refunded
+    queued = len(sac.pending_moves)
+    total = sac.reveal(identities[0].account_id, dps, bools, [bytes(32), rnds[1]])
+    assert total == 0                           # real bid failed to open
+    assert sac.pending_moves[queued:] == [      # decoy still refunded
+        TokenMove("refund", identities[0].account_id, 200)]
     bids = sac.bids_list[identities[0].account_id]
     assert [b.status for b in bids] == ["failed", "decoy"]
 
@@ -637,8 +656,7 @@ def test_a_refused_reveal_changes_nothing_and_a_retry_refunds_once(identities, b
     assert sac.pending_moves == moves
     assert [b.status for b in sac.bids_list[pk]] == statuses == ["sealed", "sealed"]
     assert pk not in sac.revealed
-    record = sac.reveal(pk, dps, bools, rnds)
-    assert (record.total_valid_bid, record.refund) == (120, 60)
+    assert sac.reveal(pk, dps, bools, rnds) == 120
     assert sac.pending_moves[len(moves):] == [contracts.TokenMove("refund", pk, 60)]
 
 
@@ -709,20 +727,22 @@ def test_unrevealed_escrow_burned_when_auction_opened(identities):
 
 
 def test_second_price_matches_oracle_random_profiles(identities):
+    """Each profile is revealed in a drawn order, which the keys' order
+    often contradicts, so a tie going to the smaller key shows."""
     rng = Random(33)
     pks = [i.account_id for i in identities[:4]]
     for _ in range(300):
         k = rng.randint(1, 4)
         bids = {pk: rng.randint(1, 20) for pk in pks[:k]}
-        order = {pk: i for i, pk in enumerate(pks[:k])}
+        revealed = rng.sample(pks[:k], k)
         sac = new_sac()
         sac.phase = SacPhase.REVEALING
-        for pk, amount in bids.items():
+        for pk in revealed:
             sac.bidders[pk] = 100
             sac.bids_list[pk] = []
-            sac.revealed[pk] = RevealRecord(total_valid_bid=amount, refund=0,
-                                            order=order[pk])
-        assert sac.win() == second_price_oracle(bids, order), bids
+            sac.revealed[pk] = bids[pk]
+        order = {pk: i for i, pk in enumerate(revealed)}
+        assert sac.win() == second_price_oracle(bids, order), (bids, revealed)
 
 
 def test_vickrey_truthfulness_on_sampled_profiles(identities):
